@@ -29,7 +29,7 @@ from math import comb
 
 from .characters import DirichletChar
 from .cyclotomic import CycloElement
-from .series import TruncatedSeries, exp_series
+from .series import TruncatedSeries, _exp_minus_one_over_t
 
 __all__ = [
     "BernoulliCache",
@@ -91,11 +91,6 @@ def char_exp_sum(chi: DirichletChar, scale, order: int) -> TruncatedSeries:
                 acc = acc + v.scale(a**k)
         coeffs.append(acc.scale(scale**k / kfact))
     return TruncatedSeries(order, chi.order, tuple(coeffs))
-
-
-def _exp_minus_one_over_t(c, order: int) -> TruncatedSeries:
-    # (e^(c t) - 1)/t, an invertible series with constant term c.
-    return (exp_series(c, order + 1) - 1).shift_down(1)
 
 
 def gen_bernoulli_series(chi: DirichletChar, order: int) -> TruncatedSeries:

@@ -14,7 +14,8 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import __version__
@@ -115,6 +116,9 @@ class SweepConfig:
     ys_pool: tuple[Fraction, ...] = DEFAULT_Y_POOL
     allow_imprimitive: bool = False
     char_labels: tuple[int, ...] | None = None
+    # explicit y-arguments: when set, each theorem takes a zero-padded
+    # prefix of them instead of rotations of ys_pool
+    ys: tuple[Fraction, ...] | None = None
 
     def validate(self):
         if not self.moduli or min(self.moduli) < 1:
@@ -131,9 +135,16 @@ class SweepConfig:
                 raise ValueError(f"bad weight tuple {w!r}")
         if self.char_labels is not None and len(self.moduli) != 1:
             raise ValueError("explicit character labels require a single modulus")
+        if self.ys is not None:
+            max_arity = max(theorem_y_arity(tid) for tid in self.theorems)
+            if len(self.ys) > max_arity:
+                raise ValueError(
+                    f"selected theorems take at most {max_arity} y-arguments, "
+                    f"got {len(self.ys)}"
+                )
 
     def to_dict(self) -> dict:
-        return {
+        data = {
             "moduli": list(self.moduli),
             "theorems": list(self.theorems),
             "n_max": self.n_max,
@@ -142,27 +153,40 @@ class SweepConfig:
             "allow_imprimitive": self.allow_imprimitive,
             "char_labels": list(self.char_labels) if self.char_labels is not None else None,
         }
+        if self.ys is not None:
+            data["ys"] = [str(y) for y in self.ys]
+        return data
 
     @classmethod
     def from_dict(cls, data) -> SweepConfig:
         """Read a config object decoded from JSON; malformed input raises ValueError."""
         if not isinstance(data, dict):
             raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
+        known = {f.name for f in fields(cls)}
+        for key in data:
+            if key not in known:
+                raise ValueError(f"unknown config field {key!r}")
         cfg = cls(
             moduli=_config_field(data, "moduli", DEFAULT_MODULI, _int_tuple),
-            theorems=_config_field(data, "theorems", THEOREM_IDS, _json_list),
-            n_max=_config_field(data, "n_max", DEFAULT_N_MAX, int),
+            theorems=_config_field(
+                data, "theorems", THEOREM_IDS, lambda v: _typed_tuple(v, str, "strings")
+            ),
+            n_max=_config_field(
+                data, "n_max", DEFAULT_N_MAX, lambda v: _typed(v, int, "an integer")
+            ),
             weights=_config_field(
                 data, "weights", DEFAULT_WEIGHTS,
                 lambda v: tuple(_int_tuple(w) for w in _json_list(v)),
             ),
-            ys_pool=_config_field(
-                data, "ys_pool", DEFAULT_Y_POOL,
-                lambda v: tuple(Fraction(y) for y in _json_list(v)),
+            ys_pool=_config_field(data, "ys_pool", DEFAULT_Y_POOL, _rational_tuple),
+            allow_imprimitive=_config_field(
+                data, "allow_imprimitive", False, lambda v: _typed(v, bool, "true or false")
             ),
-            allow_imprimitive=bool(data.get("allow_imprimitive", False)),
             char_labels=_config_field(
                 data, "char_labels", None, lambda v: None if v is None else _int_tuple(v)
+            ),
+            ys=_config_field(
+                data, "ys", None, lambda v: None if v is None else _rational_tuple(v)
             ),
         )
         cfg.validate()
@@ -179,18 +203,32 @@ def _config_field(data: dict, key: str, default, convert):
         raise ValueError(f"config field {key!r}: {exc}") from None
 
 
-def _json_list(value) -> tuple:
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list, got {value!r}")
-    return tuple(value)
+def _typed(value, kind: type, expected: str):
+    # exact type match: JSON true/false must not pass as the integers 1/0
+    if type(value) is not kind:
+        raise TypeError(f"expected {expected}, got {value!r}")
+    return value
+
+
+def _json_list(value) -> list:
+    return _typed(value, list, "a list")
+
+
+def _typed_tuple(value, kind: type, expected: str) -> tuple:
+    return tuple(_typed(item, kind, expected) for item in _json_list(value))
 
 
 def _int_tuple(value) -> tuple[int, ...]:
+    return _typed_tuple(value, int, "integers")
+
+
+def _rational_tuple(value) -> tuple[Fraction, ...]:
+    # rationals are written as "p/q" strings or integers, never JSON floats
     items = _json_list(value)
     for item in items:
-        if type(item) is not int:
-            raise TypeError(f"expected integers, got {item!r}")
-    return items
+        if type(item) not in (str, int):
+            raise TypeError(f"expected rationals written as \"p/q\", got {item!r}")
+    return tuple(Fraction(item) for item in items)
 
 
 def y_tuples(arity: int, pool) -> list[tuple[Fraction, ...]]:
@@ -223,7 +261,10 @@ def build_instances(config: SweepConfig) -> list[TheoremInstance]:
     instances = []
     for tid in config.theorems:
         arity = theorem_y_arity(tid)
-        tuples = y_tuples(arity, config.ys_pool)
+        if config.ys is None:
+            tuples = y_tuples(arity, config.ys_pool)
+        else:
+            tuples = [(config.ys + (Fraction(0),) * arity)[:arity]]
         for d in config.moduli:
             for chi in _characters_for(d, config.allow_imprimitive, config.char_labels):
                 for w in config.weights:
@@ -376,7 +417,7 @@ def cmd_chars(args) -> int:
             "values": [str(v) for v in chi.values],
         }
         for chi in chars
-        if args.allow_imprimitive or chi.primitive or not args.primitive_only
+        if chi.primitive or not args.primitive_only
     ]
     doc = _doc(
         "chars",
@@ -400,16 +441,8 @@ def cmd_chars(args) -> int:
     return 0
 
 
-def _resolve_char(modulus: int, label: int) -> DirichletChar:
-    chars = enumerate_characters(modulus)
-    for chi in chars:
-        if chi.label == label:
-            return chi
-    raise ValueError(f"no character with label {label} mod {modulus}")
-
-
 def cmd_compute(args) -> int:
-    chi = _resolve_char(args.modulus, args.char)
+    (chi,) = _characters_for(args.modulus, True, (args.char,))
     if args.kind == "bernoulli-number":
         value = gen_bernoulli_number(chi, args.n)
         params = {"n": args.n}
@@ -441,7 +474,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_lambda(args) -> int:
-    chi = _resolve_char(args.modulus, args.char)
+    (chi,) = _characters_for(args.modulus, True, (args.char,))
     ys_needed = LambdaSpec.y_arity(args.family, args.index)
     ys = list(args.ys or ())
     if len(ys) > ys_needed:
@@ -512,31 +545,9 @@ def cmd_verify(args) -> int:
         ys_pool=(),
         allow_imprimitive=args.allow_imprimitive,
         char_labels=(args.char,) if args.char is not None else None,
+        ys=args.ys or (),
     )
-    config.validate()
-    # explicit per-slot y-arguments; missing slots default to 0 and
-    # theorems with fewer slots use a prefix of the shared tuple
-    given = list(args.ys or ())
-    max_arity = max(theorem_y_arity(tid) for tid in config.theorems)
-    if len(given) > max_arity:
-        raise ValueError(
-            f"selected theorems take at most {max_arity} y-arguments, got {len(given)}"
-        )
-    instances = []
-    for tid in config.theorems:
-        arity = theorem_y_arity(tid)
-        ys = tuple((given + [Fraction(0)] * arity)[:arity])
-        for d in config.moduli:
-            for chi in _characters_for(d, config.allow_imprimitive, config.char_labels):
-                for n in range(config.n_max + 1):
-                    instances.append(TheoremInstance(tid, chi, n, args.weights, ys))
-    reports = sweep_verify(instances, jobs=args.jobs, perturb=args.perturb)
-    records = [_record(r) for r in reports]
-    summary = _summarize(records)
-    cfg = config.to_dict() | {"ys": [str(y) for y in (args.ys or ())]}
-    doc = _doc("verify", cfg, records, summary)
-    _emit(doc, args.format, _render_verify_text)
-    return 0 if summary["failures"] == 0 else 1
+    return _run_verification("verify", config, args.jobs, args.perturb, args.format)
 
 
 def cmd_sweep(args) -> int:
@@ -558,6 +569,7 @@ def cmd_sweep(args) -> int:
         config.weights = args.weights
     if args.ys is not None:
         config.ys_pool = args.ys
+        config.ys = None
     if args.allow_imprimitive:
         config.allow_imprimitive = True
     config.validate()
@@ -588,8 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chars", help="list the Dirichlet characters mod d")
     p.add_argument("--modulus", "-d", type=_positive_int, required=True)
-    p.add_argument("--allow-imprimitive", action="store_true",
-                   help="include imprimitive characters")
     p.add_argument("--primitive-only", action="store_true",
                    help="list only primitive characters")
     add_format(p)
@@ -668,7 +678,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, BrokenProcessPool) as exc:
         parser.exit(2, f"bernsym: error: {exc}\n")
 
 

@@ -48,7 +48,7 @@ from math import comb
 from .bernoulli import char_exp_sum, gen_bernoulli_poly, power_sum
 from .characters import DirichletChar, char_value
 from .cyclotomic import CycloElement
-from .series import TruncatedSeries, exp_series
+from .series import TruncatedSeries, _exp_minus_one_over_t, exp_series
 
 __all__ = [
     "LambdaSpec",
@@ -123,10 +123,6 @@ def _product(series_list):
     for s in series_list[1:]:
         result = result * s
     return result
-
-
-def _exp_minus_one_over_t(c, order: int) -> TruncatedSeries:
-    return (exp_series(c, order + 1) - 1).shift_down(1)
 
 
 def lambda_series(spec: LambdaSpec, chi: DirichletChar, order: int) -> TruncatedSeries:
@@ -274,9 +270,70 @@ def _triples(n: int):
             yield k, l, n - k - l
 
 
-def _wpows(w: int, lo: int, hi: int) -> dict[int, Fraction]:
-    f = Fraction(w)
-    return {e: f**e for e in range(lo, hi + 1)}
+# Slots of the unfolded routes, one (argument weight, y index) pair each:
+# slot j reads B_{i,chi}(w_a * y) or, with no y index, S_i(w_a * d - 1).  The
+# power of slot j is carried by its own weight w_{j+1}, with exponent n - i
+# in family L23 and i in family L12, one lower for a power-sum slot.
+_TRIPLE_SLOTS = {
+    "L23.0": ((0, 0), (1, 1), (2, 2)),
+    "L23.1a": ((0, 0), (1, 1), (2, None)),
+    "L23.2a": ((0, 0), (1, None), (2, None)),
+    "L23.3": ((0, None), (1, None), (2, None)),
+    "L12.0": ((1, 0), (2, 0), (0, 0)),
+    "L12.1": ((1, None), (2, None), (0, None)),
+}
+
+
+def _triple_sum(
+    label: str, n: int, chi: DirichletChar, weights, ys, bump: int
+) -> CycloElement:
+    # sum over k + l + m = n of multinomial(n; k, l, m) times the three
+    # weight powers and slot values; bump raises w1's exponent
+    complementary = _LABEL_FAMILY[label][0] == "L23"
+    d = chi.modulus
+    values, powers = [], []
+    for j, (a, y) in enumerate(_TRIPLE_SLOTS[label]):
+        w = weights[a]
+        if y is None:
+            values.append([power_sum(chi, i, w * d - 1) for i in range(n + 1)])
+        else:
+            values.append([gen_bernoulli_poly(chi, i, w * ys[y]) for i in range(n + 1)])
+        offset = (-1 if y is None else 0) + (bump if j == 0 else 0)
+        base = Fraction(weights[j])
+        powers.append(
+            [base ** ((n - i if complementary else i) + offset) for i in range(n + 1)]
+        )
+    (v1, v2, v3), (p1, p2, p3) = values, powers
+    acc = CycloElement.zero(chi.order)
+    for k, l, m in _triples(n):
+        scalar = multinomial(n, k, l, m) * p1[k] * p2[l] * p3[m]
+        acc = acc + (v1[k] * v2[l] * v3[m]).scale(scalar)
+    return acc
+
+
+def _char_shift_sum(chi: DirichletChar, k: int, x, r, count: int) -> CycloElement:
+    # sum_{a < count} chi(a) B_{k,chi}(x + r*a): a quotient absorbed into a
+    # character sum that shifts the Bernoulli argument
+    acc = CycloElement.zero(chi.order)
+    for a in range(count):
+        ca = char_value(chi, a)
+        if not ca.is_zero():
+            acc = acc + ca * gen_bernoulli_poly(chi, k, x + r * a)
+    return acc
+
+
+def _folded_pair(n: int, chi: DirichletChar, weights, ys, r, bump: int) -> CycloElement:
+    # route L23.1b at shift ratio r (w2/w3 on the symmetric orbit): the third
+    # variable's quotient is folded into a character sum over a < w3*d
+    # shifting the second argument
+    w1, w2, w3 = weights
+    y1, y2 = ys
+    acc = CycloElement.zero(chi.order)
+    for k in range(n + 1):
+        inner = _char_shift_sum(chi, n - k, w2 * y2, r, w3 * chi.modulus)
+        term = gen_bernoulli_poly(chi, k, w1 * y1) * inner
+        acc = acc + term.scale(comb(n, k) * Fraction(w1) ** (n - k) * Fraction(w2) ** k)
+    return acc.scale(Fraction(w3) ** (n - 1 + bump))
 
 
 def expansion_sum(
@@ -307,135 +364,33 @@ def expansion_sum(
     arity = LambdaSpec.y_arity(*_LABEL_FAMILY[label])
     if len(ys) != arity:
         raise ValueError(f"label {label} takes {arity} y-arguments, got {len(ys)}")
-    d = chi.modulus
     bump = 1 if perturb else 0
-    acc = CycloElement.zero(chi.order)
-
-    def B(k, x):
-        return gen_bernoulli_poly(chi, k, x)
-
-    def S(k, limit):
-        return power_sum(chi, k, limit)
-
-    if label == "L23.0":
-        y1, y2, y3 = ys
-        p1, p2, p3 = _wpows(w1, 0, n + bump), _wpows(w2, 0, n), _wpows(w3, 0, n)
-        bk = [B(k, w1 * y1) for k in range(n + 1)]
-        bl = [B(l, w2 * y2) for l in range(n + 1)]
-        bm = [B(m, w3 * y3) for m in range(n + 1)]
-        for k, l, m in _triples(n):
-            scalar = multinomial(n, k, l, m) * p1[l + m + bump] * p2[k + m] * p3[k + l]
-            acc = acc + (bk[k] * bl[l] * bm[m]).scale(scalar)
-        return acc
-
-    if label == "L23.1a":
-        y1, y2 = ys
-        p1, p2, p3 = _wpows(w1, 0, n + bump), _wpows(w2, 0, n), _wpows(w3, -1, n)
-        bk = [B(k, w1 * y1) for k in range(n + 1)]
-        bl = [B(l, w2 * y2) for l in range(n + 1)]
-        sm = [S(m, w3 * d - 1) for m in range(n + 1)]
-        for k, l, m in _triples(n):
-            scalar = (
-                multinomial(n, k, l, m) * p1[l + m + bump] * p2[k + m] * p3[k + l - 1]
-            )
-            acc = acc + (bk[k] * bl[l] * sm[m]).scale(scalar)
-        return acc
-
+    if label in _TRIPLE_SLOTS:
+        return _triple_sum(label, n, chi, (w1, w2, w3), ys, bump)
     if label == "L23.1b":
-        # folded route: the third variable's quotient is absorbed into a
-        # character sum over a < w3*d shifting the second argument
-        y1, y2 = ys
-        r = Fraction(w2, w3)
-        p1, p2 = _wpows(w1, 0, n), _wpows(w2, 0, n)
-        for k in range(n + 1):
-            inner = CycloElement.zero(chi.order)
-            for a in range(w3 * d):
-                ca = char_value(chi, a)
-                if not ca.is_zero():
-                    inner = inner + ca * B(n - k, w2 * y2 + r * a)
-            term = B(k, w1 * y1) * inner
-            acc = acc + term.scale(comb(n, k) * p1[n - k] * p2[k])
-        return acc.scale(Fraction(w3) ** (n - 1 + bump))
+        return _folded_pair(n, chi, (w1, w2, w3), ys, Fraction(w2, w3), bump)
 
-    if label == "L23.2a":
-        (y1,) = ys
-        p1, p2, p3 = _wpows(w1, 0, n + bump), _wpows(w2, -1, n), _wpows(w3, -1, n)
-        bk = [B(k, w1 * y1) for k in range(n + 1)]
-        sl = [S(l, w2 * d - 1) for l in range(n + 1)]
-        sm = [S(m, w3 * d - 1) for m in range(n + 1)]
-        for k, l, m in _triples(n):
-            scalar = (
-                multinomial(n, k, l, m)
-                * p1[l + m + bump]
-                * p2[k + m - 1]
-                * p3[k + l - 1]
-            )
-            acc = acc + (bk[k] * sl[l] * sm[m]).scale(scalar)
-        return acc
-
+    d = chi.modulus
+    (y1,) = ys
+    acc = CycloElement.zero(chi.order)
     if label == "L23.2b":
-        (y1,) = ys
         r = Fraction(w1, w2)
-        p1, p3 = _wpows(w1, 0, n), _wpows(w3, -1, n)
         for k in range(n + 1):
-            inner = CycloElement.zero(chi.order)
-            for a in range(w2 * d):
-                ca = char_value(chi, a)
-                if not ca.is_zero():
-                    inner = inner + ca * B(k, w1 * y1 + r * a)
-            term = inner * S(n - k, w3 * d - 1)
-            acc = acc + term.scale(comb(n, k) * p1[n - k] * p3[k - 1])
+            inner = _char_shift_sum(chi, k, w1 * y1, r, w2 * d)
+            term = inner * power_sum(chi, n - k, w3 * d - 1)
+            acc = acc + term.scale(
+                comb(n, k) * Fraction(w1) ** (n - k) * Fraction(w3) ** (k - 1)
+            )
         return acc.scale(Fraction(w2) ** (n - 1 + bump))
 
-    if label == "L23.2c":
-        (y1,) = ys
-        r2, r3 = Fraction(w1, w2), Fraction(w1, w3)
-        for a in range(w2 * d):
-            for b in range(w3 * d):
-                cab = char_value(chi, a * b)
-                if not cab.is_zero():
-                    acc = acc + cab * B(n, w1 * y1 + r2 * a + r3 * b)
-        return acc.scale(Fraction(w2 * w3) ** (n - 1 + bump))
-
-    if label == "L23.3":
-        p1 = _wpows(w1, -1, n + bump)
-        p2, p3 = _wpows(w2, -1, n), _wpows(w3, -1, n)
-        sk = [S(k, w1 * d - 1) for k in range(n + 1)]
-        sl = [S(l, w2 * d - 1) for l in range(n + 1)]
-        sm = [S(m, w3 * d - 1) for m in range(n + 1)]
-        for k, l, m in _triples(n):
-            scalar = (
-                multinomial(n, k, l, m)
-                * p1[l + m - 1 + bump]
-                * p2[k + m - 1]
-                * p3[k + l - 1]
-            )
-            acc = acc + (sk[k] * sl[l] * sm[m]).scale(scalar)
-        return acc
-
-    if label == "L12.0":
-        (y,) = ys
-        p1, p2, p3 = _wpows(w1, 0, n + bump), _wpows(w2, 0, n), _wpows(w3, 0, n)
-        bk = [B(k, w2 * y) for k in range(n + 1)]
-        bl = [B(l, w3 * y) for l in range(n + 1)]
-        bm = [B(m, w1 * y) for m in range(n + 1)]
-        for k, l, m in _triples(n):
-            scalar = multinomial(n, k, l, m) * p1[k + bump] * p2[l] * p3[m]
-            acc = acc + (bk[k] * bl[l] * bm[m]).scale(scalar)
-        return acc
-
-    # L12.1
-    p1 = _wpows(w1, -1, n + bump)
-    p2, p3 = _wpows(w2, -1, n), _wpows(w3, -1, n)
-    sk = [S(k, w2 * d - 1) for k in range(n + 1)]
-    sl = [S(l, w3 * d - 1) for l in range(n + 1)]
-    sm = [S(m, w1 * d - 1) for m in range(n + 1)]
-    for k, l, m in _triples(n):
-        scalar = (
-            multinomial(n, k, l, m) * p1[k - 1 + bump] * p2[l - 1] * p3[m - 1]
-        )
-        acc = acc + (sk[k] * sl[l] * sm[m]).scale(scalar)
-    return acc
+    # L23.2c
+    r2, r3 = Fraction(w1, w2), Fraction(w1, w3)
+    for a in range(w2 * d):
+        for b in range(w3 * d):
+            cab = char_value(chi, a * b)
+            if not cab.is_zero():
+                acc = acc + cab * gen_bernoulli_poly(chi, n, w1 * y1 + r2 * a + r3 * b)
+    return acc.scale(Fraction(w2 * w3) ** (n - 1 + bump))
 
 
 # ---------------------------------------------------------------------------
@@ -447,11 +402,14 @@ def expansion_sum(
 class _TheoremDef:
     label: str
     perms: tuple[tuple[int, int, int], ...]
-    y_arity: int
     # permuted variants that collapse onto a displayed expression by an
     # index renaming of the summation variables, and which one each equals
     collapsed: tuple[tuple[int, int, int], ...] = ()
     collapsed_into: tuple[int, ...] = ()
+
+    @property
+    def y_arity(self) -> int:
+        return LambdaSpec.y_arity(*_LABEL_FAMILY[self.label])
 
 
 # Display order of the expressions follows the identity statements: each
@@ -461,36 +419,30 @@ _THEOREMS: dict[str, _TheoremDef] = {
     "T1": _TheoremDef(
         "L23.0",
         ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)),
-        3,
     ),
     "T2": _TheoremDef(
         "L23.1a",
         ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 2, 1), (3, 1, 2)),
-        2,
     ),
     "T3": _TheoremDef(
         "L23.1b",
         ((3, 2, 1), (2, 3, 1), (3, 1, 2), (1, 3, 2), (2, 1, 3), (1, 2, 3)),
-        2,
     ),
     "T4": _TheoremDef(
         "L23.2a",
         ((1, 2, 3), (2, 3, 1), (3, 1, 2)),
-        1,
         collapsed=((1, 3, 2), (2, 1, 3), (3, 2, 1)),
         collapsed_into=(0, 1, 2),
     ),
     "T5": _TheoremDef(
         "L23.2b",
         ((2, 1, 3), (3, 1, 2), (1, 2, 3), (3, 2, 1), (1, 3, 2), (2, 3, 1)),
-        1,
     ),
-    "T6": _TheoremDef("L23.2c", ((3, 1, 2), (1, 2, 3), (2, 3, 1)), 1),
-    "T7": _TheoremDef("L12.0", ((3, 1, 2), (2, 1, 3)), 1),
+    "T6": _TheoremDef("L23.2c", ((3, 1, 2), (1, 2, 3), (2, 3, 1))),
+    "T7": _TheoremDef("L12.0", ((3, 1, 2), (2, 1, 3))),
     "T8": _TheoremDef(
         "L12.1",
         ((3, 1, 2), (2, 1, 3)),
-        0,
         collapsed=((1, 2, 3), (2, 3, 1), (1, 3, 2), (3, 2, 1)),
         collapsed_into=(0, 0, 1, 1),
     ),
@@ -573,22 +525,10 @@ def _t3_printed_line5(instance: TheoremInstance) -> CycloElement:
     # identity, with the inner shift ratio written w1/w2 instead of the
     # orbit-consistent w1/w3.  Evaluated verbatim so the discrepancy can
     # be reported empirically instead of guessed at.
-    chi = instance.chi
-    n = instance.n
     w1, w2, w3 = instance.weights
-    y1, y2 = instance.ys
-    d = chi.modulus
-    r = Fraction(w1, w2)
-    acc = CycloElement.zero(chi.order)
-    for k in range(n + 1):
-        inner = CycloElement.zero(chi.order)
-        for a in range(w3 * d):
-            ca = char_value(chi, a)
-            if not ca.is_zero():
-                inner = inner + ca * gen_bernoulli_poly(chi, n - k, w1 * y2 + r * a)
-        term = gen_bernoulli_poly(chi, k, w2 * y1) * inner
-        acc = acc + term.scale(comb(n, k) * Fraction(w2) ** (n - k) * Fraction(w1) ** k)
-    return acc.scale(Fraction(w3) ** (n - 1))
+    return _folded_pair(
+        instance.n, instance.chi, (w2, w1, w3), instance.ys, Fraction(w1, w2), 0
+    )
 
 
 def verify_theorem(instance: TheoremInstance, perturb: bool = False) -> VerificationReport:

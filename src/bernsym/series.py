@@ -228,3 +228,8 @@ def exp_series(c, order: int) -> TruncatedSeries:
     for k in range(1, order + 1):
         coeffs.append((coeffs[-1] * c).scale(Fraction(1, k)))
     return TruncatedSeries(order, c.order, tuple(coeffs))
+
+
+def _exp_minus_one_over_t(c, order: int) -> TruncatedSeries:
+    # (e^(c t) - 1)/t, an invertible series with constant term c.
+    return (exp_series(c, order + 1) - 1).shift_down(1)

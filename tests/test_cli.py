@@ -1,8 +1,9 @@
 import json
+import os
 
 import pytest
 
-from bernsym import cli
+from bernsym import cli, identities
 
 
 def run_cli(capsys, argv):
@@ -31,6 +32,13 @@ def test_chars_mod8_conductors(capsys):
     code, doc = run_json(capsys, ["chars", "--modulus", "8"])
     assert code == 0
     assert sorted(r["conductor"] for r in doc["records"]) == [1, 4, 8, 8]
+
+
+def test_chars_primitive_only(capsys):
+    code, doc = run_json(capsys, ["chars", "--modulus", "8", "--primitive-only"])
+    assert code == 0
+    assert [r["conductor"] for r in doc["records"]] == [8, 8]
+    assert all(r["primitive"] for r in doc["records"])
 
 
 def test_chars_rejects_zero_modulus(capsys):
@@ -181,6 +189,21 @@ def test_sweep_config_round_trip(tmp_path, capsys):
     assert doc2["records"] == doc["records"]
 
 
+def test_sweep_reruns_verify_report(tmp_path, capsys):
+    code, doc = run_json(
+        capsys,
+        ["verify", "--theorem", "T1,T4,T8", "--modulus", "5", "--n-max", "2",
+         "--weights", "1,2,3", "--ys", "1/2,1/3"],
+    )
+    assert code == 0
+    report_path = tmp_path / "verify.json"
+    report_path.write_text(json.dumps(doc), encoding="utf-8")
+    code2, doc2 = run_json(capsys, ["sweep", "--config", str(report_path)])
+    assert code2 == 0
+    assert doc2["config"] == doc["config"]
+    assert doc2["records"] == doc["records"]
+
+
 def test_sweep_t3_finding_emitted(capsys):
     code, out = run_cli(
         capsys,
@@ -216,12 +239,43 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
-@pytest.mark.parametrize("content", ['{"moduli": "abc"}', "[1, 2]"])
+@pytest.mark.parametrize(
+    "content",
+    [
+        '{"moduli": "abc"}',
+        "[1, 2]",
+        '{"modulii": [4], "theorems": ["T7"], "n_max": 0}',
+        '{"moduli": [4], "theorems": ["T7"], "n_max": 0, "allow_imprimitive": "no"}',
+        '{"moduli": [4], "theorems": ["T7"], "n_max": 2.5}',
+        '{"moduli": [4], "theorems": ["T7"], "n_max": true}',
+        '{"moduli": [4], "theorems": ["T7"], "n_max": 0, "ys_pool": [0.5]}',
+    ],
+)
 def test_sweep_malformed_config_is_usage_error(tmp_path, capsys, content):
     path = tmp_path / "config.json"
     path.write_text(content, encoding="utf-8")
     with pytest.raises(SystemExit) as exc:
         cli.main(["sweep", "--config", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bernsym: error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_sweep_dead_worker_is_usage_error(monkeypatch, capsys):
+    parent = os.getpid()
+    verify = identities.verify_theorem
+
+    def die_in_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(1)
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(identities, "verify_theorem", die_in_worker)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--moduli", "1", "--theorems", "T8", "--n-max", "3",
+                  "--weights", "1,2,3", "--jobs", "2"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("bernsym: error: ")
