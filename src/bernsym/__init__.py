@@ -3,98 +3,22 @@ Bernoulli polynomials and generalized power sums.
 
 Everything is computed over Q or over cyclotomic fields Q(zeta_m) with
 arbitrary-precision rationals; no floating point appears anywhere.
+
+The package root exports the names of the documented library example;
+everything else is imported from its module, bernsym.<module>.
 """
 
 __version__ = "0.1.0"
 
-from .bernoulli import (
-    BernoulliCache,
-    char_exp_sum,
-    clear_caches,
-    gen_bernoulli_number,
-    gen_bernoulli_poly,
-    gen_bernoulli_series,
-    ordinary_bernoulli,
-    ordinary_bernoulli_poly,
-    power_sum,
-    power_sum_series,
-)
-from .characters import (
-    DirichletChar,
-    UnitGroupStructure,
-    char_value,
-    conductor,
-    enumerate_characters,
-    primitive_characters,
-    unit_group_structure,
-)
-from .cyclotomic import (
-    CycloElement,
-    IntPolynomial,
-    Rational,
-    cyclotomic_polynomial,
-    euler_phi,
-    lift_to_order,
-    zeta,
-)
-from .identities import (
-    EXPANSION_LABELS,
-    THEOREM_IDS,
-    LambdaSpec,
-    TheoremInstance,
-    VerificationReport,
-    expansion_sum,
-    lambda_series,
-    lambda_series_from_integrals,
-    multinomial,
-    spec_for_label,
-    sweep_verify,
-    theorem_expressions,
-    theorem_y_arity,
-    verify_theorem,
-)
-from .series import TruncatedSeries, exp_series
+from .bernoulli import gen_bernoulli_poly, power_sum
+from .characters import enumerate_characters
+from .identities import TheoremInstance, verify_theorem
 
 __all__ = [
     "__version__",
-    "Rational",
-    "CycloElement",
-    "IntPolynomial",
-    "cyclotomic_polynomial",
-    "euler_phi",
-    "zeta",
-    "lift_to_order",
-    "UnitGroupStructure",
-    "DirichletChar",
-    "unit_group_structure",
     "enumerate_characters",
-    "primitive_characters",
-    "conductor",
-    "char_value",
-    "TruncatedSeries",
-    "exp_series",
-    "BernoulliCache",
-    "clear_caches",
-    "ordinary_bernoulli",
-    "ordinary_bernoulli_poly",
-    "gen_bernoulli_series",
-    "gen_bernoulli_number",
     "gen_bernoulli_poly",
     "power_sum",
-    "power_sum_series",
-    "char_exp_sum",
-    "LambdaSpec",
     "TheoremInstance",
-    "VerificationReport",
-    "THEOREM_IDS",
-    "EXPANSION_LABELS",
-    "multinomial",
-    "lambda_series",
-    "lambda_series_from_integrals",
-    "spec_for_label",
-    "expansion_sum",
-    "theorem_y_arity",
-    "theorem_expressions",
     "verify_theorem",
-    "sweep_verify",
 ]

@@ -140,9 +140,6 @@ class DirichletChar:
     primitive: bool
     values: tuple[CycloElement, ...]
 
-    def __call__(self, a: int) -> CycloElement:
-        return self.values[a % self.modulus]
-
     @property
     def is_trivial(self) -> bool:
         return self.order == 1

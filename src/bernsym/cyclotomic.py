@@ -12,24 +12,16 @@ recomputation is idempotent, so concurrent first use is harmless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 __all__ = [
-    "Rational",
-    "IntPolynomial",
     "CycloElement",
     "euler_phi",
     "cyclotomic_polynomial",
     "zeta",
-    "lift_to_order",
 ]
-
-# Coefficient type used everywhere: gcd-reduced, positive denominator,
-# arbitrary precision.  fractions.Fraction guarantees all three.
-Rational = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -51,21 +43,6 @@ def euler_phi(m: int) -> int:
     if n > 1:
         result -= result // n
     return result
-
-
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Monic polynomial with integer coefficients, ascending degree."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.coeffs or self.coeffs[-1] != 1:
-            raise ValueError("polynomial must be monic")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -94,8 +71,11 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(m: int) -> IntPolynomial:
+def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """The m-th cyclotomic polynomial Phi_m, of degree phi(m).
+
+    Returned as its integer coefficients in ascending degree, so the
+    degree is len(poly) - 1 and the last coefficient is 1.
 
     Computed by exact division: Phi_m = (x^m - 1) / prod of Phi_e over
     proper divisors e of m.  All-integer arithmetic, memoized.
@@ -103,13 +83,13 @@ def cyclotomic_polynomial(m: int) -> IntPolynomial:
     if m < 1:
         raise ValueError(f"cyclotomic polynomial undefined for m={m}")
     if m == 1:
-        return IntPolynomial((-1, 1))
+        return (-1, 1)
     num = [-1] + [0] * (m - 1) + [1]
     den = [1]
     for e in range(1, m):
         if m % e == 0:
-            den = _poly_mul(den, list(cyclotomic_polynomial(e).coeffs))
-    return IntPolynomial(tuple(_poly_div_exact(num, den)))
+            den = _poly_mul(den, list(cyclotomic_polynomial(e)))
+    return tuple(_poly_div_exact(num, den))
 
 
 @lru_cache(maxsize=None)
@@ -118,9 +98,9 @@ def _power_rows(m: int) -> tuple[tuple[int, ...], ...]:
     # max(2*phi(m)-2, m-1): enough for any product of two reduced
     # elements and for constructing zeta_m^k directly.
     poly = cyclotomic_polynomial(m)
-    deg = poly.degree
+    deg = len(poly) - 1
     limit = max(2 * deg - 2, m - 1)
-    top = [-c for c in poly.coeffs[:deg]]  # x^deg reduced mod Phi_m
+    top = [-c for c in poly[:deg]]  # x^deg reduced mod Phi_m
     rows: list[list[int]] = []
     for e in range(limit + 1):
         if e < deg:
@@ -140,7 +120,7 @@ class CycloElement:
     """Exact element of Q(zeta_m) in canonical power-basis form.
 
     Ring operations require both operands to have the same order; use
-    lift_to_order to move into a larger field first.  Equality compares
+    lift to move into a larger field first.  Equality compares
     across orders by lifting both sides to the lcm order, and compares
     against ints and Fractions directly.
     """
@@ -331,8 +311,3 @@ def zeta(m: int, k: int = 1) -> CycloElement:
         raise ValueError(f"invalid order m={m}")
     row = _power_rows(m)[k % m]
     return CycloElement(m, tuple(Fraction(r) for r in row))
-
-
-def lift_to_order(a: CycloElement, m2: int) -> CycloElement:
-    """Embed a into Q(zeta_m2); the order of a must divide m2."""
-    return a.lift(m2)

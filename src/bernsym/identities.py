@@ -94,16 +94,11 @@ class LambdaSpec:
     ys: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.family not in ("L23", "L13", "L12"):
-            raise ValueError(f"unknown family {self.family!r}")
-        top = 3 if self.family in ("L23", "L13") else 1
-        if not 0 <= self.index <= top:
-            raise ValueError(f"index {self.index} out of range for {self.family}")
+        arity = self.y_arity(self.family, self.index)
         w = tuple(int(x) for x in self.weights)
         if len(w) != 3 or min(w) < 1:
             raise ValueError("weights must be three positive integers")
         ys = tuple(Fraction(y) for y in self.ys)
-        arity = self.y_arity(self.family, self.index)
         if len(ys) != arity:
             raise ValueError(
                 f"{self.family} index {self.index} takes {arity} y-arguments, got {len(ys)}"
@@ -113,9 +108,16 @@ class LambdaSpec:
 
     @staticmethod
     def y_arity(family: str, index: int) -> int:
+        """Number of y-arguments; an unknown family or index raises ValueError."""
         if family in ("L23", "L13"):
-            return 3 - index
-        return 1 if index == 0 else 0
+            top = 3
+        elif family == "L12":
+            top = 1
+        else:
+            raise ValueError(f"unknown family {family!r}")
+        if not 0 <= index <= top:
+            raise ValueError(f"index {index} out of range for {family}")
+        return top - index
 
 
 def _product(series_list):
@@ -231,18 +233,6 @@ def lambda_series_from_integrals(
 # coefficient expansions
 # ---------------------------------------------------------------------------
 
-EXPANSION_LABELS = (
-    "L23.0",
-    "L23.1a",
-    "L23.1b",
-    "L23.2a",
-    "L23.2b",
-    "L23.2c",
-    "L23.3",
-    "L12.0",
-    "L12.1",
-)
-
 _LABEL_FAMILY = {
     "L23.0": ("L23", 0),
     "L23.1a": ("L23", 1),
@@ -254,6 +244,8 @@ _LABEL_FAMILY = {
     "L12.0": ("L12", 0),
     "L12.1": ("L12", 1),
 }
+
+EXPANSION_LABELS = tuple(_LABEL_FAMILY)
 
 
 def spec_for_label(label: str, weights, ys) -> LambdaSpec:
@@ -455,10 +447,6 @@ def theorem_y_arity(theorem: str) -> int:
     return _THEOREMS[theorem].y_arity
 
 
-def _permute(weights, perm):
-    return tuple(weights[p - 1] for p in perm)
-
-
 @dataclass(frozen=True)
 class TheoremInstance:
     """One concrete check: a theorem at fixed character, degree, weights, ys."""
@@ -497,27 +485,29 @@ class VerificationReport:
     first_mismatch: tuple[int, int] | None
     extras: dict
 
-    @property
-    def passed(self) -> bool:
-        return self.all_equal
+
+def _route_values(instance: TheoremInstance, perms, perturb: bool) -> list[CycloElement]:
+    # the theorem's route evaluated at each weight permutation in turn
+    label = _THEOREMS[instance.theorem].label
+    w = instance.weights
+    return [
+        expansion_sum(
+            label,
+            instance.n,
+            instance.chi,
+            tuple(w[p - 1] for p in perm),
+            instance.ys,
+            perturb=perturb,
+        )
+        for perm in perms
+    ]
 
 
 def theorem_expressions(
     instance: TheoremInstance, perturb: bool = False
 ) -> list[CycloElement]:
     """The theorem's expressions in display order, each evaluated exactly."""
-    spec = _THEOREMS[instance.theorem]
-    return [
-        expansion_sum(
-            spec.label,
-            instance.n,
-            instance.chi,
-            _permute(instance.weights, perm),
-            instance.ys,
-            perturb=perturb,
-        )
-        for perm in spec.perms
-    ]
+    return _route_values(instance, _THEOREMS[instance.theorem].perms, perturb)
 
 
 def _t3_printed_line5(instance: TheoremInstance) -> CycloElement:
@@ -551,17 +541,7 @@ def verify_theorem(instance: TheoremInstance, perturb: bool = False) -> Verifica
     extras: dict = {}
     spec = _THEOREMS[instance.theorem]
     if spec.collapsed:
-        collapsed_vals = [
-            expansion_sum(
-                spec.label,
-                instance.n,
-                instance.chi,
-                _permute(instance.weights, perm),
-                instance.ys,
-                perturb=perturb,
-            )
-            for perm in spec.collapsed
-        ]
+        collapsed_vals = _route_values(instance, spec.collapsed, perturb)
         extras["collapsed_variants_equal"] = all(
             v == values[t] for v, t in zip(collapsed_vals, spec.collapsed_into)
         )
@@ -591,8 +571,8 @@ def sweep_verify(
 ) -> list[VerificationReport]:
     """Verify a finite grid of instances, preserving input order.
 
-    With jobs > 1 the instances are checked in a process pool; each worker
-    warms its own memo tables.  Report order matches instance order for
+    With jobs > 1 the instances are checked in a process pool of at most
+    one worker per instance; each worker warms its own memo tables.  Report order matches instance order for
     any worker count.
     """
     instances = list(instances)
@@ -600,6 +580,7 @@ def sweep_verify(
         return []
     if jobs <= 1 or len(instances) == 1:
         return [verify_theorem(inst, perturb=perturb) for inst in instances]
+    jobs = min(jobs, len(instances))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         chunk = max(1, len(instances) // (jobs * 4))
         return list(

@@ -120,6 +120,18 @@ def test_lambda_matches_library(capsys):
         assert rec["egf_coeff"] == str(series.egf_coeff(rec["n"]))
 
 
+@pytest.mark.parametrize("family, index", [("L23", "5"), ("L12", "2")])
+def test_lambda_index_out_of_range_is_usage_error(capsys, family, index):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lambda", "--family", family, "--index", index, "--modulus", "4"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bernsym: error: ")
+    assert err.count("\n") == 1
+    assert "out of range" in err
+    assert "-2" not in err
+
+
 def test_verify_single_instance_passes(capsys):
     code, out = run_cli(
         capsys,

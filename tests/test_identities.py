@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from bernsym import identities
 from bernsym.characters import enumerate_characters, primitive_characters
 from bernsym.identities import (
     EXPANSION_LABELS,
@@ -289,6 +290,38 @@ def test_sweep_verify_parallel_matches_serial():
     assert [r.all_equal for r in serial] == [r.all_equal for r in parallel]
     assert [str(v) for r in serial for v in r.values] == [
         str(v) for r in parallel for v in r.values
+    ]
+
+
+def test_sweep_verify_caps_workers_at_instance_count(monkeypatch):
+    # an in-process stand-in for the pool: records the requested worker
+    # count and maps serially, so no process is started
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(identities, "ProcessPoolExecutor", SerialPool)
+    instances = [
+        TheoremInstance("T7", CHI3, n, (1, 2, 3), (F(1, 2),)) for n in range(2)
+    ]
+    reports = sweep_verify(instances, jobs=64)
+    assert requested == [2]
+    serial = [verify_theorem(inst) for inst in instances]
+    assert [r.instance for r in reports] == instances
+    assert [r.all_equal for r in reports] == [r.all_equal for r in serial]
+    assert [str(v) for r in reports for v in r.values] == [
+        str(v) for r in serial for v in r.values
     ]
 
 
