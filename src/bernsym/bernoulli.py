@@ -32,7 +32,6 @@ from .cyclotomic import CycloElement
 from .series import TruncatedSeries, _exp_minus_one_over_t
 
 __all__ = [
-    "BernoulliCache",
     "ordinary_bernoulli",
     "ordinary_bernoulli_poly",
     "gen_bernoulli_series",
@@ -51,28 +50,18 @@ _SLACK = 4  # series are built this far beyond the requested degree
 _POLY_CACHE_LIMIT = 200_000
 
 
-class BernoulliCache:
-    """Memo tables for ordinary and generalized Bernoulli data."""
-
-    def __init__(self):
-        self.ordinary: list[Fraction] = []
-        self.gen_numbers: dict[tuple[int, int], list[CycloElement]] = {}
-        self.poly: dict[tuple, CycloElement] = {}
-        self.power: dict[tuple, CycloElement] = {}
-
-    def clear(self):
-        self.ordinary.clear()
-        self.gen_numbers.clear()
-        self.poly.clear()
-        self.power.clear()
-
-
-_CACHE = BernoulliCache()
+# Memo tables: the ordinary numbers B_0.., the generalized numbers per
+# character key, and B_{n,chi}(x) and S_k(n, chi) keyed by (chi key, ...).
+_ORDINARY: list[Fraction] = []
+_GEN_NUMBERS: dict[tuple[int, int], list[CycloElement]] = {}
+_POLY: dict[tuple, CycloElement] = {}
+_POWER: dict[tuple, CycloElement] = {}
 
 
 def clear_caches():
     """Reset all memo tables (mainly for tests and long-lived processes)."""
-    _CACHE.clear()
+    for table in (_ORDINARY, _GEN_NUMBERS, _POLY, _POWER):
+        table.clear()
 
 
 def char_exp_sum(chi: DirichletChar, scale, order: int) -> TruncatedSeries:
@@ -103,12 +92,11 @@ def ordinary_bernoulli(n: int) -> Fraction:
     """Ordinary Bernoulli number B_n (B_1 = -1/2), from t/(e^t - 1)."""
     if n < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    table = _CACHE.ordinary
-    if n >= len(table):
+    if n >= len(_ORDINARY):
         top = n + _SLACK
         series = _exp_minus_one_over_t(1, top).invert()
-        table[:] = [series.egf_coeff(k).as_rational() for k in range(top + 1)]
-    return table[n]
+        _ORDINARY[:] = [series.egf_coeff(k).as_rational() for k in range(top + 1)]
+    return _ORDINARY[n]
 
 
 def ordinary_bernoulli_poly(n: int, x) -> Fraction:
@@ -126,12 +114,12 @@ def ordinary_bernoulli_poly(n: int, x) -> Fraction:
 
 def _gen_numbers(chi: DirichletChar, n: int) -> list[CycloElement]:
     key = chi.key()
-    table = _CACHE.gen_numbers.get(key)
+    table = _GEN_NUMBERS.get(key)
     if table is None or n >= len(table):
         top = n + _SLACK
         series = gen_bernoulli_series(chi, top)
         table = [series.egf_coeff(k) for k in range(top + 1)]
-        _CACHE.gen_numbers[key] = table
+        _GEN_NUMBERS[key] = table
     return table
 
 
@@ -155,7 +143,7 @@ def gen_bernoulli_poly(chi: DirichletChar, n: int, x) -> CycloElement:
     if x == 0:
         return gen_bernoulli_number(chi, n)
     key = (chi.key(), n, x)
-    cached = _CACHE.poly.get(key)
+    cached = _POLY.get(key)
     if cached is not None:
         return cached
     numbers = _gen_numbers(chi, n)
@@ -166,9 +154,9 @@ def gen_bernoulli_poly(chi: DirichletChar, n: int, x) -> CycloElement:
         if not b.is_zero():
             acc = acc + b.scale(comb(n, j) * xp)
         xp *= x
-    if len(_CACHE.poly) > _POLY_CACHE_LIMIT:
-        _CACHE.poly.clear()
-    _CACHE.poly[key] = acc
+    if len(_POLY) > _POLY_CACHE_LIMIT:
+        _POLY.clear()
+    _POLY[key] = acc
     return acc
 
 
@@ -181,7 +169,7 @@ def power_sum(chi: DirichletChar, k: int, n: int) -> CycloElement:
     if k < 0 or n < 0:
         raise ValueError("power sum requires k >= 0 and n >= 0")
     key = (chi.key(), k, n)
-    cached = _CACHE.power.get(key)
+    cached = _POWER.get(key)
     if cached is not None:
         return cached
     d = chi.modulus
@@ -195,7 +183,7 @@ def power_sum(chi: DirichletChar, k: int, n: int) -> CycloElement:
             total += a**k
         if total:
             acc = acc + v.scale(total)
-    _CACHE.power[key] = acc
+    _POWER[key] = acc
     return acc
 
 

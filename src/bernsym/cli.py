@@ -15,12 +15,12 @@ import io
 import json
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
 from .bernoulli import gen_bernoulli_number, gen_bernoulli_poly, power_sum
-from .characters import DirichletChar, enumerate_characters
+from .characters import DirichletChar, enumerate_characters, primitive_characters
 from .identities import (
     THEOREM_IDS,
     LambdaSpec,
@@ -31,12 +31,6 @@ from .identities import (
     sweep_verify,
     theorem_y_arity,
 )
-
-DEFAULT_MODULI = (1, 3, 4, 5, 7, 8)
-DEFAULT_WEIGHTS = ((1, 1, 1), (1, 2, 3), (2, 3, 5), (3, 4, 7))
-DEFAULT_Y_POOL = (Fraction(0), Fraction(1, 2), Fraction(2, 3))
-DEFAULT_N_MAX = 10
-
 
 # ---------------------------------------------------------------------------
 # argument parsing helpers
@@ -108,11 +102,13 @@ def _theorem_list(text: str) -> tuple[str, ...]:
 
 @dataclass
 class SweepConfig:
-    moduli: tuple[int, ...] = DEFAULT_MODULI
+    moduli: tuple[int, ...] = (1, 3, 4, 5, 7, 8)
     theorems: tuple[str, ...] = THEOREM_IDS
-    n_max: int = DEFAULT_N_MAX
-    weights: tuple[tuple[int, int, int], ...] = DEFAULT_WEIGHTS
-    ys_pool: tuple[Fraction, ...] = DEFAULT_Y_POOL
+    n_max: int = 10
+    weights: tuple[tuple[int, int, int], ...] = (
+        (1, 1, 1), (1, 2, 3), (2, 3, 5), (3, 4, 7)
+    )
+    ys_pool: tuple[Fraction, ...] = (Fraction(0), Fraction(1, 2), Fraction(2, 3))
     allow_imprimitive: bool = False
     char_labels: tuple[int, ...] | None = None
     # explicit y-arguments: when set, each theorem takes a zero-padded
@@ -134,6 +130,13 @@ class SweepConfig:
                 raise ValueError(f"bad weight tuple {w!r}")
         if self.char_labels is not None and len(self.moduli) != 1:
             raise ValueError("explicit character labels require a single modulus")
+        if self.ys is None and not self.ys_pool:
+            takers = [tid for tid in self.theorems if theorem_y_arity(tid)]
+            if takers:
+                raise ValueError(
+                    f"the y-value pool (ys_pool, sweep --ys) is empty, "
+                    f"but {takers[0]} takes y-arguments"
+                )
         if self.ys is not None:
             max_arity = max(theorem_y_arity(tid) for tid in self.theorems)
             if len(self.ys) > max_arity:
@@ -161,45 +164,17 @@ class SweepConfig:
         """Read a config object decoded from JSON; malformed input raises ValueError."""
         if not isinstance(data, dict):
             raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
-        known = {f.name for f in fields(cls)}
         for key in data:
-            if key not in known:
+            if key not in _CONFIG_FIELDS:
                 raise ValueError(f"unknown config field {key!r}")
-        cfg = cls(
-            moduli=_config_field(data, "moduli", DEFAULT_MODULI, _int_tuple),
-            theorems=_config_field(
-                data, "theorems", THEOREM_IDS, lambda v: _typed_tuple(v, str, "strings")
-            ),
-            n_max=_config_field(
-                data, "n_max", DEFAULT_N_MAX, lambda v: _typed(v, int, "an integer")
-            ),
-            weights=_config_field(
-                data, "weights", DEFAULT_WEIGHTS,
-                lambda v: tuple(_int_tuple(w) for w in _json_list(v)),
-            ),
-            ys_pool=_config_field(data, "ys_pool", DEFAULT_Y_POOL, _rational_tuple),
-            allow_imprimitive=_config_field(
-                data, "allow_imprimitive", False, lambda v: _typed(v, bool, "true or false")
-            ),
-            char_labels=_config_field(
-                data, "char_labels", None, lambda v: None if v is None else _int_tuple(v)
-            ),
-            ys=_config_field(
-                data, "ys", None, lambda v: None if v is None else _rational_tuple(v)
-            ),
-        )
-        cfg.validate()
-        return cfg
-
-
-def _config_field(data: dict, key: str, default, convert):
-    """Convert one field of a config object, naming the field if it is malformed."""
-    if key not in data:
-        return default
-    try:
-        return convert(data[key])
-    except (TypeError, ValueError, ArithmeticError) as exc:
-        raise ValueError(f"config field {key!r}: {exc}") from None
+        values = {}
+        for key, convert in _CONFIG_FIELDS.items():
+            if key in data:
+                try:
+                    values[key] = convert(data[key])
+                except (TypeError, ValueError, ArithmeticError) as exc:
+                    raise ValueError(f"config field {key!r}: {exc}") from None
+        return cls(**values)
 
 
 def _typed(value, kind: type, expected: str):
@@ -230,6 +205,20 @@ def _rational_tuple(value) -> tuple[Fraction, ...]:
     return tuple(Fraction(item) for item in items)
 
 
+# How each SweepConfig field is read from JSON; absent fields keep the
+# dataclass defaults.
+_CONFIG_FIELDS = {
+    "moduli": _int_tuple,
+    "theorems": lambda v: _typed_tuple(v, str, "strings"),
+    "n_max": lambda v: _typed(v, int, "an integer"),
+    "weights": lambda v: tuple(_int_tuple(w) for w in _json_list(v)),
+    "ys_pool": _rational_tuple,
+    "allow_imprimitive": lambda v: _typed(v, bool, "true or false"),
+    "char_labels": lambda v: None if v is None else _int_tuple(v),
+    "ys": lambda v: None if v is None else _rational_tuple(v),
+}
+
+
 def y_tuples(arity: int, pool) -> list[tuple[Fraction, ...]]:
     """Deterministic y-argument tuples: rotations of the value pool."""
     pool = [Fraction(y) for y in pool]
@@ -242,16 +231,13 @@ def y_tuples(arity: int, pool) -> list[tuple[Fraction, ...]]:
 
 
 def _characters_for(d: int, allow_imprimitive: bool, labels=None) -> list[DirichletChar]:
-    chars = enumerate_characters(d)
-    if labels is not None:
-        by_label = {chi.label: chi for chi in chars}
-        missing = [l for l in labels if l not in by_label]
-        if missing:
-            raise ValueError(f"no character with label {missing[0]} mod {d}")
-        return [by_label[l] for l in labels]
-    if allow_imprimitive:
-        return chars
-    return [chi for chi in chars if chi.primitive]
+    if labels is None:
+        return enumerate_characters(d) if allow_imprimitive else primitive_characters(d)
+    by_label = {chi.label: chi for chi in enumerate_characters(d)}
+    missing = [l for l in labels if l not in by_label]
+    if missing:
+        raise ValueError(f"no character with label {missing[0]} mod {d}")
+    return [by_label[l] for l in labels]
 
 
 def build_instances(config: SweepConfig) -> list[TheoremInstance]:
@@ -405,7 +391,6 @@ def _emit(doc: dict, fmt: str, text_renderer) -> None:
 
 
 def cmd_chars(args) -> int:
-    chars = enumerate_characters(args.modulus)
     records = [
         {
             "modulus": chi.modulus,
@@ -415,8 +400,7 @@ def cmd_chars(args) -> int:
             "primitive": chi.primitive,
             "values": [str(v) for v in chi.values],
         }
-        for chi in chars
-        if chi.primitive or not args.primitive_only
+        for chi in _characters_for(args.modulus, not args.primitive_only)
     ]
     doc = _doc(
         "chars",
@@ -525,6 +509,8 @@ def cmd_lambda(args) -> int:
 
 def _run_verification(command: str, config: SweepConfig, jobs: int, perturb: bool, fmt: str) -> int:
     instances = build_instances(config)
+    if not instances:
+        raise ValueError("the grid has no instances, so there is nothing to verify")
     reports = sweep_verify(instances, jobs=jobs, perturb=perturb)
     records = [_record(r) for r in reports]
     summary = _summarize(records)

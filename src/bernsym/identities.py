@@ -75,6 +75,17 @@ def multinomial(n: int, k: int, l: int, m: int) -> int:
     return comb(n, k) * comb(n - k, l)
 
 
+def _checked_args(weights, ys, arity: int, name: str):
+    """Weights as three positive ints and ys as arity Fractions; else ValueError."""
+    w = tuple(int(x) for x in weights)
+    if len(w) != 3 or min(w) < 1:
+        raise ValueError("weights must be three positive integers")
+    ys = tuple(Fraction(y) for y in ys)
+    if len(ys) != arity:
+        raise ValueError(f"{name} takes {arity} y-arguments, got {len(ys)}")
+    return w, ys
+
+
 # ---------------------------------------------------------------------------
 # quotient generating functions
 # ---------------------------------------------------------------------------
@@ -95,14 +106,9 @@ class LambdaSpec:
 
     def __post_init__(self):
         arity = self.y_arity(self.family, self.index)
-        w = tuple(int(x) for x in self.weights)
-        if len(w) != 3 or min(w) < 1:
-            raise ValueError("weights must be three positive integers")
-        ys = tuple(Fraction(y) for y in self.ys)
-        if len(ys) != arity:
-            raise ValueError(
-                f"{self.family} index {self.index} takes {arity} y-arguments, got {len(ys)}"
-            )
+        w, ys = _checked_args(
+            self.weights, self.ys, arity, f"{self.family} index {self.index}"
+        )
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "ys", ys)
 
@@ -130,47 +136,39 @@ def _product(series_list):
 def lambda_series(spec: LambdaSpec, chi: DirichletChar, order: int) -> TruncatedSeries:
     """Truncated series of the quotient's explicit closed form.
 
-    Every denominator factor e^(c t) - 1 is divided by t (shift_down)
-    before inversion, so the t-power cancellation between numerator and
-    denominator is handled structurally and asserted, never left to a
-    division that could silently drop terms.
+    Every factor e^(c t) - 1 is divided by t before use, so the t-power
+    cancellation between numerator and denominator (three factors each,
+    counting the explicit t^(3-i) of families L23 and L13) is structural,
+    never left to a division that could silently drop terms.
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
     d = chi.modulus
     w1, w2, w3 = spec.weights
     big = w1 * w2 * w3
-    pairs = (w2 * w3, w1 * w3, w1 * w2)
+    singles, pairs = (w1, w2, w3), (w2 * w3, w1 * w3, w1 * w2)
     i = spec.index
-    if spec.family in ("L23", "L13"):
-        scales = pairs if spec.family == "L23" else (w1, w2, w3)
-        pref_power = (2 if spec.family == "L23" else 1) - i
-        # numerator carries t^(3-i) explicitly plus valuation i from the
-        # (e^(d*big*t)-1)^i factor; the denominator product has valuation 3
-        assert (3 - i) + i - 3 == 0, "t-degree bookkeeping violated"
+    # per family: the scales of the denominators and character sums, the
+    # scales of the numerator factors e^(c t) - 1, the exponential shift
+    # and the power of w1 w2 w3 in front
+    if spec.family == "L12":
+        scales = singles
+        num_scales = pairs if i else ()
+        shift = 0 if i else sum(pairs) * spec.ys[0]
+        pref_power = -1 if i else 1
+    else:
+        scales = pairs if spec.family == "L23" else singles
+        num_scales = (big,) * i
         shift = big * sum(spec.ys, Fraction(0))
-        num = exp_series(shift, order)
-        if i:
-            num = num * _exp_minus_one_over_t(d * big, order).pow(i)
-        den = _product([_exp_minus_one_over_t(d * s, order) for s in scales])
-        result = num * den.invert()
-        result = _product([result] + [char_exp_sum(chi, s, order) for s in scales])
-        return result.scale(Fraction(big) ** pref_power)
-    if i == 0:
-        # single weights, common shift (w2 w3 + w1 w3 + w1 w2) * y
-        shift = sum(pairs) * spec.ys[0]
-        num = exp_series(shift, order)
-        den = _product([_exp_minus_one_over_t(d * w, order) for w in (w1, w2, w3)])
-        result = num * den.invert()
-        result = _product([result] + [char_exp_sum(chi, w, order) for w in (w1, w2, w3)])
-        return result.scale(big)
-    # pair-weight numerators over single-weight denominators, no shift
-    assert 3 - 3 == 0, "t-degree bookkeeping violated"
-    num = _product([_exp_minus_one_over_t(d * p, order) for p in pairs])
-    den = _product([_exp_minus_one_over_t(d * w, order) for w in (w1, w2, w3)])
+        pref_power = (2 if spec.family == "L23" else 1) - i
+    num = _product(
+        [exp_series(shift, order)]
+        + [_exp_minus_one_over_t(d * c, order) for c in num_scales]
+    )
+    den = _product([_exp_minus_one_over_t(d * s, order) for s in scales])
     result = num * den.invert()
-    result = _product([result] + [char_exp_sum(chi, w, order) for w in (w1, w2, w3)])
-    return result.scale(Fraction(1, big))
+    result = _product([result] + [char_exp_sum(chi, s, order) for s in scales])
+    return result.scale(Fraction(big) ** pref_power)
 
 
 def _char_integral(chi: DirichletChar, scale: int, shift, order: int) -> TruncatedSeries:
@@ -248,10 +246,16 @@ _LABEL_FAMILY = {
 EXPANSION_LABELS = tuple(_LABEL_FAMILY)
 
 
-def spec_for_label(label: str, weights, ys) -> LambdaSpec:
-    """LambdaSpec whose series has the labeled expansion as egf coefficients."""
+def _label_arity(label: str) -> int:
+    # number of y-arguments of a route label; an unknown label raises
     if label not in _LABEL_FAMILY:
         raise ValueError(f"unknown expansion label {label!r}")
+    return LambdaSpec.y_arity(*_LABEL_FAMILY[label])
+
+
+def spec_for_label(label: str, weights, ys) -> LambdaSpec:
+    """LambdaSpec whose series has the labeled expansion as egf coefficients."""
+    _label_arity(label)  # rejects an unknown label
     family, index = _LABEL_FAMILY[label]
     return LambdaSpec(family, index, tuple(weights), tuple(ys))
 
@@ -347,15 +351,10 @@ def expansion_sum(
     sensitivity hook for mutation tests: a perturbed route must break at
     least one symmetry instance, guarding against vacuously green checks.
     """
-    if label not in _LABEL_FAMILY:
-        raise ValueError(f"unknown expansion label {label!r}")
+    arity = _label_arity(label)
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    w1, w2, w3 = (int(w) for w in weights)
-    ys = tuple(Fraction(y) for y in ys)
-    arity = LambdaSpec.y_arity(*_LABEL_FAMILY[label])
-    if len(ys) != arity:
-        raise ValueError(f"label {label} takes {arity} y-arguments, got {len(ys)}")
+    (w1, w2, w3), ys = _checked_args(weights, ys, arity, f"label {label}")
     bump = 1 if perturb else 0
     if label in _TRIPLE_SLOTS:
         return _triple_sum(label, n, chi, (w1, w2, w3), ys, bump)
@@ -399,10 +398,6 @@ class _TheoremDef:
     collapsed: tuple[tuple[int, int, int], ...] = ()
     collapsed_into: tuple[int, ...] = ()
 
-    @property
-    def y_arity(self) -> int:
-        return LambdaSpec.y_arity(*_LABEL_FAMILY[self.label])
-
 
 # Display order of the expressions follows the identity statements: each
 # theorem lists the base route evaluated at these weight substitutions
@@ -444,7 +439,7 @@ THEOREM_IDS = tuple(_THEOREMS)
 
 
 def theorem_y_arity(theorem: str) -> int:
-    return _THEOREMS[theorem].y_arity
+    return _label_arity(_THEOREMS[theorem].label)
 
 
 @dataclass(frozen=True)
@@ -462,15 +457,9 @@ class TheoremInstance:
             raise ValueError(f"unknown theorem {self.theorem!r}")
         if self.n < 0:
             raise ValueError("degree must be nonnegative")
-        w = tuple(int(x) for x in self.weights)
-        if len(w) != 3 or min(w) < 1:
-            raise ValueError("weights must be three positive integers")
-        ys = tuple(Fraction(y) for y in self.ys)
-        arity = _THEOREMS[self.theorem].y_arity
-        if len(ys) != arity:
-            raise ValueError(
-                f"{self.theorem} takes {arity} y-arguments, got {len(ys)}"
-            )
+        w, ys = _checked_args(
+            self.weights, self.ys, theorem_y_arity(self.theorem), self.theorem
+        )
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "ys", ys)
 
@@ -572,8 +561,8 @@ def sweep_verify(
     """Verify a finite grid of instances, preserving input order.
 
     With jobs > 1 the instances are checked in a process pool of at most
-    one worker per instance; each worker warms its own memo tables.  Report order matches instance order for
-    any worker count.
+    one worker per instance; each worker warms its own memo tables.
+    Report order matches instance order for any worker count.
     """
     instances = list(instances)
     if not instances:

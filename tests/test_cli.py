@@ -293,3 +293,64 @@ def test_sweep_dead_worker_is_usage_error(monkeypatch, capsys):
     assert err.startswith("bernsym: error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_config_converters_cover_every_field():
+    from dataclasses import fields
+
+    assert set(cli._CONFIG_FIELDS) == {f.name for f in fields(cli.SweepConfig)}
+
+
+def _argv_with_config(tmp_path, argv, config):
+    if config is None:
+        return argv
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return ["sweep", "--config", str(path)]
+
+
+def _usage_error(capsys, argv) -> str:
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bernsym: error: ")
+    assert err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["sweep", "--moduli", "4", "--theorems", "T7", "--n-max", "0", "--ys", ""], None),
+        (None, {"ys_pool": [], "theorems": ["T7"]}),
+    ],
+)
+def test_sweep_empty_y_pool_is_usage_error(tmp_path, capsys, argv, config):
+    err = _usage_error(capsys, _argv_with_config(tmp_path, argv, config))
+    assert "pool" in err
+    assert "T7" in err
+
+
+def test_sweep_empty_y_pool_without_y_arguments_passes(capsys):
+    code, doc = run_json(
+        capsys,
+        ["sweep", "--moduli", "4", "--theorems", "T8", "--n-max", "0",
+         "--weights", "1,2,3", "--ys", ""],
+    )
+    assert code == 0
+    assert doc["summary"]["instances"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["sweep", "--weights", ""], None),
+        (None, {"weights": []}),
+        (None, {"moduli": [4], "char_labels": []}),
+        (["verify", "--theorem", "T7", "--modulus", "2", "--n-max", "0"], None),
+    ],
+)
+def test_empty_grid_is_usage_error(tmp_path, capsys, argv, config):
+    err = _usage_error(capsys, _argv_with_config(tmp_path, argv, config))
+    assert "no instances" in err
