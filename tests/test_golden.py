@@ -1,0 +1,48 @@
+"""Byte-identity of reports: pinned sha256 digests of fixed CLI runs.
+
+A change to the arithmetic layout must not move a single byte of any
+report.  These digests were taken from the reference implementation;
+a mismatch means the rendered values, their order or the report layout
+changed.
+"""
+
+import hashlib
+
+import pytest
+
+from bernsym import cli
+
+IMPRIMITIVE_SWEEP = [
+    "sweep", "--format", "json", "--moduli", "1,3,4,5,8",
+    "--allow-imprimitive", "--n-max", "2",
+]
+
+GOLDEN = {
+    "sweep-imprimitive": (
+        IMPRIMITIVE_SWEEP,
+        0,
+        "50767d3a002fd0c474e5af84f22d6f78de0dff1554f35da28651e36596b691ab",
+    ),
+    "sweep-imprimitive-perturb": (
+        IMPRIMITIVE_SWEEP + ["--perturb"],
+        1,
+        "30debca9aebe7f93aaaad137fdcfddeb4196f6c7ebf9d194d95251088f44ed74",
+    ),
+    # the README lambda example
+    "lambda-readme": (
+        ["lambda", "--family", "L23", "--index", "2", "--modulus", "5",
+         "--char", "1", "--weights", "1,2,3", "--ys", "1/2", "--order", "8",
+         "--format", "json"],
+        0,
+        "e389450187762d1cba25522b6e1aa3134baddc8084a85b20a54f007220eaa914",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_report_bytes_are_pinned(capsys, name):
+    argv, expected_code, digest = GOLDEN[name]
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    assert code == expected_code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
