@@ -25,10 +25,10 @@ process pool each hold their own tables.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .characters import DirichletChar
-from .cyclotomic import CycloElement
+from .cyclotomic import CycloElement, _reduced
 from .series import TruncatedSeries, _exp_minus_one_over_t
 
 __all__ = [
@@ -51,7 +51,8 @@ _POLY_CACHE_LIMIT = 200_000
 
 
 # Memo tables: the ordinary numbers B_0.., the generalized numbers per
-# character key, and B_{n,chi}(x) and S_k(n, chi) keyed by (chi key, ...).
+# character key, B_{n,chi}(p/q) keyed by the ints (modulus, label, n, p, q)
+# and S_k(n, chi) keyed by (chi key, k, n).
 _ORDINARY: list[Fraction] = []
 _GEN_NUMBERS: dict[tuple[int, int], list[CycloElement]] = {}
 _POLY: dict[tuple, CycloElement] = {}
@@ -135,29 +136,37 @@ def gen_bernoulli_poly(chi: DirichletChar, n: int, x) -> CycloElement:
 
     Served through the binomial expansion over cached B_{k,chi}; x is
     unrestricted (weight ratios from the symmetry identities produce
-    arbitrary rational arguments).
+    arbitrary rational arguments).  With x = p/q the sum is taken in
+    integers over the common denominator lcm(den B_{k,chi}) * q^n.
     """
     if n < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    x = Fraction(x)
-    if x == 0:
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    if p == 0:
         return gen_bernoulli_number(chi, n)
-    key = (chi.key(), n, x)
+    key = (chi.modulus, chi.label, n, p, q)
     cached = _POLY.get(key)
     if cached is not None:
         return cached
-    numbers = _gen_numbers(chi, n)
-    acc = CycloElement.zero(chi.order)
-    xp = Fraction(1)
+    numbers = _gen_numbers(chi, n)[: n + 1]
+    den = lcm(*(b.den for b in numbers))
+    # term j is C(n,j) B_{n-j,chi} p^j / q^j, over den * q^n
+    acc = [0] * len(numbers[0].nums)
+    pj, qj = 1, q**n
     for j in range(n + 1):
         b = numbers[n - j]
-        if not b.is_zero():
-            acc = acc + b.scale(comb(n, j) * xp)
-        xp *= x
+        if any(b.nums):
+            s = comb(n, j) * (den // b.den) * pj * qj
+            acc = [u + s * v for u, v in zip(acc, b.nums)]
+        pj *= p
+        qj //= q
+    value = _reduced(chi.order, acc, den * q**n)
     if len(_POLY) > _POLY_CACHE_LIMIT:
         _POLY.clear()
-    _POLY[key] = acc
-    return acc
+    _POLY[key] = value
+    return value
 
 
 def power_sum(chi: DirichletChar, k: int, n: int) -> CycloElement:

@@ -130,6 +130,14 @@ class SweepConfig:
                 raise ValueError(f"bad weight tuple {w!r}")
         if self.char_labels is not None and len(self.moduli) != 1:
             raise ValueError("explicit character labels require a single modulus")
+        # a repeated grid value would verify the same instances twice
+        for axis in ("moduli", "theorems", "weights", "ys_pool", "char_labels"):
+            seen = set()
+            for value in getattr(self, axis) or ():
+                if value in seen:
+                    shown = ",".join(map(str, value)) if axis == "weights" else value
+                    raise ValueError(f"{axis} lists the value {shown} more than once")
+                seen.add(value)
         if self.ys is None and not self.ys_pool:
             takers = [tid for tid in self.theorems if theorem_y_arity(tid)]
             if takers:

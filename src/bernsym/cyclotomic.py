@@ -1,9 +1,14 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
 Elements are stored as canonical residues modulo the m-th cyclotomic
-polynomial Phi_m, i.e. as vectors of phi(m) rationals in the power basis
-1, zeta, ..., zeta^(phi(m)-1).  Equality of field elements is then plain
-coefficient equality, which is what every exact identity check needs.
+polynomial Phi_m in the power basis 1, zeta, ..., zeta^(phi(m)-1): a
+tuple of phi(m) integer numerators over one positive integer
+denominator, reduced so that the denominator and the numerators have no
+common factor (the layout of FLINT's fmpq_poly).  Every ring operation
+works on integers and ends with one gcd, and equality of field elements
+is plain equality of numerators and denominator, which is what every
+exact identity check needs.  Rationals appear only at the boundaries:
+the constructors from rationals, as_rational, coeffs and rendering.
 
 All values are immutable after construction and safe to share across
 threads or processes.  The Phi_m and power-reduction tables are memoized;
@@ -14,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 __all__ = [
     "CycloElement",
@@ -23,10 +28,8 @@ __all__ = [
     "zeta",
 ]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
-
+@lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
     """Euler totient, by trial-division factorization (small arguments)."""
     if m < 1:
@@ -94,15 +97,13 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _power_rows(m: int) -> tuple[tuple[int, ...], ...]:
-    # rows[e] is the power-basis vector of zeta_m^e for e up to
-    # max(2*phi(m)-2, m-1): enough for any product of two reduced
-    # elements and for constructing zeta_m^k directly.
+    # rows[e] is the power-basis vector of zeta_m^e for 0 <= e < m, the
+    # powers that zeta and lift need.
     poly = cyclotomic_polynomial(m)
     deg = len(poly) - 1
-    limit = max(2 * deg - 2, m - 1)
     top = [-c for c in poly[:deg]]  # x^deg reduced mod Phi_m
     rows: list[list[int]] = []
-    for e in range(limit + 1):
+    for e in range(m):
         if e < deg:
             row = [0] * deg
             row[e] = 1
@@ -116,8 +117,35 @@ def _power_rows(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in rows)
 
 
+def _reduced(order: int, nums, den: int) -> CycloElement:
+    # Divide out the one common factor of den and the numerators; a zero
+    # vector ends with denominator gcd(den, 0, ...) / den = 1.
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = [x // g for x in nums]
+        den //= g
+    return CycloElement(order, tuple(nums), den)
+
+
+def _order_mismatch(m1: int, m2: int) -> ValueError:
+    return ValueError(f"order mismatch: {m1} vs {m2}; lift first")
+
+
+def _ratio_str(num: int, den: int) -> str:
+    # num/den in lowest terms, written as str(Fraction(num, den)) would
+    g = gcd(num, den)
+    if g == den:
+        return str(num // den)
+    return f"{num // g}/{den // g}"
+
+
 class CycloElement:
     """Exact element of Q(zeta_m) in canonical power-basis form.
+
+    nums holds phi(m) integer numerators over the positive denominator
+    den, with gcd(den, *nums) == 1 (zero is (0, ...)/1); the constructor
+    stores its arguments as given, so build elements through the class
+    methods, zeta or arithmetic.  coeffs is the same vector as Fractions.
 
     Ring operations require both operands to have the same order; use
     lift to move into a larger field first.  Equality compares
@@ -125,27 +153,28 @@ class CycloElement:
     against ints and Fractions directly.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den")
 
-    def __init__(self, order: int, coeffs: tuple[Fraction, ...]):
+    def __init__(self, order: int, nums: tuple[int, ...], den: int = 1):
         self.order = order
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, order: int = 1) -> CycloElement:
-        return cls(order, (_ZERO,) * euler_phi(order))
+        return cls(order, (0,) * euler_phi(order))
 
     @classmethod
     def one(cls, order: int = 1) -> CycloElement:
-        return cls.from_rational(_ONE, order)
+        return cls.from_rational(1, order)
 
     @classmethod
     def from_rational(cls, value, order: int = 1) -> CycloElement:
         q = Fraction(value)
-        rest = (_ZERO,) * (euler_phi(order) - 1)
-        return cls(order, (q,) + rest)
+        rest = (0,) * (euler_phi(order) - 1)
+        return cls(order, (q.numerator,) + rest, q.denominator)
 
     @classmethod
     def from_coeffs(cls, order: int, coeffs) -> CycloElement:
@@ -153,44 +182,66 @@ class CycloElement:
         deg = euler_phi(order)
         if len(vals) > deg:
             raise ValueError(f"expected at most {deg} coefficients for order {order}")
-        vals.extend([_ZERO] * (deg - len(vals)))
-        return cls(order, tuple(vals))
+        den = lcm(*(v.denominator for v in vals)) if vals else 1
+        nums = [v.numerator * (den // v.denominator) for v in vals]
+        nums.extend([0] * (deg - len(vals)))
+        return _reduced(order, nums, den)
 
     # -- predicates and conversions --------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as Fractions."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.nums)
+
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
         # The power basis contains 1, so rationals are exactly the
         # constant vectors.
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     # -- ring operations --------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, CycloElement):
             if other.order != self.order:
-                raise ValueError(
-                    f"order mismatch: {self.order} vs {other.order}; lift first"
-                )
+                raise _order_mismatch(self.order, other.order)
             return other
         if isinstance(other, (int, Fraction)):
             return CycloElement.from_rational(other, self.order)
         return None
 
+    def _combine(self, rhs: CycloElement, sign: int) -> CycloElement:
+        # self + sign * rhs over the common denominator lcm(den, rhs.den)
+        if not any(rhs.nums):
+            return self
+        a, da = self.nums, self.den
+        b, db = rhs.nums, rhs.den
+        if not any(a):
+            return rhs if sign > 0 else -rhs
+        if da == db:
+            fa = 1
+            fb = sign
+        else:
+            g = gcd(da, db)
+            fa = db // g
+            fb = sign * (da // g)
+            da *= fa
+        return _reduced(self.order, [x * fa + y * fb for x, y in zip(a, b)], da)
+
     def __add__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return CycloElement(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, rhs.coeffs))
-        )
+        return self._combine(rhs, 1)
 
     __radd__ = __add__
 
@@ -198,9 +249,7 @@ class CycloElement:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return CycloElement(
-            self.order, tuple(a - b for a, b in zip(self.coeffs, rhs.coeffs))
-        )
+        return self._combine(rhs, -1)
 
     def __rsub__(self, other):
         rhs = self._coerce(other)
@@ -209,38 +258,56 @@ class CycloElement:
         return rhs - self
 
     def __neg__(self):
-        return CycloElement(self.order, tuple(-a for a in self.coeffs))
+        return CycloElement(self.order, tuple(-a for a in self.nums), self.den)
 
     def scale(self, q) -> CycloElement:
         """Multiply by a rational scalar (no convolution needed)."""
-        q = Fraction(q)
-        if q == 1:
+        if type(q) is int:
+            p, d = q, 1
+        else:
+            if type(q) is not Fraction:
+                q = Fraction(q)
+            p, d = q.numerator, q.denominator
+        if p == d:
             return self
-        return CycloElement(self.order, tuple(a * q for a in self.coeffs))
+        return _reduced(self.order, [x * p for x in self.nums], self.den * d)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        rhs = self._coerce(other)
-        if rhs is None:
+        if not isinstance(other, CycloElement):
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
             return NotImplemented
-        n = len(self.coeffs)
-        conv = [_ZERO] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(rhs.coeffs):
-                    if b:
-                        conv[i + j] += a * b
-        out = list(conv[:n])
-        rows = _power_rows(self.order)
-        for e in range(n, 2 * n - 1):
+        if other.order != self.order:
+            raise _order_mismatch(self.order, other.order)
+        a, b = self.nums, other.nums
+        den = self.den * other.den
+        n = len(a)
+        if n == 1:  # phi(m) = 1: the field is Q
+            x = a[0] * b[0]
+            g = gcd(x, den)
+            return CycloElement(self.order, (x // g,), den // g)
+        phi = cyclotomic_polynomial(self.order)
+        if n == 2:  # zeta^2 = -p0 - p1 zeta with Phi_m = p0 + p1 x + x^2
+            p0, p1, _ = phi
+            a0, a1 = a
+            b0, b1 = b
+            top = a1 * b1
+            return _reduced(
+                self.order, (a0 * b0 - top * p0, a0 * b1 + a1 * b0 - top * p1), den
+            )
+        conv = [0] * (2 * n - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    conv[i + j] += x * y
+        # remainder mod the monic Phi_m, from the top degree down
+        for e in range(2 * n - 2, n - 1, -1):
             c = conv[e]
             if c:
-                row = rows[e]
                 for i in range(n):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return CycloElement(self.order, tuple(out))
+                    if phi[i]:
+                        conv[e - n + i] -= c * phi[i]
+        return _reduced(self.order, conv[:n], den)
 
     __rmul__ = __mul__
 
@@ -259,14 +326,21 @@ class CycloElement:
     # -- comparison -------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
         if not isinstance(other, CycloElement):
+            if isinstance(other, (int, Fraction)):
+                # both sides are in lowest terms
+                q = Fraction(other)
+                return (
+                    self.is_rational()
+                    and self.nums[0] == q.numerator
+                    and self.den == q.denominator
+                )
             return NotImplemented
         if self.order == other.order:
-            return self.coeffs == other.coeffs
+            return self.den == other.den and self.nums == other.nums
         common = lcm(self.order, other.order)
-        return self.lift(common).coeffs == other.lift(common).coeffs
+        lhs, rhs = self.lift(common), other.lift(common)
+        return lhs.den == rhs.den and lhs.nums == rhs.nums
 
     __hash__ = None  # equality lifts across orders; no consistent hash
 
@@ -282,32 +356,32 @@ class CycloElement:
         ratio = m2 // m
         deg2 = euler_phi(m2)
         rows = _power_rows(m2)
-        out = [_ZERO] * deg2
-        for i, c in enumerate(self.coeffs):
+        out = [0] * deg2
+        for i, c in enumerate(self.nums):
             if c:
                 row = rows[(i * ratio) % m2]
                 for j in range(deg2):
                     if row[j]:
                         out[j] += c * row[j]
-        return CycloElement(m2, tuple(out))
+        return _reduced(m2, out, self.den)
 
     # -- rendering ---------------------------------------------------------
 
     def __str__(self):
         # Canonical rendering used by reports: bare "p/q" for rational
         # values, coordinate vector tagged with the root order otherwise.
+        den = self.den
         if self.is_rational():
-            return str(self.coeffs[0])
-        body = ", ".join(str(c) for c in self.coeffs)
+            return _ratio_str(self.nums[0], den)
+        body = ", ".join(_ratio_str(x, den) for x in self.nums)
         return f"[{body}] @ zeta({self.order})"
 
     def __repr__(self):
-        return f"CycloElement(order={self.order}, coeffs={self.coeffs!r})"
+        return f"CycloElement(order={self.order}, nums={self.nums!r}, den={self.den!r})"
 
 
 def zeta(m: int, k: int = 1) -> CycloElement:
     """The root of unity zeta_m^k, reduced mod Phi_m."""
     if m < 1:
         raise ValueError(f"invalid order m={m}")
-    row = _power_rows(m)[k % m]
-    return CycloElement(m, tuple(Fraction(r) for r in row))
+    return CycloElement(m, _power_rows(m)[k % m])

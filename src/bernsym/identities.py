@@ -43,7 +43,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .bernoulli import char_exp_sum, gen_bernoulli_poly, power_sum
 from .characters import DirichletChar, char_value
@@ -284,7 +284,9 @@ def _triple_sum(
     label: str, n: int, chi: DirichletChar, weights, ys, bump: int
 ) -> CycloElement:
     # sum over k + l + m = n of multinomial(n; k, l, m) times the three
-    # weight powers and slot values; bump raises w1's exponent
+    # weight powers and slot values; bump raises w1's exponent.  Exponents
+    # are >= -1, so each power is kept times its own weight (an integer)
+    # and the sum is divided by w1 w2 w3 once at the end.
     complementary = _LABEL_FAMILY[label][0] == "L23"
     d = chi.modulus
     values, powers = [], []
@@ -294,8 +296,8 @@ def _triple_sum(
             values.append([power_sum(chi, i, w * d - 1) for i in range(n + 1)])
         else:
             values.append([gen_bernoulli_poly(chi, i, w * ys[y]) for i in range(n + 1)])
-        offset = (-1 if y is None else 0) + (bump if j == 0 else 0)
-        base = Fraction(weights[j])
+        offset = (0 if y is None else 1) + (bump if j == 0 else 0)
+        base = weights[j]
         powers.append(
             [base ** ((n - i if complementary else i) + offset) for i in range(n + 1)]
         )
@@ -304,17 +306,25 @@ def _triple_sum(
     for k, l, m in _triples(n):
         scalar = multinomial(n, k, l, m) * p1[k] * p2[l] * p3[m]
         acc = acc + (v1[k] * v2[l] * v3[m]).scale(scalar)
-    return acc
+    return acc.scale(Fraction(1, weights[0] * weights[1] * weights[2]))
+
+
+def _over(x, D: int) -> int:
+    # numerator of the rational x written over D (a multiple of its denominator)
+    return x.numerator * (D // x.denominator)
 
 
 def _char_shift_sum(chi: DirichletChar, k: int, x, r, count: int) -> CycloElement:
     # sum_{a < count} chi(a) B_{k,chi}(x + r*a): a quotient absorbed into a
-    # character sum that shifts the Bernoulli argument
+    # character sum that shifts the Bernoulli argument; each argument is
+    # an integer numerator over the common denominator D
+    D = lcm(x.denominator, r.denominator)
+    base, step = _over(x, D), _over(r, D)
     acc = CycloElement.zero(chi.order)
     for a in range(count):
         ca = char_value(chi, a)
         if not ca.is_zero():
-            acc = acc + ca * gen_bernoulli_poly(chi, k, x + r * a)
+            acc = acc + ca * gen_bernoulli_poly(chi, k, Fraction(base + step * a, D))
     return acc
 
 
@@ -328,7 +338,7 @@ def _folded_pair(n: int, chi: DirichletChar, weights, ys, r, bump: int) -> Cyclo
     for k in range(n + 1):
         inner = _char_shift_sum(chi, n - k, w2 * y2, r, w3 * chi.modulus)
         term = gen_bernoulli_poly(chi, k, w1 * y1) * inner
-        acc = acc + term.scale(comb(n, k) * Fraction(w1) ** (n - k) * Fraction(w2) ** k)
+        acc = acc + term.scale(comb(n, k) * w1 ** (n - k) * w2**k)
     return acc.scale(Fraction(w3) ** (n - 1 + bump))
 
 
@@ -369,18 +379,20 @@ def expansion_sum(
         for k in range(n + 1):
             inner = _char_shift_sum(chi, k, w1 * y1, r, w2 * d)
             term = inner * power_sum(chi, n - k, w3 * d - 1)
-            acc = acc + term.scale(
-                comb(n, k) * Fraction(w1) ** (n - k) * Fraction(w3) ** (k - 1)
-            )
-        return acc.scale(Fraction(w2) ** (n - 1 + bump))
+            # w3 ** (k - 1) is applied as w3 ** k here and 1/w3 below
+            acc = acc + term.scale(comb(n, k) * w1 ** (n - k) * w3**k)
+        return acc.scale(Fraction(w2) ** (n - 1 + bump) / w3)
 
-    # L23.2c
-    r2, r3 = Fraction(w1, w2), Fraction(w1, w3)
+    # L23.2c: the argument w1*y1 + (w1/w2)*a + (w1/w3)*b over one denominator
+    x, r2, r3 = w1 * y1, Fraction(w1, w2), Fraction(w1, w3)
+    D = lcm(x.denominator, r2.denominator, r3.denominator)
+    base, step2, step3 = _over(x, D), _over(r2, D), _over(r3, D)
     for a in range(w2 * d):
         for b in range(w3 * d):
             cab = char_value(chi, a * b)
             if not cab.is_zero():
-                acc = acc + cab * gen_bernoulli_poly(chi, n, w1 * y1 + r2 * a + r3 * b)
+                p = base + step2 * a + step3 * b
+                acc = acc + cab * gen_bernoulli_poly(chi, n, Fraction(p, D))
     return acc.scale(Fraction(w2 * w3) ** (n - 1 + bump))
 
 

@@ -8,7 +8,7 @@ series machinery, so agreement between the two is a real check.
 from fractions import Fraction
 from math import comb
 
-from bernsym.cyclotomic import CycloElement
+from bernsym.cyclotomic import CycloElement, cyclotomic_polynomial
 
 
 def bernoulli_recurrence(n_max):
@@ -74,3 +74,67 @@ def poly_mul_int(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+# -- Fraction-vector reference for Q(zeta_m) ------------------------------
+# Elements are lists of phi(m) Fractions in the power basis; products and
+# lifts are reduced by long division by Phi_m, not by power tables.
+
+
+def vec_reduce(poly, m):
+    """Remainder of a Fraction polynomial (ascending) modulo Phi_m."""
+    phi = cyclotomic_polynomial(m)
+    deg = len(phi) - 1
+    poly = list(poly) + [Fraction(0)] * max(0, deg - len(poly))
+    for e in range(len(poly) - 1, deg - 1, -1):
+        c = poly[e]
+        if c:
+            for i, p in enumerate(phi):
+                poly[e - deg + i] -= c * p
+    return [Fraction(c) for c in poly[:deg]]
+
+
+def vec_add(a, b):
+    return [x + y for x, y in zip(a, b)]
+
+
+def vec_sub(a, b):
+    return [x - y for x, y in zip(a, b)]
+
+
+def vec_scale(a, q):
+    return [x * q for x in a]
+
+
+def vec_mul(a, b, m):
+    conv = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    return vec_reduce(conv, m)
+
+
+def vec_lift(a, m, m2):
+    """Image under zeta_m -> zeta_m2^(m2/m)."""
+    ratio = m2 // m
+    poly = [Fraction(0)] * ((len(a) - 1) * ratio + 1)
+    for i, x in enumerate(a):
+        poly[i * ratio] = x
+    return vec_reduce(poly, m2)
+
+
+def vec_str(a, m):
+    """The report rendering: "p/q" for a rational, else the tagged vector."""
+    if not any(a[1:]):
+        return str(a[0])
+    return "[" + ", ".join(str(x) for x in a) + f"] @ zeta({m})"
+
+
+def bernoulli_poly_binomial(numbers, n, x):
+    """sum_j C(n,j) B_{n-j} x^j with each B_k a Fraction vector, term by term."""
+    x = Fraction(x)
+    acc = [Fraction(0)] * len(numbers[0])
+    for j in range(n + 1):
+        term = vec_scale(numbers[n - j], comb(n, j) * x**j)
+        acc = vec_add(acc, term)
+    return acc

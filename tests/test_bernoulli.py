@@ -91,6 +91,22 @@ def test_gen_bernoulli_poly_examples():
     assert gen_bernoulli_poly(chi4(), 1, Fraction(1, 3)) == Fraction(-1, 2)
 
 
+def test_gen_bernoulli_poly_matches_fraction_binomial_sum():
+    # the integer evaluation over one common denominator against the
+    # Fraction sum term by term, at negative x and large denominators
+    xs = [
+        Fraction(-7, 3), Fraction(-1), Fraction(-5, 2), Fraction(-1, 10**9 + 7),
+        Fraction(123456789, 987654321), Fraction(1, 2**40), Fraction(-(3**30), 7**11),
+    ]
+    chars = [chi for d in (1, 3, 4, 5, 7, 8, 12) for chi in enumerate_characters(d)]
+    for chi in chars:
+        numbers = [gen_bernoulli_number(chi, k).coeffs for k in range(9)]
+        for n in range(9):
+            for x in xs:
+                want = oracles.bernoulli_poly_binomial(numbers, n, x)
+                assert gen_bernoulli_poly(chi, n, x).coeffs == tuple(want)
+
+
 def test_gen_bernoulli_poly_binomial_matches_series_route():
     # independent route: egf coefficient of e^(x t) times the number series
     rng = random.Random(31337)

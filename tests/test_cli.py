@@ -354,3 +354,40 @@ def test_sweep_empty_y_pool_without_y_arguments_passes(capsys):
 def test_empty_grid_is_usage_error(tmp_path, capsys, argv, config):
     err = _usage_error(capsys, _argv_with_config(tmp_path, argv, config))
     assert "no instances" in err
+
+
+_T7 = ["--theorems", "T7", "--n-max", "0", "--weights", "1,2,3"]
+
+
+@pytest.mark.parametrize(
+    "argv, config, axis, shown",
+    [
+        (["sweep", "--moduli", "1", *_T7, "--ys", "0,0"], None, "ys_pool", "0"),
+        (["sweep", "--moduli", "4,4", *_T7], None, "moduli", "4"),
+        (["sweep", "--moduli", "1", *_T7, "--theorems", "T7,t7"], None, "theorems", "T7"),
+        (["sweep", "--moduli", "1", *_T7, "--weights", "1,2,3;2,3,5;1,2,3"], None,
+         "weights", "1,2,3"),
+        (None, {"moduli": [1, 1], "theorems": ["T7"], "n_max": 0}, "moduli", "1"),
+        (None, {"moduli": [1], "theorems": ["T8", "T8"], "n_max": 0}, "theorems", "T8"),
+        (None, {"moduli": [1], "theorems": ["T7"], "weights": [[1, 2, 3], [1, 2, 3]]},
+         "weights", "1,2,3"),
+        (None, {"moduli": [1], "theorems": ["T7"], "ys_pool": ["1/2", "2/4"]},
+         "ys_pool", "1/2"),
+        (None, {"moduli": [5], "theorems": ["T7"], "char_labels": [1, 1]},
+         "char_labels", "1"),
+    ],
+)
+def test_repeated_grid_value_is_usage_error(tmp_path, capsys, argv, config, axis, shown):
+    err = _usage_error(capsys, _argv_with_config(tmp_path, argv, config))
+    assert f"{axis} lists the value {shown} more than once" in err
+
+
+def test_verify_ys_may_repeat(capsys):
+    # explicit ys are the arguments of one instance, not a grid axis
+    code, doc = run_json(
+        capsys,
+        ["verify", "--theorem", "T1", "--modulus", "1", "--n-max", "1", "--ys", "0,0,0"],
+    )
+    assert code == 0
+    assert doc["summary"]["instances"] == 2
+    assert doc["records"][0]["ys"] == ["0", "0", "0"]

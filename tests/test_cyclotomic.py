@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -10,6 +10,7 @@ from bernsym.cyclotomic import (
     euler_phi,
     zeta,
 )
+import oracles
 from oracles import poly_mul_int
 
 # classical table, frozen independently of the recursive-division route
@@ -164,3 +165,72 @@ def test_rendering():
 def test_non_rational_rejects_as_rational():
     with pytest.raises(ValueError):
         zeta(4).as_rational()
+
+
+def _random_vector(m, rng):
+    # zeros, small rationals and a few large numerators and denominators
+    out = []
+    for _ in range(euler_phi(m)):
+        kind = rng.random()
+        if kind < 0.3:
+            out.append(Fraction(0))
+        elif kind < 0.85:
+            out.append(Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+        else:
+            out.append(Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**9)))
+    return out
+
+
+def _assert_normalized(x, m):
+    assert x.order == m
+    assert len(x.nums) == euler_phi(m)
+    assert all(type(v) is int for v in x.nums) and type(x.den) is int
+    assert x.den > 0
+    assert gcd(x.den, *x.nums) == 1
+    if not any(x.nums):
+        assert x.den == 1
+
+
+@pytest.mark.parametrize("m", range(1, 31))
+def test_integer_layout_matches_fraction_reference(m):
+    rng = random.Random(7000 + m)
+    zero = [Fraction(0)] * euler_phi(m)
+    for trial in range(6):
+        va, vb = _random_vector(m, rng), _random_vector(m, rng)
+        if trial == 0:
+            vb = zero
+        if trial == 1:
+            va = [Fraction(rng.randint(-50, 50), rng.randint(1, 9))] + zero[1:]
+        a, b = CycloElement.from_coeffs(m, va), CycloElement.from_coeffs(m, vb)
+        q = Fraction(rng.randint(-20, 20), rng.randint(1, 15))
+        cases = [
+            (a, va),
+            (a + b, oracles.vec_add(va, vb)),
+            (a - b, oracles.vec_sub(va, vb)),
+            (b - a, oracles.vec_sub(vb, va)),
+            (a - a, zero),
+            (-a, oracles.vec_scale(va, -1)),
+            (a * b, oracles.vec_mul(va, vb, m)),
+            (a * a, oracles.vec_mul(va, va, m)),
+            (a.scale(q), oracles.vec_scale(va, q)),
+            (a.scale(3), oracles.vec_scale(va, 3)),
+            (a * q, oracles.vec_scale(va, q)),
+            (a + q, oracles.vec_add(va, [q] + zero[1:])),
+        ]
+        for m2 in (2 * m, 3 * m):
+            cases.append((a.lift(m2), oracles.vec_lift(va, m, m2)))
+        for got, want in cases:
+            _assert_normalized(got, got.order)
+            assert got.coeffs == tuple(want)
+            assert str(got) == oracles.vec_str(want, got.order)
+            assert got == CycloElement.from_coeffs(got.order, want)
+
+
+def test_constructors_are_normalized():
+    for m in range(1, 31):
+        for k in range(m):
+            _assert_normalized(zeta(m, k), m)
+        for value in (0, 1, -3, Fraction(6, 4), Fraction(-5, 10**9)):
+            _assert_normalized(CycloElement.from_rational(value, m), m)
+        _assert_normalized(CycloElement.zero(m), m)
+        _assert_normalized(CycloElement.from_coeffs(m, [Fraction(2, 4)] * euler_phi(m)), m)

@@ -195,6 +195,20 @@ def test_theorem_instance_validation():
         TheoremInstance("T8", CHI4, 1, (0, 2, 3), ())
 
 
+@pytest.mark.parametrize("theorem", THEOREM_IDS)
+def test_theorem_table_permutations(theorem):
+    # a repeated or misplaced permutation silently weakens a theorem,
+    # because every quotient is weight-symmetric and so cannot fail it
+    spec = identities._THEOREMS[theorem]
+    for perm in spec.perms + spec.collapsed:
+        assert sorted(perm) == [1, 2, 3], perm
+    assert len(set(spec.perms)) == len(spec.perms)
+    assert len(set(spec.collapsed)) == len(spec.collapsed)
+    assert not set(spec.perms) & set(spec.collapsed)
+    assert len(spec.collapsed_into) == len(spec.collapsed)
+    assert all(0 <= t < len(spec.perms) for t in spec.collapsed_into)
+
+
 def test_theorem_y_arities():
     assert [theorem_y_arity(t) for t in THEOREM_IDS] == [3, 2, 2, 1, 1, 1, 1, 0]
 
