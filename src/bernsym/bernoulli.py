@@ -6,6 +6,8 @@ chi mod d is
     t/(e^(d t) - 1) * sum_{a=0}^{d-1} chi(a) e^(a t),
 
 and e^(x t) times the same series generates the polynomials B_{n,chi}(x).
+The modulus-1 character, enumerate_characters(1)[0], gives the ordinary
+B_n and B_n(x) of t/(e^t - 1), with B_1 = -1/2.
 Values are extracted exactly from truncated series; the polynomial values
 are then served through the binomial expansion
 
@@ -25,15 +27,13 @@ process pool each hold their own tables.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, factorial
 
 from .characters import DirichletChar
-from .cyclotomic import CycloElement, _reduced
+from .cyclotomic import CycloElement, linear_combination
 from .series import TruncatedSeries, _exp_minus_one_over_t
 
 __all__ = [
-    "ordinary_bernoulli",
-    "ordinary_bernoulli_poly",
     "gen_bernoulli_series",
     "gen_bernoulli_number",
     "gen_bernoulli_poly",
@@ -50,10 +50,9 @@ _SLACK = 4  # series are built this far beyond the requested degree
 _POLY_CACHE_LIMIT = 200_000
 
 
-# Memo tables: the ordinary numbers B_0.., the generalized numbers per
-# character key, B_{n,chi}(p/q) keyed by the ints (modulus, label, n, p, q)
-# and S_k(n, chi) keyed by (chi key, k, n).
-_ORDINARY: list[Fraction] = []
+# Memo tables: the generalized numbers per character key, B_{n,chi}(p/q)
+# keyed by the ints (modulus, label, n, p, q) and S_k(n, chi) keyed by
+# (chi key, k, n).
 _GEN_NUMBERS: dict[tuple[int, int], list[CycloElement]] = {}
 _POLY: dict[tuple, CycloElement] = {}
 _POWER: dict[tuple, CycloElement] = {}
@@ -61,25 +60,18 @@ _POWER: dict[tuple, CycloElement] = {}
 
 def clear_caches():
     """Reset all memo tables (mainly for tests and long-lived processes)."""
-    for table in (_ORDINARY, _GEN_NUMBERS, _POLY, _POWER):
+    for table in (_GEN_NUMBERS, _POLY, _POWER):
         table.clear()
 
 
 def char_exp_sum(chi: DirichletChar, scale, order: int) -> TruncatedSeries:
     """The finite character sum sum_{a=0}^{d-1} chi(a) e^(a*scale*t)."""
-    d = chi.modulus
     scale = Fraction(scale)
+    p, q = scale.numerator, scale.denominator
     coeffs = []
-    kfact = 1
     for k in range(order + 1):
-        if k > 1:
-            kfact *= k
-        acc = CycloElement.zero(chi.order)
-        for a in range(d):
-            v = chi.values[a]
-            if not v.is_zero():
-                acc = acc + v.scale(a**k)
-        coeffs.append(acc.scale(scale**k / kfact))
+        terms = [((a * p) ** k, v) for a, v in enumerate(chi.values)]
+        coeffs.append(linear_combination(chi.order, terms, q**k * factorial(k)))
     return TruncatedSeries(order, chi.order, tuple(coeffs))
 
 
@@ -87,30 +79,6 @@ def gen_bernoulli_series(chi: DirichletChar, order: int) -> TruncatedSeries:
     """Series whose egf coefficients are B_{0,chi} .. B_{order,chi}."""
     base = _exp_minus_one_over_t(chi.modulus, order).invert()
     return base * char_exp_sum(chi, 1, order)
-
-
-def ordinary_bernoulli(n: int) -> Fraction:
-    """Ordinary Bernoulli number B_n (B_1 = -1/2), from t/(e^t - 1)."""
-    if n < 0:
-        raise ValueError("Bernoulli index must be nonnegative")
-    if n >= len(_ORDINARY):
-        top = n + _SLACK
-        series = _exp_minus_one_over_t(1, top).invert()
-        _ORDINARY[:] = [series.egf_coeff(k).as_rational() for k in range(top + 1)]
-    return _ORDINARY[n]
-
-
-def ordinary_bernoulli_poly(n: int, x) -> Fraction:
-    """Ordinary Bernoulli polynomial B_n(x) at an exact rational point."""
-    x = Fraction(x)
-    acc = Fraction(0)
-    xp = Fraction(1)
-    for j in range(n + 1):
-        b = ordinary_bernoulli(n - j)
-        if b:
-            acc += comb(n, j) * b * xp
-        xp *= x
-    return acc
 
 
 def _gen_numbers(chi: DirichletChar, n: int) -> list[CycloElement]:
@@ -150,19 +118,15 @@ def gen_bernoulli_poly(chi: DirichletChar, n: int, x) -> CycloElement:
     cached = _POLY.get(key)
     if cached is not None:
         return cached
-    numbers = _gen_numbers(chi, n)[: n + 1]
-    den = lcm(*(b.den for b in numbers))
-    # term j is C(n,j) B_{n-j,chi} p^j / q^j, over den * q^n
-    acc = [0] * len(numbers[0].nums)
+    numbers = _gen_numbers(chi, n)
+    # term j is C(n,j) p^j q^(n-j) B_{n-j,chi}, over q^n
+    terms = []
     pj, qj = 1, q**n
     for j in range(n + 1):
-        b = numbers[n - j]
-        if any(b.nums):
-            s = comb(n, j) * (den // b.den) * pj * qj
-            acc = [u + s * v for u, v in zip(acc, b.nums)]
+        terms.append((comb(n, j) * pj * qj, numbers[n - j]))
         pj *= p
         qj //= q
-    value = _reduced(chi.order, acc, den * q**n)
+    value = linear_combination(chi.order, terms, q**n)
     if len(_POLY) > _POLY_CACHE_LIMIT:
         _POLY.clear()
     _POLY[key] = value
@@ -182,18 +146,14 @@ def power_sum(chi: DirichletChar, k: int, n: int) -> CycloElement:
     if cached is not None:
         return cached
     d = chi.modulus
-    acc = CycloElement.zero(chi.order)
-    for res in range(d):
-        v = chi.values[res]
-        if v.is_zero():
-            continue
-        total = 0
-        for a in range(res, n + 1, d):
-            total += a**k
-        if total:
-            acc = acc + v.scale(total)
-    _POWER[key] = acc
-    return acc
+    terms = [
+        (sum(a**k for a in range(res, n + 1, d)), v)
+        for res, v in enumerate(chi.values)
+        if not v.is_zero()
+    ]
+    value = linear_combination(chi.order, terms)
+    _POWER[key] = value
+    return value
 
 
 def power_sum_series(chi: DirichletChar, w: int, order: int) -> TruncatedSeries:

@@ -25,7 +25,6 @@ __all__ = [
     "unit_group_structure",
     "enumerate_characters",
     "primitive_characters",
-    "conductor",
     "char_value",
 ]
 
@@ -218,11 +217,6 @@ def enumerate_characters(d: int) -> list[DirichletChar]:
 
 def primitive_characters(d: int) -> list[DirichletChar]:
     return [chi for chi in enumerate_characters(d) if chi.primitive]
-
-
-def conductor(chi: DirichletChar) -> int:
-    """Smallest f | d from which chi is induced (recomputed from values)."""
-    return _conductor_from_values(chi.modulus, chi.values)
 
 
 def char_value(chi: DirichletChar, a: int) -> CycloElement:

@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -663,9 +664,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    # argparse reads a token such as -1/2 as an option string.  No bernsym
+    # option starts with "-" and a digit, so such a token is the value of
+    # the option before it, passed on as --opt=-1/2.
+    out: list[str] = []
+    for token in argv:
+        after_option = out and out[-1].startswith("-") and "=" not in out[-1]
+        if after_option and re.match(r"-[0-9]", token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parser.parse_args(_attach_negative_values(argv))
     try:
         return args.func(args)
     except (ValueError, OSError, BrokenProcessPool) as exc:

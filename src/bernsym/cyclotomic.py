@@ -11,8 +11,10 @@ exact identity check needs.  Rationals appear only at the boundaries:
 the constructors from rationals, as_rational, coeffs and rendering.
 
 All values are immutable after construction and safe to share across
-threads or processes.  The Phi_m and power-reduction tables are memoized;
-recomputation is idempotent, so concurrent first use is harmless.
+threads or processes.  The Phi_m table is memoized; recomputation is
+idempotent, so concurrent first use is harmless.  No other module of the
+package reads the integer layout: sums with integer weights go through
+linear_combination.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = [
     "CycloElement",
     "euler_phi",
     "cyclotomic_polynomial",
+    "linear_combination",
     "zeta",
 ]
 
@@ -95,26 +98,19 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(_poly_div_exact(num, den))
 
 
-@lru_cache(maxsize=None)
-def _power_rows(m: int) -> tuple[tuple[int, ...], ...]:
-    # rows[e] is the power-basis vector of zeta_m^e for 0 <= e < m, the
-    # powers that zeta and lift need.
-    poly = cyclotomic_polynomial(m)
-    deg = len(poly) - 1
-    top = [-c for c in poly[:deg]]  # x^deg reduced mod Phi_m
-    rows: list[list[int]] = []
-    for e in range(m):
-        if e < deg:
-            row = [0] * deg
-            row[e] = 1
-        else:
-            prev = rows[e - 1]
-            carry = prev[deg - 1]
-            row = [0] + prev[: deg - 1]
-            if carry:
-                row = [r + carry * t for r, t in zip(row, top)]
-        rows.append(row)
-    return tuple(tuple(r) for r in rows)
+def _remainder(poly: list[int], m: int) -> list[int]:
+    # Remainder of an integer polynomial (ascending, reduced in place)
+    # modulo the monic Phi_m, from the top degree down: the phi(m)
+    # power-basis numerators.
+    phi = cyclotomic_polynomial(m)
+    n = len(phi) - 1
+    for e in range(len(poly) - 1, n - 1, -1):
+        c = poly[e]
+        if c:
+            for i in range(n):
+                if phi[i]:
+                    poly[e - n + i] -= c * phi[i]
+    return poly[:n] + [0] * (n - len(poly))
 
 
 def _reduced(order: int, nums, den: int) -> CycloElement:
@@ -286,9 +282,8 @@ class CycloElement:
             x = a[0] * b[0]
             g = gcd(x, den)
             return CycloElement(self.order, (x // g,), den // g)
-        phi = cyclotomic_polynomial(self.order)
         if n == 2:  # zeta^2 = -p0 - p1 zeta with Phi_m = p0 + p1 x + x^2
-            p0, p1, _ = phi
+            p0, p1, _ = cyclotomic_polynomial(self.order)
             a0, a1 = a
             b0, b1 = b
             top = a1 * b1
@@ -300,14 +295,7 @@ class CycloElement:
             if x:
                 for j, y in enumerate(b):
                     conv[i + j] += x * y
-        # remainder mod the monic Phi_m, from the top degree down
-        for e in range(2 * n - 2, n - 1, -1):
-            c = conv[e]
-            if c:
-                for i in range(n):
-                    if phi[i]:
-                        conv[e - n + i] -= c * phi[i]
-        return _reduced(self.order, conv[:n], den)
+        return _reduced(self.order, _remainder(conv, self.order), den)
 
     __rmul__ = __mul__
 
@@ -354,16 +342,9 @@ class CycloElement:
         if m2 < 1 or m2 % m != 0:
             raise ValueError(f"target order {m2} is not a multiple of {m}")
         ratio = m2 // m
-        deg2 = euler_phi(m2)
-        rows = _power_rows(m2)
-        out = [0] * deg2
-        for i, c in enumerate(self.nums):
-            if c:
-                row = rows[(i * ratio) % m2]
-                for j in range(deg2):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return _reduced(m2, out, self.den)
+        spread = [0] * ((len(self.nums) - 1) * ratio + 1)
+        spread[::ratio] = self.nums
+        return _reduced(m2, _remainder(spread, m2), self.den)
 
     # -- rendering ---------------------------------------------------------
 
@@ -384,4 +365,21 @@ def zeta(m: int, k: int = 1) -> CycloElement:
     """The root of unity zeta_m^k, reduced mod Phi_m."""
     if m < 1:
         raise ValueError(f"invalid order m={m}")
-    return CycloElement(m, _power_rows(m)[k % m])
+    return CycloElement(m, tuple(_remainder([0] * (k % m) + [1], m)))
+
+
+def linear_combination(order: int, terms, den: int = 1) -> CycloElement:
+    """sum c * x / den over a sequence of pairs (int c, x in Q(zeta_order)).
+
+    Summed in integers over the common denominator lcm(x.den) * den and
+    normalized by one gcd at the end.
+    """
+    common = lcm(*(x.den for _, x in terms))
+    acc = [0] * euler_phi(order)
+    for c, x in terms:
+        if x.order != order:
+            raise _order_mismatch(order, x.order)
+        if c and any(x.nums):
+            s = c * (common // x.den)
+            acc = [u + s * v for u, v in zip(acc, x.nums)]
+    return _reduced(order, acc, common * den)

@@ -5,10 +5,11 @@ exponential-generating-function coefficients are recovered through
 egf_coeff, which multiplies by n!.  Cauchy products dominate the
 workload, and the ordinary convention keeps them plain convolutions.
 
-Operands with different coefficient fields are lifted to Q(zeta_l) with
-l the lcm of the two orders; products and sums truncate to the smaller
-of the two truncation orders.  All operations are pure and the values
-immutable, so series can be shared freely across workers.
+Sums and products take two series of the same truncation order; a
+different order raises ValueError, and a rational scalar goes through
+scale.  Operands with different coefficient fields are lifted to
+Q(zeta_l) with l the lcm of the two orders.  All operations are pure and
+the values immutable, so series can be shared freely across workers.
 """
 
 from __future__ import annotations
@@ -57,20 +58,18 @@ class TruncatedSeries:
 
     # -- helpers -----------------------------------------------------------
 
-    def in_field(self, m: int) -> TruncatedSeries:
-        if m == self.field_order:
-            return self
-        return TruncatedSeries(self.order, m, tuple(c.lift(m) for c in self.coeffs))
-
     def truncate(self, order: int) -> TruncatedSeries:
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
         return TruncatedSeries(order, self.field_order, self.coeffs[: order + 1])
 
     def _align(self, other: TruncatedSeries):
+        # (field order, coefficients of self, coefficients of other), both
+        # in the lcm field; the truncation orders must agree
+        if self.order != other.order:
+            raise ValueError(f"truncation order mismatch: {self.order} vs {other.order}")
         m = lcm(self.field_order, other.field_order)
-        n = min(self.order, other.order)
-        return self.in_field(m).truncate(n), other.in_field(m).truncate(n)
+        return m, _lifted(self, m), _lifted(other, m)
 
     def coeff(self, n: int) -> CycloElement:
         """Ordinary coefficient of t^n."""
@@ -86,31 +85,15 @@ class TruncatedSeries:
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
-            other = _scalar_series(other, self.order)
-            if other is None:
-                return NotImplemented
-        a, b = self._align(other)
-        return TruncatedSeries(
-            a.order, a.field_order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
-        )
-
-    __radd__ = __add__
+            return NotImplemented
+        m, a, b = self._align(other)
+        return TruncatedSeries(self.order, m, tuple(x + y for x, y in zip(a, b)))
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
-            other = _scalar_series(other, self.order)
-            if other is None:
-                return NotImplemented
-        a, b = self._align(other)
-        return TruncatedSeries(
-            a.order, a.field_order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs))
-        )
-
-    def __rsub__(self, other):
-        scal = _scalar_series(other, self.order)
-        if scal is None:
             return NotImplemented
-        return scal - self
+        m, a, b = self._align(other)
+        return TruncatedSeries(self.order, m, tuple(x - y for x, y in zip(a, b)))
 
     def __neg__(self):
         return TruncatedSeries(self.order, self.field_order, tuple(-c for c in self.coeffs))
@@ -123,30 +106,19 @@ class TruncatedSeries:
         )
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if isinstance(other, CycloElement):
-            m = lcm(self.field_order, other.order)
-            lifted = other.lift(m)
-            return TruncatedSeries(
-                self.order, m, tuple(c.lift(m) * lifted for c in self.coeffs)
-            )
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        a, b = self._align(other)
-        n = a.order
-        zero = CycloElement.zero(a.field_order)
-        out = [zero] * (n + 1)
-        for i, x in enumerate(a.coeffs):
+        m, a, b = self._align(other)
+        n = self.order
+        out = [CycloElement.zero(m)] * (n + 1)
+        for i, x in enumerate(a):
             if x.is_zero():
                 continue
             for j in range(n + 1 - i):
-                y = b.coeffs[j]
+                y = b[j]
                 if not y.is_zero():
                     out[i + j] = out[i + j] + x * y
-        return TruncatedSeries(n, a.field_order, tuple(out))
-
-    __rmul__ = __mul__
+        return TruncatedSeries(n, m, tuple(out))
 
     def pow(self, e: int) -> TruncatedSeries:
         if e < 0:
@@ -171,15 +143,14 @@ class TruncatedSeries:
             raise ValueError("series with zero constant term is not invertible")
         inv0 = Fraction(1) / a0
         n = self.order
-        out = [CycloElement.zero(self.field_order)] * (n + 1)
-        out[0] = CycloElement.from_rational(inv0, self.field_order)
+        out = [CycloElement.from_rational(inv0, self.field_order)]
         for k in range(1, n + 1):
             acc = CycloElement.zero(self.field_order)
             for j in range(1, k + 1):
                 aj = self.coeffs[j]
                 if not aj.is_zero():
                     acc = acc + aj * out[k - j]
-            out[k] = acc.scale(-inv0)
+            out.append(acc.scale(-inv0))
         return TruncatedSeries(n, self.field_order, tuple(out))
 
     def shift_down(self, j: int) -> TruncatedSeries:
@@ -195,12 +166,8 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        if self.order != other.order:
-            return False
-        m = lcm(self.field_order, other.field_order)
-        return all(
-            x.lift(m) == y.lift(m) for x, y in zip(self.coeffs, other.coeffs)
-        )
+        # CycloElement equality lifts across field orders
+        return self.order == other.order and self.coeffs == other.coeffs
 
     __hash__ = None
 
@@ -210,12 +177,10 @@ class TruncatedSeries:
         return f"TruncatedSeries(order={self.order}, [{head}{tail}])"
 
 
-def _scalar_series(value, order: int) -> TruncatedSeries | None:
-    if isinstance(value, (int, Fraction)):
-        return TruncatedSeries.from_coeffs(order, [Fraction(value)], 1)
-    if isinstance(value, CycloElement):
-        return TruncatedSeries.from_coeffs(order, [value], value.order)
-    return None
+def _lifted(s: TruncatedSeries, m: int) -> tuple[CycloElement, ...]:
+    if m == s.field_order:
+        return s.coeffs
+    return tuple(c.lift(m) for c in s.coeffs)
 
 
 def exp_series(c, order: int) -> TruncatedSeries:
@@ -230,6 +195,7 @@ def exp_series(c, order: int) -> TruncatedSeries:
     return TruncatedSeries(order, c.order, tuple(coeffs))
 
 
-def _exp_minus_one_over_t(c, order: int) -> TruncatedSeries:
-    # (e^(c t) - 1)/t, an invertible series with constant term c.
-    return (exp_series(c, order + 1) - 1).shift_down(1)
+def _exp_minus_one_over_t(c: int, order: int) -> TruncatedSeries:
+    # (e^(c t) - 1)/t, an invertible series with constant term c
+    coeffs = (Fraction(c ** (k + 1), factorial(k + 1)) for k in range(order + 1))
+    return TruncatedSeries(order, 1, tuple(map(CycloElement.from_rational, coeffs)))

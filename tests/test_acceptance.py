@@ -15,7 +15,6 @@ import oracles
 from bernsym.bernoulli import (
     gen_bernoulli_number,
     gen_bernoulli_poly,
-    ordinary_bernoulli,
     power_sum,
     power_sum_series,
 )
@@ -159,6 +158,12 @@ def test_dual_route_equality():
 
 
 def test_bernoulli_oracle():
+    # the ordinary B_n are the modulus-1 character's
+    trivial = enumerate_characters(1)[0]
+
+    def ordinary_bernoulli(n):
+        return gen_bernoulli_number(trivial, n)
+
     ok = ordinary_bernoulli(1) == F(-1, 2) and ordinary_bernoulli(4) == F(-1, 30)
     table = oracles.bernoulli_recurrence(16)
     for n in range(13):

@@ -10,13 +10,11 @@ from bernsym.bernoulli import (
     gen_bernoulli_number,
     gen_bernoulli_poly,
     gen_bernoulli_series,
-    ordinary_bernoulli,
-    ordinary_bernoulli_poly,
     power_sum,
     power_sum_series,
 )
 from bernsym.characters import char_value, enumerate_characters, primitive_characters
-from bernsym.series import exp_series
+from bernsym.series import TruncatedSeries, exp_series
 
 
 def chi4():
@@ -27,33 +25,39 @@ def trivial():
     return enumerate_characters(1)[0]
 
 
+# The ordinary B_n and B_n(x) are the modulus-1 character's.
+
+
 def test_ordinary_bernoulli_values():
-    assert ordinary_bernoulli(0) == 1
-    assert ordinary_bernoulli(1) == Fraction(-1, 2)
-    assert ordinary_bernoulli(4) == Fraction(-1, 30)
+    chi = trivial()
+    assert gen_bernoulli_number(chi, 0) == 1
+    assert gen_bernoulli_number(chi, 1) == Fraction(-1, 2)
+    assert gen_bernoulli_number(chi, 4) == Fraction(-1, 30)
     oracle = oracles.bernoulli_recurrence(12)
     for n in range(13):
-        assert ordinary_bernoulli(n) == oracle[n]
+        assert gen_bernoulli_number(chi, n) == oracle[n]
 
 
 def test_ordinary_bernoulli_rejects_negative():
     with pytest.raises(ValueError):
-        ordinary_bernoulli(-1)
+        gen_bernoulli_number(trivial(), -1)
 
 
 def test_ordinary_bernoulli_poly():
-    assert ordinary_bernoulli_poly(2, Fraction(1, 2)) == Fraction(-1, 12)
+    chi = trivial()
+    assert gen_bernoulli_poly(chi, 2, Fraction(1, 2)) == Fraction(-1, 12)
     table = oracles.bernoulli_recurrence(8)
     for n in range(9):
         for x in (Fraction(0), Fraction(1, 3), Fraction(-5, 4)):
-            assert ordinary_bernoulli_poly(n, x) == oracles.bernoulli_poly(n, x, table)
+            assert gen_bernoulli_poly(chi, n, x) == oracles.bernoulli_poly(n, x, table)
 
 
 def test_gen_bernoulli_number_trivial_matches_ordinary():
     chi = trivial()
+    oracle = oracles.bernoulli_recurrence(12)
     for n in range(13):
         value = gen_bernoulli_number(chi, n)
-        assert value.as_rational() == ordinary_bernoulli(n)
+        assert value.as_rational() == oracle[n]
 
 
 def test_gen_bernoulli_number_vanishes_at_zero_for_nontrivial():
@@ -193,9 +197,11 @@ def test_power_sum_series_rejects_bad_w():
 
 def test_char_exp_sum_is_finite_geometric():
     chi = chi4()
-    s = char_exp_sum(chi, 1, 6)
-    explicit = exp_series(1, 6) * chi.values[1] + exp_series(3, 6) * chi.values[3]
-    assert s == explicit
+    v1, v3 = (TruncatedSeries.from_coeffs(6, [chi.values[a]]) for a in (1, 3))
+    for scale in (1, Fraction(-2, 3)):
+        s = char_exp_sum(chi, scale, 6)
+        explicit = exp_series(scale, 6) * v1 + exp_series(3 * scale, 6) * v3
+        assert s == explicit
 
 
 def test_caches_are_transparent():

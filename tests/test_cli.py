@@ -391,3 +391,27 @@ def test_verify_ys_may_repeat(capsys):
     assert code == 0
     assert doc["summary"]["instances"] == 2
     assert doc["records"][0]["ys"] == ["0", "0", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["compute", "bernoulli-poly", "--modulus", "1", "-n", "2", "--x", "-1/2"], ": 11/12\n"),
+        (["verify", "--theorem", "T2", "--modulus", "1", "--n-max", "1",
+          "--ys", "-1/3,1/2"], "ys=(-1/3,1/2) PASS"),
+        (["sweep", "--moduli", "1", "--theorems", "T7", "--n-max", "1",
+          "--weights", "1,2,3", "--ys", "-1/2,0"], "ys=(-1/2) PASS"),
+    ],
+)
+def test_negative_rational_is_an_option_value(capsys, argv, shown):
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    assert shown in out
+
+
+@pytest.mark.parametrize("flag", ["--n-max", "--jobs"])
+def test_negative_integer_is_rejected(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--theorem", "T2", "--modulus", "1", flag, "-1"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected a" in capsys.readouterr().err

@@ -8,6 +8,7 @@ from bernsym.cyclotomic import (
     CycloElement,
     cyclotomic_polynomial,
     euler_phi,
+    linear_combination,
     zeta,
 )
 import oracles
@@ -195,6 +196,11 @@ def _assert_normalized(x, m):
 def test_integer_layout_matches_fraction_reference(m):
     rng = random.Random(7000 + m)
     zero = [Fraction(0)] * euler_phi(m)
+    # zeta_m^k against x^k reduced by long division
+    cases = [
+        (zeta(m, k), oracles.vec_reduce([Fraction(0)] * k + [Fraction(1)], m))
+        for k in range(2 * m)
+    ]
     for trial in range(6):
         va, vb = _random_vector(m, rng), _random_vector(m, rng)
         if trial == 0:
@@ -203,14 +209,22 @@ def test_integer_layout_matches_fraction_reference(m):
             va = [Fraction(rng.randint(-50, 50), rng.randint(1, 9))] + zero[1:]
         a, b = CycloElement.from_coeffs(m, va), CycloElement.from_coeffs(m, vb)
         q = Fraction(rng.randint(-20, 20), rng.randint(1, 15))
-        cases = [
+        weights = [rng.randint(-20, 20) for _ in range(3)]
+        den = rng.randint(2, 30)
+        vab = oracles.vec_mul(va, vb, m)
+        fraction_sum = zero
+        for c, v in zip(weights, (va, vb, vab)):
+            fraction_sum = oracles.vec_add(fraction_sum, oracles.vec_scale(v, Fraction(c, den)))
+        cases += [
+            (linear_combination(m, list(zip(weights, (a, b, a * b))), den), fraction_sum),
+            (linear_combination(m, [(1, a), (-1, a)]), zero),
             (a, va),
             (a + b, oracles.vec_add(va, vb)),
             (a - b, oracles.vec_sub(va, vb)),
             (b - a, oracles.vec_sub(vb, va)),
             (a - a, zero),
             (-a, oracles.vec_scale(va, -1)),
-            (a * b, oracles.vec_mul(va, vb, m)),
+            (a * b, vab),
             (a * a, oracles.vec_mul(va, va, m)),
             (a.scale(q), oracles.vec_scale(va, q)),
             (a.scale(3), oracles.vec_scale(va, 3)),
@@ -219,11 +233,11 @@ def test_integer_layout_matches_fraction_reference(m):
         ]
         for m2 in (2 * m, 3 * m):
             cases.append((a.lift(m2), oracles.vec_lift(va, m, m2)))
-        for got, want in cases:
-            _assert_normalized(got, got.order)
-            assert got.coeffs == tuple(want)
-            assert str(got) == oracles.vec_str(want, got.order)
-            assert got == CycloElement.from_coeffs(got.order, want)
+    for got, want in cases:
+        _assert_normalized(got, got.order)
+        assert got.coeffs == tuple(want)
+        assert str(got) == oracles.vec_str(want, got.order)
+        assert got == CycloElement.from_coeffs(got.order, want)
 
 
 def test_constructors_are_normalized():

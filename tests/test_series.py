@@ -1,10 +1,11 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
 from bernsym.cyclotomic import CycloElement, zeta
-from bernsym.series import TruncatedSeries, exp_series
+from bernsym.series import TruncatedSeries, _exp_minus_one_over_t, exp_series
 from oracles import bernoulli_recurrence, cauchy_product
 
 
@@ -75,7 +76,7 @@ def test_invert_geometric():
 def test_invert_gives_bernoulli_numbers():
     # t/(e^t - 1) inverted from (e^t - 1)/t; egf coefficients are B_n
     order = 12
-    base = (exp_series(1, order + 1) - 1).shift_down(1)
+    base = (exp_series(1, order + 1) - TruncatedSeries.one(order + 1)).shift_down(1)
     series = base.invert()
     oracle = bernoulli_recurrence(order)
     for n in range(order + 1):
@@ -85,7 +86,7 @@ def test_invert_gives_bernoulli_numbers():
 
 
 def test_invert_round_trip():
-    s = (exp_series(3, 11) - 1).shift_down(1)
+    s = (exp_series(3, 11) - TruncatedSeries.one(11)).shift_down(1)
     inv = s.invert()
     assert inv.invert() == s
     assert s * inv == TruncatedSeries.one(10)
@@ -109,8 +110,9 @@ def test_shift_down():
     assert [c.as_rational() for c in shifted.coeffs] == [1, 1, 0]
 
     d = 4
-    g = exp_series(d, 6) - 1
+    g = exp_series(d, 6) - TruncatedSeries.one(6)
     assert g.shift_down(1).coeff(0) == d
+    assert _exp_minus_one_over_t(d, 5) == g.shift_down(1)
 
     with pytest.raises(ValueError):
         TruncatedSeries.from_coeffs(3, [1, 1]).shift_down(1)
@@ -141,7 +143,22 @@ def test_mixed_field_orders_lift():
 
 def test_scalar_arithmetic():
     s = exp_series(2, 4)
-    assert (s * 3).coeff(0) == 3
-    assert (s - 1).coeff(0) == 0
-    assert (1 - s).coeff(1) == -2
+    one = TruncatedSeries.one(4)
+    assert s.scale(3).coeff(0) == 3
+    assert (s - one).coeff(0) == 0
+    assert (one - s).coeff(1) == -2
     assert s.scale(Fraction(1, 2)).coeff(0) == Fraction(1, 2)
+
+
+def test_operands_must_be_series_of_one_truncation_order():
+    a, b = exp_series(1, 5), exp_series(1, 6)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError, match="truncation order"):
+            op(a, b)
+        with pytest.raises(ValueError, match="truncation order"):
+            op(b, a)
+        for scalar in (1, Fraction(1, 2), zeta(4)):
+            with pytest.raises(TypeError):
+                op(a, scalar)
+            with pytest.raises(TypeError):
+                op(scalar, a)

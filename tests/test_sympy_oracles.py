@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from bernsym.bernoulli import ordinary_bernoulli_poly
+from bernsym.bernoulli import gen_bernoulli_poly
+from bernsym.characters import enumerate_characters
 from bernsym.cyclotomic import cyclotomic_polynomial
 
 sympy = pytest.importorskip("sympy")
@@ -23,9 +24,11 @@ def test_cyclotomic_polynomials_match_sympy():
 
 def test_ordinary_bernoulli_polynomials_match_sympy():
     # the polynomials agree under both B_1 conventions: only the number
-    # sympy.bernoulli(1) is +1/2, and the polynomial B_1(x) = x - 1/2 is not
+    # sympy.bernoulli(1) is +1/2, and the polynomial B_1(x) = x - 1/2 is not;
+    # the ordinary polynomials are the modulus-1 character's
+    trivial = enumerate_characters(1)[0]
     points = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-2, 3), Fraction(7, 4)]
     for n in range(17):
         for q in points:
             expected = sympy.bernoulli(n, sympy.Rational(q.numerator, q.denominator))
-            assert ordinary_bernoulli_poly(n, q) == Fraction(str(expected)), (n, q)
+            assert gen_bernoulli_poly(trivial, n, q) == Fraction(str(expected)), (n, q)
