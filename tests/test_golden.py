@@ -46,3 +46,31 @@ def test_report_bytes_are_pinned(capsys, name):
     out = capsys.readouterr().out
     assert code == expected_code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# Both routes of every quotient spec at order 12: mod 5 char 1 has order 4
+# (phi = 2) and mod 11 char 1 has order 10 (phi = 4, the general reduction
+# path of the series products).
+LAMBDA_SPECS = [("L23", i) for i in range(4)] + [("L13", i) for i in range(4)] + [
+    ("L12", i) for i in range(2)
+]
+LAMBDA_YS = ("1/2", "-2/3", "3/4")
+LAMBDA_DIGEST = "f3b59800023de662313c34be5a9a9b5d709c9f7958cee07c3d633d2edfc0e993"
+
+
+def test_lambda_series_bytes_are_pinned(capsys):
+    out = []
+    for modulus in (5, 11):
+        for family, index in LAMBDA_SPECS:
+            argv = [
+                "lambda", "--family", family, "--index", str(index),
+                "--modulus", str(modulus), "--char", "1", "--weights", "2,3,5",
+                "--order", "12", "--route", "both", "--format", "json",
+            ]
+            arity = (1 if family == "L12" else 3) - index
+            if arity:
+                argv += ["--ys", ",".join(LAMBDA_YS[:arity])]
+            assert cli.main(argv) == 0
+            out.append(capsys.readouterr().out)
+    digest = hashlib.sha256("".join(out).encode("utf-8")).hexdigest()
+    assert digest == LAMBDA_DIGEST
