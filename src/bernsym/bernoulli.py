@@ -27,11 +27,11 @@ process pool each hold their own tables.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from .characters import DirichletChar
 from .cyclotomic import CycloElement, linear_combination
-from .series import TruncatedSeries, _exp_minus_one_over_t
+from .series import TruncatedSeries, _exp_minus_one_over_t, _exp_sum
 
 __all__ = [
     "gen_bernoulli_series",
@@ -66,13 +66,7 @@ def clear_caches():
 
 def char_exp_sum(chi: DirichletChar, scale, order: int) -> TruncatedSeries:
     """The finite character sum sum_{a=0}^{d-1} chi(a) e^(a*scale*t)."""
-    scale = Fraction(scale)
-    p, q = scale.numerator, scale.denominator
-    coeffs = []
-    for k in range(order + 1):
-        terms = [((a * p) ** k, v) for a, v in enumerate(chi.values)]
-        coeffs.append(linear_combination(chi.order, terms, q**k * factorial(k)))
-    return TruncatedSeries(order, chi.order, tuple(coeffs))
+    return _exp_sum(chi.order, enumerate(chi.values), scale, order)
 
 
 def gen_bernoulli_series(chi: DirichletChar, order: int) -> TruncatedSeries:

@@ -5,6 +5,17 @@ exponential-generating-function coefficients are recovered through
 egf_coeff, which multiplies by n!.  Cauchy products dominate the
 workload, and the ordinary convention keeps them plain convolutions.
 
+A series over Q(zeta_m) is stored flat, in the layout CycloElement uses
+for one element: rows holds N + 1 rows of phi(m) integer numerators (the
+power-basis coordinates of the coefficients of t^0..t^N) over one
+positive denominator den for the whole series, with gcd(den, every
+entry) == 1.  So the zero series is zero rows over 1, and equal series
+over one field have equal rows and den.  Every operation works on
+integers and ends with one gcd for the whole result: a product is one
+integer convolution over t and zeta, reduced modulo Phi_m once per
+output coefficient, and the inverse is a fraction-free recurrence.
+coeff, egf_coeff and coeffs hand back normalized CycloElements.
+
 Sums and products take two series of the same truncation order; a
 different order raises ValueError, and a rational scalar goes through
 scale.  Operands with different coefficient fields are lifted to
@@ -15,57 +26,68 @@ the values immutable, so series can be shared freely across workers.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from itertools import chain
+from math import factorial, gcd, lcm
+from operator import mul
 
-from .cyclotomic import CycloElement
+from .cyclotomic import CycloElement, _reduced, _remainder, cyclotomic_polynomial, euler_phi
 
 __all__ = ["TruncatedSeries", "exp_series"]
 
 
 class TruncatedSeries:
-    __slots__ = ("order", "field_order", "coeffs")
+    """Truncated series: rows of integer numerators over one denominator.
 
-    def __init__(self, order: int, field_order: int, coeffs: tuple[CycloElement, ...]):
-        if len(coeffs) != order + 1:
+    The constructor stores its arguments as given; build series through
+    the class methods, exp_series or arithmetic, which keep den > 0 and
+    gcd(den, every entry) == 1.
+    """
+
+    __slots__ = ("order", "field_order", "rows", "den")
+
+    def __init__(self, order: int, field_order: int, rows: tuple[tuple[int, ...], ...], den: int = 1):
+        if len(rows) != order + 1:
             raise ValueError("coefficient count must be order + 1")
         self.order = order
         self.field_order = field_order
-        self.coeffs = coeffs
+        self.rows = rows
+        self.den = den
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def zero(cls, order: int, field_order: int = 1) -> TruncatedSeries:
-        z = CycloElement.zero(field_order)
-        return cls(order, field_order, (z,) * (order + 1))
+        return cls(order, field_order, ((0,) * euler_phi(field_order),) * (order + 1))
 
     @classmethod
     def one(cls, order: int, field_order: int = 1) -> TruncatedSeries:
-        return cls.from_coeffs(order, [CycloElement.one(field_order)], field_order)
+        zero = (0,) * euler_phi(field_order)
+        return cls(order, field_order, ((1,) + zero[1:],) + (zero,) * order)
 
     @classmethod
     def from_coeffs(cls, order: int, coeffs, field_order: int | None = None) -> TruncatedSeries:
         vals = [c if isinstance(c, CycloElement) else CycloElement.from_rational(c) for c in coeffs]
-        m = field_order
-        if m is None:
-            m = lcm(*(v.order for v in vals)) if vals else 1
-        vals = [v.lift(m) for v in vals]
-        z = CycloElement.zero(m)
-        vals.extend([z] * (order + 1 - len(vals)))
         if len(vals) > order + 1:
             raise ValueError("more coefficients than truncation order allows")
-        return cls(order, m, tuple(vals))
+        m = field_order
+        if m is None:
+            m = lcm(*(v.order for v in vals))
+        vals = [v.lift(m) for v in vals]
+        den = lcm(*(v.den for v in vals))
+        rows = [[x * (den // v.den) for x in v.nums] for v in vals]
+        rows.extend([(0,) * euler_phi(m)] * (order + 1 - len(rows)))
+        return _series(order, m, rows, den)
 
     # -- helpers -----------------------------------------------------------
 
     def truncate(self, order: int) -> TruncatedSeries:
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(order, self.field_order, self.coeffs[: order + 1])
+        return _series(order, self.field_order, self.rows[: order + 1], self.den)
 
     def _align(self, other: TruncatedSeries):
-        # (field order, coefficients of self, coefficients of other), both
-        # in the lcm field; the truncation orders must agree
+        # (field order, rows of self, rows of other), both in the lcm
+        # field; the truncation orders must agree
         if self.order != other.order:
             raise ValueError(f"truncation order mismatch: {self.order} vs {other.order}")
         m = lcm(self.field_order, other.field_order)
@@ -75,50 +97,57 @@ class TruncatedSeries:
         """Ordinary coefficient of t^n."""
         if n > self.order:
             raise ValueError(f"coefficient {n} beyond truncation order {self.order}")
-        return self.coeffs[n]
+        return _reduced(self.field_order, self.rows[n], self.den)
 
     def egf_coeff(self, n: int) -> CycloElement:
         """n! times the ordinary coefficient of t^n."""
-        return self.coeff(n).scale(factorial(n))
+        if n > self.order:
+            raise ValueError(f"coefficient {n} beyond truncation order {self.order}")
+        f = factorial(n)
+        return _reduced(self.field_order, [f * x for x in self.rows[n]], self.den)
+
+    @property
+    def coeffs(self) -> tuple[CycloElement, ...]:
+        """The ordinary coefficients of t^0..t^order."""
+        return tuple(self.coeff(n) for n in range(self.order + 1))
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        # self + sign * other over the common denominator lcm(den, other.den)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         m, a, b = self._align(other)
-        return TruncatedSeries(self.order, m, tuple(x + y for x, y in zip(a, b)))
+        da, db = self.den, other.den
+        g = gcd(da, db)
+        fa, fb = db // g, sign * (da // g)
+        rows = [[x * fa + y * fb for x, y in zip(u, v)] for u, v in zip(a, b)]
+        return _series(self.order, m, rows, da * fa)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        m, a, b = self._align(other)
-        return TruncatedSeries(self.order, m, tuple(x - y for x, y in zip(a, b)))
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return TruncatedSeries(self.order, self.field_order, tuple(-c for c in self.coeffs))
+        rows = tuple(tuple(-x for x in row) for row in self.rows)
+        return TruncatedSeries(self.order, self.field_order, rows, self.den)
 
     def scale(self, q) -> TruncatedSeries:
         """Multiply every coefficient by a rational scalar."""
         q = Fraction(q)
-        return TruncatedSeries(
-            self.order, self.field_order, tuple(c.scale(q) for c in self.coeffs)
-        )
+        p = q.numerator
+        rows = [[p * x for x in row] for row in self.rows]
+        return _series(self.order, self.field_order, rows, self.den * q.denominator)
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         m, a, b = self._align(other)
         n = self.order
-        out = [CycloElement.zero(m)] * (n + 1)
-        for i, x in enumerate(a):
-            if x.is_zero():
-                continue
-            for j in range(n + 1 - i):
-                y = b[j]
-                if not y.is_zero():
-                    out[i + j] = out[i + j] + x * y
-        return TruncatedSeries(n, m, tuple(out))
+        rows = [_convolution(a, b, 0, k, m) for k in range(n + 1)]
+        return _series(n, m, rows, self.den * other.den)
 
     def pow(self, e: int) -> TruncatedSeries:
         if e < 0:
@@ -135,52 +164,106 @@ class TruncatedSeries:
         library inverts (shifted exponential denominators) satisfies that,
         and it keeps the recurrence free of cyclotomic division.
         """
-        c0 = self.coeffs[0]
-        if not c0.is_rational():
+        rows, m, n = self.rows, self.field_order, self.order
+        head = rows[0]
+        if any(head[1:]):
             raise ValueError("inversion requires a rational constant term")
-        a0 = c0.as_rational()
+        a0 = head[0]
         if a0 == 0:
             raise ValueError("series with zero constant term is not invertible")
-        inv0 = Fraction(1) / a0
-        n = self.order
-        out = [CycloElement.from_rational(inv0, self.field_order)]
+        # With coefficients A_j / D, the fraction-free recurrence C_0 = 1,
+        # C_k = -sum_{j>=1} A_j C_{k-j} a0^(j-1) gives the inverse's
+        # coefficients D C_k / a0^(k+1), all over a0^(n+1).
+        scaled = [head] + [tuple(a0 ** (j - 1) * x for x in rows[j]) for j in range(1, n + 1)]
+        cs = [(1,) + head[1:]]
         for k in range(1, n + 1):
-            acc = CycloElement.zero(self.field_order)
-            for j in range(1, k + 1):
-                aj = self.coeffs[j]
-                if not aj.is_zero():
-                    acc = acc + aj * out[k - j]
-            out.append(acc.scale(-inv0))
-        return TruncatedSeries(n, self.field_order, tuple(out))
+            cs.append([-x for x in _convolution(scaled, cs, 1, k, m)])
+        den = a0 ** (n + 1)
+        sign = -1 if den < 0 else 1
+        out = [[sign * self.den * a0 ** (n - k) * x for x in c] for k, c in enumerate(cs)]
+        return _series(n, m, out, sign * den)
 
     def shift_down(self, j: int) -> TruncatedSeries:
         """Exact division by t^j; the low j coefficients must vanish."""
         if j < 0 or j > self.order:
             raise ValueError(f"invalid shift {j} for order {self.order}")
-        if any(not c.is_zero() for c in self.coeffs[:j]):
+        if any(chain.from_iterable(self.rows[:j])):
             raise ValueError(f"series is not divisible by t^{j}")
-        return TruncatedSeries(self.order - j, self.field_order, self.coeffs[j:])
+        return _series(self.order - j, self.field_order, self.rows[j:], self.den)
 
     # -- comparison ------------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        # CycloElement equality lifts across field orders
-        return self.order == other.order and self.coeffs == other.coeffs
+        if self.order != other.order or self.den != other.den:
+            return False
+        # lifting keeps gcd(den, entries) == 1, so the forms stay canonical
+        m = lcm(self.field_order, other.field_order)
+        return _lifted(self, m) == _lifted(other, m)
 
     __hash__ = None
 
     def __repr__(self):
-        head = ", ".join(str(c) for c in self.coeffs[: min(4, self.order + 1)])
+        head = ", ".join(str(self.coeff(n)) for n in range(min(4, self.order + 1)))
         tail = ", ..." if self.order >= 4 else ""
         return f"TruncatedSeries(order={self.order}, [{head}{tail}])"
 
 
-def _lifted(s: TruncatedSeries, m: int) -> tuple[CycloElement, ...]:
+def _series(order: int, m: int, rows, den: int) -> TruncatedSeries:
+    # Divide out the one common factor of den (> 0) and every entry; zero
+    # rows end over gcd(den, 0, ...) / den = 1.
+    g = gcd(den, *chain.from_iterable(rows))
+    if g != 1:
+        rows = [[x // g for x in row] for row in rows]
+        den //= g
+    return TruncatedSeries(order, m, tuple(map(tuple, rows)), den)
+
+
+def _lifted(s: TruncatedSeries, m: int) -> tuple[tuple[int, ...], ...]:
+    # the rows under zeta_s -> zeta_m^(m/s): spread, then reduce mod Phi_m
     if m == s.field_order:
-        return s.coeffs
-    return tuple(c.lift(m) for c in s.coeffs)
+        return s.rows
+    ratio = m // s.field_order
+    out = []
+    for row in s.rows:
+        spread = [0] * ((len(row) - 1) * ratio + 1)
+        spread[::ratio] = row
+        out.append(tuple(_remainder(spread, m)))
+    return tuple(out)
+
+
+def _convolution(a, b, lo: int, k: int, m: int) -> tuple[int, ...]:
+    # sum_{i=lo..k} a[i] * b[k-i] over rows of Z[zeta_m], reduced modulo
+    # Phi_m once, after the whole sum
+    pairs = zip(a[lo : k + 1], b[k - lo :: -1])
+    phi = len(a[0])
+    if phi == 1:
+        return (sum([x * y for (x,), (y,) in pairs]),)
+    if phi == 2:  # zeta^2 = -p0 - p1 zeta with Phi_m = p0 + p1 x + x^2
+        p0, p1, _ = cyclotomic_polynomial(m)
+        c0 = c1 = c2 = 0
+        for (x0, x1), (y0, y1) in pairs:
+            c0 += x0 * y0
+            c1 += x0 * y1 + x1 * y0
+            c2 += x1 * y1
+        return (c0 - c2 * p0, c1 - c2 * p1)
+    conv = [0] * (2 * phi - 1)
+    for x, y in pairs:
+        for s, u in enumerate(x):
+            if u:
+                for t, v in enumerate(y):
+                    conv[s + t] += u * v
+    return tuple(_remainder(conv, m))
+
+
+def _factorial_weights(e: int, order: int) -> list[int]:
+    # e^(order-k) order!/k! for k = 0..order: the numerators that put
+    # x^k/k! over the common denominator e^order order!
+    weights = [1] * (order + 1)
+    for k in range(order, 0, -1):
+        weights[k - 1] = weights[k] * e * k
+    return weights
 
 
 def exp_series(c, order: int) -> TruncatedSeries:
@@ -189,13 +272,42 @@ def exp_series(c, order: int) -> TruncatedSeries:
         raise ValueError("truncation order must be nonnegative")
     if not isinstance(c, CycloElement):
         c = CycloElement.from_rational(c)
-    coeffs = [CycloElement.one(c.order)]
-    for k in range(1, order + 1):
-        coeffs.append((coeffs[-1] * c).scale(Fraction(1, k)))
-    return TruncatedSeries(order, c.order, tuple(coeffs))
+    m, e = c.order, c.den
+    # with c = C/e, c^k/k! = C^k e^(order-k) (order!/k!) / (e^order order!)
+    rows = []
+    power = (1,) + (0,) * (len(c.nums) - 1)
+    for w in _factorial_weights(e, order):
+        rows.append([w * x for x in power])
+        power = _convolution([power], [c.nums], 0, 0, m)
+    return _series(order, m, rows, e**order * factorial(order))
+
+
+def _exp_sum(m: int, terms, scale, order: int) -> TruncatedSeries:
+    # sum x * e^(a*scale*t) over pairs (int a, x in Q(zeta_m)), truncated
+    # at t^order; with scale = p/q the coefficient of t^k is
+    # sum (a p)^k x / (q^k k!), taken over q^order order! lcm(x.den)
+    scale = Fraction(scale)
+    p, q = scale.numerator, scale.denominator
+    terms = [(a * p, x.lift(m)) for a, x in terms if not x.is_zero()]
+    common = lcm(*(x.den for _, x in terms))
+    bases = [a for a, _ in terms]
+    # column i holds coordinate i of every term, over the common denominator
+    cols = list(zip(*([v * (common // x.den) for v in x.nums] for _, x in terms)))
+    rows = []
+    powers = [1] * len(bases)  # a^k, with 0^0 = 1
+    for w in _factorial_weights(q, order):
+        rows.append([w * sum(map(mul, powers, col)) for col in cols])
+        powers = list(map(mul, powers, bases))
+    return _series(order, m, rows, q**order * factorial(order) * common)
 
 
 def _exp_minus_one_over_t(c: int, order: int) -> TruncatedSeries:
-    # (e^(c t) - 1)/t, an invertible series with constant term c
-    coeffs = (Fraction(c ** (k + 1), factorial(k + 1)) for k in range(order + 1))
-    return TruncatedSeries(order, 1, tuple(map(CycloElement.from_rational, coeffs)))
+    # (e^(c t) - 1)/t, an invertible series with constant term c: the
+    # coefficient of t^k is c^(k+1)/(k+1)!, taken over (order+1)!
+    top = factorial(order + 1)
+    rows = []
+    f = top
+    for k in range(order + 1):
+        f //= k + 1
+        rows.append((c ** (k + 1) * f,))
+    return _series(order, 1, rows, top)

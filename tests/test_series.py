@@ -54,7 +54,7 @@ def _random_series(order, m, rng):
         )
         for _ in range(order + 1)
     ]
-    return TruncatedSeries(order, m, tuple(coeffs))
+    return TruncatedSeries.from_coeffs(order, coeffs, m)
 
 
 def test_ring_laws_order_12():
