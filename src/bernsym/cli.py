@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
@@ -678,8 +679,16 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # main parses with one parser per process: parsing leaves the parser
+    # unchanged, and a parser built per call is garbage full of reference
+    # cycles.  build_parser still returns a fresh parser to any caller.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_attach_negative_values(argv))

@@ -1,5 +1,9 @@
+import contextlib
+import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -415,3 +419,38 @@ def test_negative_integer_is_rejected(capsys, flag):
         cli.main(["verify", "--theorem", "T2", "--modulus", "1", flag, "-1"])
     assert exc.value.code == 2
     assert f"argument {flag}: expected a" in capsys.readouterr().err
+
+
+def _main_in_process(argv):
+    # (exit code, stdout, stderr) of main, as a usage error exits
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def test_one_parser_serves_every_call(monkeypatch):
+    # main keeps one parser per process; each call must behave as a fresh
+    # interpreter's main does, a usage error first
+    calls = [
+        ["sweep", "--n-max", "-1"],
+        ["lambda", "--family", "L23", "--index", "1", "--modulus", "5", "--char", "1",
+         "--weights", "2,3,5", "--ys", "1/2,-2/3", "--order", "6"],
+        ["sweep", "--moduli", "4", "--theorems", "T7", "--n-max", "1", "--format", "json"],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    got = [_main_in_process(argv) for argv in calls]
+    assert [code for code, _, _ in got] == [2, 0, 0]
+    for argv, result in zip(calls, got):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "bernsym.cli", *argv],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert result == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
