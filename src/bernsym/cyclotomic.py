@@ -12,8 +12,10 @@ the constructors from rationals, as_rational, coeffs and rendering.
 
 All values are immutable after construction and safe to share across
 threads or processes.  The Phi_m table is memoized; recomputation is
-idempotent, so concurrent first use is harmless.  No other module of the
-package reads the integer layout: sums with integer weights go through
+idempotent, so concurrent first use is harmless.  Besides series.py,
+which stores a whole truncated series in the same layout (integer rows
+over one denominator, reduced with _remainder), no module of the package
+reads the integer layout: sums with integer weights go through
 linear_combination.
 """
 

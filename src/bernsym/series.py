@@ -45,7 +45,9 @@ class TruncatedSeries:
 
     __slots__ = ("order", "field_order", "rows", "den")
 
-    def __init__(self, order: int, field_order: int, rows: tuple[tuple[int, ...], ...], den: int = 1):
+    def __init__(
+        self, order: int, field_order: int, rows: tuple[tuple[int, ...], ...], den: int = 1
+    ):
         if len(rows) != order + 1:
             raise ValueError("coefficient count must be order + 1")
         self.order = order
@@ -101,10 +103,7 @@ class TruncatedSeries:
 
     def egf_coeff(self, n: int) -> CycloElement:
         """n! times the ordinary coefficient of t^n."""
-        if n > self.order:
-            raise ValueError(f"coefficient {n} beyond truncation order {self.order}")
-        f = factorial(n)
-        return _reduced(self.field_order, [f * x for x in self.rows[n]], self.den)
+        return self.coeff(n).scale(factorial(n))
 
     @property
     def coeffs(self) -> tuple[CycloElement, ...]:
@@ -258,8 +257,8 @@ def _convolution(a, b, lo: int, k: int, m: int) -> tuple[int, ...]:
 
 
 def _factorial_weights(e: int, order: int) -> list[int]:
-    # e^(order-k) order!/k! for k = 0..order: the numerators that put
-    # x^k/k! over the common denominator e^order order!
+    # e^(order-k) order!/k! for k = 0..order: the factors that put x^k/k!
+    # over the common denominator e^order order!, which is weights[0]
     weights = [1] * (order + 1)
     for k in range(order, 0, -1):
         weights[k - 1] = weights[k] * e * k
@@ -274,12 +273,13 @@ def exp_series(c, order: int) -> TruncatedSeries:
         c = CycloElement.from_rational(c)
     m, e = c.order, c.den
     # with c = C/e, c^k/k! = C^k e^(order-k) (order!/k!) / (e^order order!)
+    weights = _factorial_weights(e, order)
     rows = []
     power = (1,) + (0,) * (len(c.nums) - 1)
-    for w in _factorial_weights(e, order):
+    for w in weights:
         rows.append([w * x for x in power])
         power = _convolution([power], [c.nums], 0, 0, m)
-    return _series(order, m, rows, e**order * factorial(order))
+    return _series(order, m, rows, weights[0])
 
 
 def _exp_sum(m: int, terms, scale, order: int) -> TruncatedSeries:
@@ -293,21 +293,18 @@ def _exp_sum(m: int, terms, scale, order: int) -> TruncatedSeries:
     bases = [a for a, _ in terms]
     # column i holds coordinate i of every term, over the common denominator
     cols = list(zip(*([v * (common // x.den) for v in x.nums] for _, x in terms)))
+    weights = _factorial_weights(q, order)
     rows = []
     powers = [1] * len(bases)  # a^k, with 0^0 = 1
-    for w in _factorial_weights(q, order):
+    for w in weights:
         rows.append([w * sum(map(mul, powers, col)) for col in cols])
         powers = list(map(mul, powers, bases))
-    return _series(order, m, rows, q**order * factorial(order) * common)
+    return _series(order, m, rows, weights[0] * common)
 
 
 def _exp_minus_one_over_t(c: int, order: int) -> TruncatedSeries:
     # (e^(c t) - 1)/t, an invertible series with constant term c: the
     # coefficient of t^k is c^(k+1)/(k+1)!, taken over (order+1)!
-    top = factorial(order + 1)
-    rows = []
-    f = top
-    for k in range(order + 1):
-        f //= k + 1
-        rows.append((c ** (k + 1) * f,))
-    return _series(order, 1, rows, top)
+    weights = _factorial_weights(1, order + 1)
+    rows = [(c**k * weights[k],) for k in range(1, order + 2)]
+    return _series(order, 1, rows, weights[0])

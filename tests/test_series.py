@@ -1,12 +1,22 @@
 import operator
 import random
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 
 import pytest
 
-from bernsym.cyclotomic import CycloElement, zeta
+from bernsym.cyclotomic import CycloElement, euler_phi, zeta
 from bernsym.series import TruncatedSeries, _exp_minus_one_over_t, exp_series
-from oracles import bernoulli_recurrence, cauchy_product
+from oracles import (
+    bernoulli_recurrence,
+    cauchy_product,
+    vec_add,
+    vec_lift,
+    vec_mul,
+    vec_scale,
+    vec_sub,
+)
 
 
 def test_exp_series_examples():
@@ -162,3 +172,121 @@ def test_operands_must_be_series_of_one_truncation_order():
                 op(a, scalar)
             with pytest.raises(TypeError):
                 op(scalar, a)
+
+
+# -- the integer-row layout against a Fraction-vector reference ------------
+# A reference series is a list of order + 1 power-basis vectors of
+# Fractions; products go through oracles.cauchy_product on _Vec, whose
+# product is oracles.vec_mul (long division by Phi_m).
+
+
+class _Vec:
+    def __init__(self, v, m):
+        self.v, self.m = v, m
+
+    def __add__(self, other):
+        return _Vec(vec_add(self.v, other.v), self.m)
+
+    def __mul__(self, other):
+        return _Vec(vec_mul(self.v, other.v, self.m), self.m)
+
+
+def _ref_mul(a, b, m):
+    order = len(a) - 1
+    return [x.v for x in cauchy_product([_Vec(v, m) for v in a], [_Vec(v, m) for v in b], order)]
+
+
+def _ref_invert(a, m):
+    # b_0 = 1/a_0, b_k = -(1/a_0) sum_{j>=1} a_j b_{k-j}, in Fractions
+    inv0 = 1 / a[0][0]
+    out = [vec_scale([Fraction(1)] + [Fraction(0)] * (len(a[0]) - 1), inv0)]
+    for k in range(1, len(a)):
+        acc = [Fraction(0)] * len(a[0])
+        for j in range(1, k + 1):
+            acc = vec_add(acc, vec_mul(a[j], out[k - j], m))
+        out.append(vec_scale(acc, -inv0))
+    return out
+
+
+def _ref_series(rng, order, m, rational_head=False):
+    # Fraction vectors with 12-digit numerators, some zero rows and zero entries
+    phi = euler_phi(m)
+    rows = []
+    for k in range(order + 1):
+        if k and rng.random() < 0.25:
+            rows.append([Fraction(0)] * phi)
+            continue
+        row = [
+            Fraction(rng.randint(-(10**12), 10**12), rng.randint(1, 10**4))
+            if rng.random() < 0.8 else Fraction(0)
+            for _ in range(phi)
+        ]
+        rows.append(row)
+    if rational_head:
+        rows[0] = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**12), rng.randint(1, 10**4))]
+        rows[0] += [Fraction(0)] * (phi - 1)
+    return rows
+
+
+def _build(rows, m):
+    coeffs = [CycloElement.from_coeffs(m, r) for r in rows]
+    return TruncatedSeries.from_coeffs(len(rows) - 1, coeffs, m)
+
+
+def _vectors(s):
+    # the stored rows over the stored denominator, with the layout invariant
+    phi = euler_phi(s.field_order)
+    assert len(s.rows) == s.order + 1
+    assert all(type(row) is tuple and len(row) == phi for row in s.rows)
+    assert s.den > 0
+    assert gcd(s.den, *chain.from_iterable(s.rows)) == 1
+    if not any(chain.from_iterable(s.rows)):
+        assert s.den == 1
+    return [[Fraction(x, s.den) for x in row] for row in s.rows]
+
+
+def test_integer_layout_matches_fraction_reference():
+    rng = random.Random(2024)
+    for m in range(1, 31):
+        # every order 0..12 over the fields with phi(m) <= 12; short series above
+        order = (m - 1) % 13 if euler_phi(m) <= 12 else m % 4
+        m2 = (1, 2, 3, 4)[m % 4]
+        if euler_phi(lcm(m, m2)) > max(12, euler_phi(m)):
+            m2 = 2  # a second field order for Q
+        l = lcm(m, m2)
+        ra, rb = _ref_series(rng, order, m), _ref_series(rng, order, m)
+        rc = _ref_series(rng, order, m, rational_head=True)
+        rp = _ref_series(rng, order, m2)
+        a, b, c, p = _build(ra, m), _build(rb, m), _build(rc, m), _build(rp, m2)
+        q = Fraction(rng.randint(-(10**12), 10**12), rng.randint(1, 10**12))
+        e = order % 4
+        zero_row = [Fraction(0)] * euler_phi(m)
+        ref_pow = [[Fraction(int(k == 0))] + zero_row[1:] for k in range(order + 1)]
+        for _ in range(e):
+            ref_pow = _ref_mul(ref_pow, ra, m)
+        la = [vec_lift(v, m, l) for v in ra]
+        lp = [vec_lift(v, m2, l) for v in rp]
+        cases = [
+            (a, ra),
+            (a + b, [vec_add(x, y) for x, y in zip(ra, rb)]),
+            (a - b, [vec_sub(x, y) for x, y in zip(ra, rb)]),
+            (a - a, [zero_row] * (order + 1)),
+            (-a, [vec_scale(x, -1) for x in ra]),
+            (a * b, _ref_mul(ra, rb, m)),
+            (a.scale(q), [vec_scale(x, q) for x in ra]),
+            (a.scale(0), [zero_row] * (order + 1)),
+            (a.pow(e), ref_pow),
+            (c.invert(), _ref_invert(rc, m)),
+            (a + p, [vec_add(x, y) for x, y in zip(la, lp)]),
+            (p - a, [vec_sub(y, x) for x, y in zip(la, lp)]),
+            (a * p, _ref_mul(la, lp, l)),
+        ]
+        for got, want in cases:
+            assert _vectors(got) == want, (m, order)
+        # equality: canonical rows within one field, lifting across fields
+        assert a == _build(ra, m) and (a == b) == (ra == rb)
+        assert (a == a + b) == (not any(map(any, rb)))
+        assert (a == a.scale(Fraction(1, 7))) == (not any(map(any, ra)))  # other den
+        assert a == TruncatedSeries.from_coeffs(order, a.coeffs, 2 * m)
+        assert (a == p) == (la == lp)
+        assert c * c.invert() == TruncatedSeries.one(order, m)
