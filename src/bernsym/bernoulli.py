@@ -113,11 +113,12 @@ def gen_bernoulli_poly(chi: DirichletChar, n: int, x) -> CycloElement:
     if cached is not None:
         return cached
     numbers = _gen_numbers(chi, n)
+    one = CycloElement.one(chi.order)
     # term j is C(n,j) p^j q^(n-j) B_{n-j,chi}, over q^n
     terms = []
     pj, qj = 1, q**n
     for j in range(n + 1):
-        terms.append((comb(n, j) * pj * qj, numbers[n - j]))
+        terms.append((comb(n, j) * pj * qj, numbers[n - j], one))
         pj *= p
         qj //= q
     value = linear_combination(chi.order, terms, q**n)
@@ -140,8 +141,9 @@ def power_sum(chi: DirichletChar, k: int, n: int) -> CycloElement:
     if cached is not None:
         return cached
     d = chi.modulus
+    one = CycloElement.one(chi.order)
     terms = [
-        (sum(a**k for a in range(res, n + 1, d)), v)
+        (sum(a**k for a in range(res, n + 1, d)), v, one)
         for res, v in enumerate(chi.values)
         if not v.is_zero()
     ]

@@ -12,11 +12,12 @@ the constructors from rationals, as_rational, coeffs and rendering.
 
 All values are immutable after construction and safe to share across
 threads or processes.  The Phi_m table is memoized; recomputation is
-idempotent, so concurrent first use is harmless.  Besides series.py,
-which stores a whole truncated series in the same layout (integer rows
-over one denominator, reduced with _remainder), no module of the package
-reads the integer layout: sums with integer weights go through
-linear_combination.
+idempotent, so concurrent first use is harmless.  Only this module
+multiplies, lifts and reduces integer rows of Z[zeta_m] (_dot, _lift_row):
+series.py stores a whole truncated series in the same layout, integer
+rows over one denominator, but multiplies and lifts them only through
+this kernel.  No other module reads the integer layout: sums of
+integer-weighted products go through linear_combination.
 """
 
 from __future__ import annotations
@@ -113,6 +114,39 @@ def _remainder(poly: list[int], m: int) -> list[int]:
                 if phi[i]:
                     poly[e - n + i] -= c * phi[i]
     return poly[:n] + [0] * (n - len(poly))
+
+
+def _dot(m: int, xs, ys) -> list[int]:
+    # sum of xs[i] * ys[i] over rows of Z[zeta_m], reduced modulo Phi_m
+    # once, after the whole sum; phi(m) is the length of the rows
+    pairs = zip(xs, ys)
+    phi = len(xs[0])
+    if phi == 1:  # the field is Q
+        return [sum([x * y for (x,), (y,) in pairs])]
+    if phi == 2:  # zeta^2 = -p0 - p1 zeta with Phi_m = p0 + p1 x + x^2
+        p0, p1, _ = cyclotomic_polynomial(m)
+        c0 = c1 = c2 = 0
+        for (x0, x1), (y0, y1) in pairs:
+            c0 += x0 * y0
+            c1 += x0 * y1 + x1 * y0
+            c2 += x1 * y1
+        return [c0 - c2 * p0, c1 - c2 * p1]
+    conv = [0] * (2 * phi - 1)
+    for x, y in pairs:
+        for s, u in enumerate(x):
+            if u:
+                for t, v in enumerate(y):
+                    conv[s + t] += u * v
+    return _remainder(conv, m)
+
+
+def _lift_row(row, m: int, m2: int) -> list[int]:
+    # the numerators of a row of Z[zeta_m] under zeta_m -> zeta_m2^(m2/m),
+    # for m | m2: spread, then reduce modulo Phi_m2
+    ratio = m2 // m
+    spread = [0] * ((len(row) - 1) * ratio + 1)
+    spread[::ratio] = row
+    return _remainder(spread, m2)
 
 
 def _reduced(order: int, nums, den: int) -> CycloElement:
@@ -277,27 +311,8 @@ class CycloElement:
             return NotImplemented
         if other.order != self.order:
             raise _order_mismatch(self.order, other.order)
-        a, b = self.nums, other.nums
-        den = self.den * other.den
-        n = len(a)
-        if n == 1:  # phi(m) = 1: the field is Q
-            x = a[0] * b[0]
-            g = gcd(x, den)
-            return CycloElement(self.order, (x // g,), den // g)
-        if n == 2:  # zeta^2 = -p0 - p1 zeta with Phi_m = p0 + p1 x + x^2
-            p0, p1, _ = cyclotomic_polynomial(self.order)
-            a0, a1 = a
-            b0, b1 = b
-            top = a1 * b1
-            return _reduced(
-                self.order, (a0 * b0 - top * p0, a0 * b1 + a1 * b0 - top * p1), den
-            )
-        conv = [0] * (2 * n - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    conv[i + j] += x * y
-        return _reduced(self.order, _remainder(conv, self.order), den)
+        nums = _dot(self.order, (self.nums,), (other.nums,))
+        return _reduced(self.order, nums, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -343,10 +358,7 @@ class CycloElement:
             return self
         if m2 < 1 or m2 % m != 0:
             raise ValueError(f"target order {m2} is not a multiple of {m}")
-        ratio = m2 // m
-        spread = [0] * ((len(self.nums) - 1) * ratio + 1)
-        spread[::ratio] = self.nums
-        return _reduced(m2, _remainder(spread, m2), self.den)
+        return _reduced(m2, _lift_row(self.nums, m, m2), self.den)
 
     # -- rendering ---------------------------------------------------------
 
@@ -371,17 +383,20 @@ def zeta(m: int, k: int = 1) -> CycloElement:
 
 
 def linear_combination(order: int, terms, den: int = 1) -> CycloElement:
-    """sum c * x / den over a sequence of pairs (int c, x in Q(zeta_order)).
+    """sum c * x * y / den over a sequence of triples (int c, x, y in Q(zeta_order)).
 
-    Summed in integers over the common denominator lcm(x.den) * den and
-    normalized by one gcd at the end.
+    Summed in integers over the common denominator lcm(x.den * y.den) * den,
+    reduced modulo Phi_order once and normalized by one gcd at the end.
     """
-    common = lcm(*(x.den for _, x in terms))
-    acc = [0] * euler_phi(order)
-    for c, x in terms:
-        if x.order != order:
-            raise _order_mismatch(order, x.order)
-        if c and any(x.nums):
-            s = c * (common // x.den)
-            acc = [u + s * v for u, v in zip(acc, x.nums)]
-    return _reduced(order, acc, common * den)
+    common = lcm(*(x.den * y.den for _, x, y in terms))
+    xs, ys = [], []
+    for c, x, y in terms:
+        if x.order != order or y.order != order:
+            raise _order_mismatch(order, y.order if x.order == order else x.order)
+        if c:
+            s = c * (common // (x.den * y.den))
+            xs.append([s * v for v in x.nums])
+            ys.append(y.nums)
+    if not xs:
+        return CycloElement.zero(order)
+    return _reduced(order, _dot(order, xs, ys), common * den)

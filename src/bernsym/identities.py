@@ -33,6 +33,10 @@ the theorem table T1..T8 records which routes give 6, 3 or 2 distinct
 expressions, and verify_theorem checks the resulting equalities at exact
 rational/cyclotomic precision.
 
+Every route returns one linear_combination, an integer-weighted sum of
+products over one denominator; a weight power w^e with e >= -1 enters as
+w^(e+1) in the term's weight and w in the denominator.
+
 Verification of distinct instances is embarrassingly parallel: every
 evaluation is pure given the per-process Bernoulli memo tables, and
 sweep_verify preserves grid order for any worker count.
@@ -47,7 +51,7 @@ from math import comb, lcm
 
 from .bernoulli import char_exp_sum, gen_bernoulli_poly, power_sum
 from .characters import DirichletChar, char_value
-from .cyclotomic import CycloElement
+from .cyclotomic import CycloElement, linear_combination
 from .series import TruncatedSeries, _exp_minus_one_over_t, exp_series
 
 __all__ = [
@@ -260,12 +264,6 @@ def spec_for_label(label: str, weights, ys) -> LambdaSpec:
     return LambdaSpec(family, index, tuple(weights), tuple(ys))
 
 
-def _triples(n: int):
-    for k in range(n + 1):
-        for l in range(n - k + 1):
-            yield k, l, n - k - l
-
-
 # Slots of the unfolded routes, one (argument weight, y index) pair each:
 # slot j reads B_{i,chi}(w_a * y) or, with no y index, S_i(w_a * d - 1).  The
 # power of slot j is carried by its own weight w_{j+1}, with exponent n - i
@@ -302,11 +300,12 @@ def _triple_sum(
             [base ** ((n - i if complementary else i) + offset) for i in range(n + 1)]
         )
     (v1, v2, v3), (p1, p2, p3) = values, powers
-    acc = CycloElement.zero(chi.order)
-    for k, l, m in _triples(n):
-        scalar = multinomial(n, k, l, m) * p1[k] * p2[l] * p3[m]
-        acc = acc + (v1[k] * v2[l] * v3[m]).scale(scalar)
-    return acc.scale(Fraction(1, weights[0] * weights[1] * weights[2]))
+    terms = []
+    for k in range(n + 1):
+        j = n - k  # l + m = j, and multinomial(n; k, l, m) = C(n, k) C(j, l)
+        rest = [(comb(j, l) * p2[l] * p3[j - l], v2[l], v3[j - l]) for l in range(j + 1)]
+        terms.append((comb(n, k) * p1[k], v1[k], linear_combination(chi.order, rest)))
+    return linear_combination(chi.order, terms, weights[0] * weights[1] * weights[2])
 
 
 def _over(x, D: int) -> int:
@@ -320,12 +319,12 @@ def _char_shift_sum(chi: DirichletChar, k: int, x, r, count: int) -> CycloElemen
     # an integer numerator over the common denominator D
     D = lcm(x.denominator, r.denominator)
     base, step = _over(x, D), _over(r, D)
-    acc = CycloElement.zero(chi.order)
+    terms = []
     for a in range(count):
         ca = char_value(chi, a)
         if not ca.is_zero():
-            acc = acc + ca * gen_bernoulli_poly(chi, k, Fraction(base + step * a, D))
-    return acc
+            terms.append((1, ca, gen_bernoulli_poly(chi, k, Fraction(base + step * a, D))))
+    return linear_combination(chi.order, terms)
 
 
 def _folded_pair(n: int, chi: DirichletChar, weights, ys, r, bump: int) -> CycloElement:
@@ -334,12 +333,12 @@ def _folded_pair(n: int, chi: DirichletChar, weights, ys, r, bump: int) -> Cyclo
     # shifting the second argument
     w1, w2, w3 = weights
     y1, y2 = ys
-    acc = CycloElement.zero(chi.order)
+    terms = []
     for k in range(n + 1):
         inner = _char_shift_sum(chi, n - k, w2 * y2, r, w3 * chi.modulus)
-        term = gen_bernoulli_poly(chi, k, w1 * y1) * inner
-        acc = acc + term.scale(comb(n, k) * w1 ** (n - k) * w2**k)
-    return acc.scale(Fraction(w3) ** (n - 1 + bump))
+        weight = comb(n, k) * w1 ** (n - k) * w2**k * w3 ** (n + bump)
+        terms.append((weight, gen_bernoulli_poly(chi, k, w1 * y1), inner))
+    return linear_combination(chi.order, terms, w3)
 
 
 def expansion_sum(
@@ -373,27 +372,28 @@ def expansion_sum(
 
     d = chi.modulus
     (y1,) = ys
-    acc = CycloElement.zero(chi.order)
     if label == "L23.2b":
         r = Fraction(w1, w2)
+        terms = []
         for k in range(n + 1):
             inner = _char_shift_sum(chi, k, w1 * y1, r, w2 * d)
-            term = inner * power_sum(chi, n - k, w3 * d - 1)
-            # w3 ** (k - 1) is applied as w3 ** k here and 1/w3 below
-            acc = acc + term.scale(comb(n, k) * w1 ** (n - k) * w3**k)
-        return acc.scale(Fraction(w2) ** (n - 1 + bump) / w3)
+            weight = comb(n, k) * w1 ** (n - k) * w3**k * w2 ** (n + bump)
+            terms.append((weight, inner, power_sum(chi, n - k, w3 * d - 1)))
+        return linear_combination(chi.order, terms, w2 * w3)
 
     # L23.2c: the argument w1*y1 + (w1/w2)*a + (w1/w3)*b over one denominator
     x, r2, r3 = w1 * y1, Fraction(w1, w2), Fraction(w1, w3)
     D = lcm(x.denominator, r2.denominator, r3.denominator)
     base, step2, step3 = _over(x, D), _over(r2, D), _over(r3, D)
+    weight = (w2 * w3) ** (n + bump)
+    terms = []
     for a in range(w2 * d):
         for b in range(w3 * d):
             cab = char_value(chi, a * b)
             if not cab.is_zero():
                 p = base + step2 * a + step3 * b
-                acc = acc + cab * gen_bernoulli_poly(chi, n, Fraction(p, D))
-    return acc.scale(Fraction(w2 * w3) ** (n - 1 + bump))
+                terms.append((weight, cab, gen_bernoulli_poly(chi, n, Fraction(p, D))))
+    return linear_combination(chi.order, terms, w2 * w3)
 
 
 # ---------------------------------------------------------------------------

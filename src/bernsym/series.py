@@ -11,10 +11,10 @@ power-basis coordinates of the coefficients of t^0..t^N) over one
 positive denominator den for the whole series, with gcd(den, every
 entry) == 1.  So the zero series is zero rows over 1, and equal series
 over one field have equal rows and den.  Every operation works on
-integers and ends with one gcd for the whole result: a product is one
-integer convolution over t and zeta, reduced modulo Phi_m once per
-output coefficient, and the inverse is a fraction-free recurrence.
-coeff, egf_coeff and coeffs hand back normalized CycloElements.
+integers and ends with one gcd for the whole result; rows are multiplied
+and lifted only through cyclotomic.py's row kernel, and the inverse is a
+fraction-free recurrence.  coeff, egf_coeff and coeffs hand back
+normalized CycloElements.
 
 Sums and products take two series of the same truncation order; a
 different order raises ValueError, and a rational scalar goes through
@@ -30,7 +30,7 @@ from itertools import chain
 from math import factorial, gcd, lcm
 from operator import mul
 
-from .cyclotomic import CycloElement, _reduced, _remainder, cyclotomic_polynomial, euler_phi
+from .cyclotomic import CycloElement, _dot, _lift_row, _reduced, euler_phi
 
 __all__ = ["TruncatedSeries", "exp_series"]
 
@@ -145,7 +145,7 @@ class TruncatedSeries:
             return NotImplemented
         m, a, b = self._align(other)
         n = self.order
-        rows = [_convolution(a, b, 0, k, m) for k in range(n + 1)]
+        rows = [_dot(m, a[: k + 1], b[k::-1]) for k in range(n + 1)]
         return _series(n, m, rows, self.den * other.den)
 
     def pow(self, e: int) -> TruncatedSeries:
@@ -176,7 +176,7 @@ class TruncatedSeries:
         scaled = [head] + [tuple(a0 ** (j - 1) * x for x in rows[j]) for j in range(1, n + 1)]
         cs = [(1,) + head[1:]]
         for k in range(1, n + 1):
-            cs.append([-x for x in _convolution(scaled, cs, 1, k, m)])
+            cs.append([-x for x in _dot(m, scaled[1 : k + 1], cs[k - 1 :: -1])])
         den = a0 ** (n + 1)
         sign = -1 if den < 0 else 1
         out = [[sign * self.den * a0 ** (n - k) * x for x in c] for k, c in enumerate(cs)]
@@ -220,40 +220,10 @@ def _series(order: int, m: int, rows, den: int) -> TruncatedSeries:
 
 
 def _lifted(s: TruncatedSeries, m: int) -> tuple[tuple[int, ...], ...]:
-    # the rows under zeta_s -> zeta_m^(m/s): spread, then reduce mod Phi_m
+    # the rows under zeta_s -> zeta_m^(m/s)
     if m == s.field_order:
         return s.rows
-    ratio = m // s.field_order
-    out = []
-    for row in s.rows:
-        spread = [0] * ((len(row) - 1) * ratio + 1)
-        spread[::ratio] = row
-        out.append(tuple(_remainder(spread, m)))
-    return tuple(out)
-
-
-def _convolution(a, b, lo: int, k: int, m: int) -> tuple[int, ...]:
-    # sum_{i=lo..k} a[i] * b[k-i] over rows of Z[zeta_m], reduced modulo
-    # Phi_m once, after the whole sum
-    pairs = zip(a[lo : k + 1], b[k - lo :: -1])
-    phi = len(a[0])
-    if phi == 1:
-        return (sum([x * y for (x,), (y,) in pairs]),)
-    if phi == 2:  # zeta^2 = -p0 - p1 zeta with Phi_m = p0 + p1 x + x^2
-        p0, p1, _ = cyclotomic_polynomial(m)
-        c0 = c1 = c2 = 0
-        for (x0, x1), (y0, y1) in pairs:
-            c0 += x0 * y0
-            c1 += x0 * y1 + x1 * y0
-            c2 += x1 * y1
-        return (c0 - c2 * p0, c1 - c2 * p1)
-    conv = [0] * (2 * phi - 1)
-    for x, y in pairs:
-        for s, u in enumerate(x):
-            if u:
-                for t, v in enumerate(y):
-                    conv[s + t] += u * v
-    return tuple(_remainder(conv, m))
+    return tuple(tuple(_lift_row(row, s.field_order, m)) for row in s.rows)
 
 
 def _factorial_weights(e: int, order: int) -> list[int]:
@@ -278,7 +248,7 @@ def exp_series(c, order: int) -> TruncatedSeries:
     power = (1,) + (0,) * (len(c.nums) - 1)
     for w in weights:
         rows.append([w * x for x in power])
-        power = _convolution([power], [c.nums], 0, 0, m)
+        power = _dot(m, [power], [c.nums])
     return _series(order, m, rows, weights[0])
 
 

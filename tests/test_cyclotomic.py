@@ -196,6 +196,7 @@ def _assert_normalized(x, m):
 def test_integer_layout_matches_fraction_reference(m):
     rng = random.Random(7000 + m)
     zero = [Fraction(0)] * euler_phi(m)
+    one = CycloElement.one(m)
     # zeta_m^k against x^k reduced by long division
     cases = [
         (zeta(m, k), oracles.vec_reduce([Fraction(0)] * k + [Fraction(1)], m))
@@ -215,9 +216,26 @@ def test_integer_layout_matches_fraction_reference(m):
         fraction_sum = zero
         for c, v in zip(weights, (va, vb, vab)):
             fraction_sum = oracles.vec_add(fraction_sum, oracles.vec_scale(v, Fraction(c, den)))
+        # product terms over mixed denominators, with a zero factor on
+        # either side and a zero weight
+        vaq = oracles.vec_scale(va, q)
+        factors = [(a, va), (b, vb), (a.scale(q), vaq), (CycloElement.zero(m), zero)]
+        products = [(rng.randint(-20, 20), x, y) for x in factors for y in factors]
+        products[5] = (0,) + products[5][1:]
+        product_sum = zero
+        for c, (_, vx), (_, vy) in products:
+            product = oracles.vec_scale(oracles.vec_mul(vx, vy, m), Fraction(c, den))
+            product_sum = oracles.vec_add(product_sum, product)
+        product_terms = [(c, x, y) for c, (x, _), (y, _) in products]
+        for bad in ([(1, a, CycloElement.one(2 * m))], [(1, zeta(2 * m), a)]):
+            with pytest.raises(ValueError):
+                linear_combination(m, bad)
         cases += [
-            (linear_combination(m, list(zip(weights, (a, b, a * b))), den), fraction_sum),
-            (linear_combination(m, [(1, a), (-1, a)]), zero),
+            (linear_combination(m, [(c, x, one) for c, x in zip(weights, (a, b, a * b))], den),
+             fraction_sum),
+            (linear_combination(m, [(1, a, one), (-1, a, one)]), zero),
+            (linear_combination(m, product_terms, den), product_sum),
+            (linear_combination(m, [], den), zero),
             (a, va),
             (a + b, oracles.vec_add(va, vb)),
             (a - b, oracles.vec_sub(va, vb)),
