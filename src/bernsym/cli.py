@@ -546,7 +546,10 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"{args.config}: JSON nested too deeply") from None
         if isinstance(data, dict) and isinstance(data.get("config"), dict):
             data = data["config"]  # accept a full report document
         config = SweepConfig.from_dict(data)

@@ -265,6 +265,7 @@ def test_version_flag(capsys):
         '{"moduli": [4], "theorems": ["T7"], "n_max": 2.5}',
         '{"moduli": [4], "theorems": ["T7"], "n_max": true}',
         '{"moduli": [4], "theorems": ["T7"], "n_max": 0, "ys_pool": [0.5]}',
+        "[" * 2000 + "]" * 2000,
     ],
 )
 def test_sweep_malformed_config_is_usage_error(tmp_path, capsys, content):
