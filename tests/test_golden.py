@@ -17,6 +17,14 @@ IMPRIMITIVE_SWEEP = [
     "--allow-imprimitive", "--n-max", "2",
 ]
 
+# The three folded routes (T3, T5, T6) on imprimitive characters mod 9
+# and 12, with a negative and a zero y and the repeated weight w2 == w3.
+FOLDED_SWEEP = [
+    "sweep", "--format", "json", "--moduli", "9,12", "--allow-imprimitive",
+    "--theorems", "T3,T5,T6", "--n-max", "3", "--weights", "1,2,3;2,2,3",
+    "--ys=-1/2,0,2/3",
+]
+
 GOLDEN = {
     "sweep-imprimitive": (
         IMPRIMITIVE_SWEEP,
@@ -27,6 +35,16 @@ GOLDEN = {
         IMPRIMITIVE_SWEEP + ["--perturb"],
         1,
         "30debca9aebe7f93aaaad137fdcfddeb4196f6c7ebf9d194d95251088f44ed74",
+    ),
+    "sweep-folded": (
+        FOLDED_SWEEP,
+        0,
+        "958eda9cf20fcdda87777b4f1fb13e563e099d59e18d58725b2ccbcf2a5153c9",
+    ),
+    "sweep-folded-perturb": (
+        FOLDED_SWEEP + ["--perturb"],
+        1,
+        "3559579fc905b4fe95dd7efbb3b165b1ed0b48f0f67b35afb8147777b8d8edde",
     ),
     # the README lambda example
     "lambda-readme": (
