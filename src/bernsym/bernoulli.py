@@ -27,6 +27,7 @@ process pool each hold their own tables.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .characters import DirichletChar
@@ -56,6 +57,13 @@ _POLY_CACHE_LIMIT = 200_000
 _GEN_NUMBERS: dict[tuple[int, int], list[CycloElement]] = {}
 _POLY: dict[tuple, CycloElement] = {}
 _POWER: dict[tuple, CycloElement] = {}
+
+
+@lru_cache(maxsize=None)
+def _one(order: int) -> CycloElement:
+    # the unit of Q(zeta_order), the second factor of every weighted sum
+    # below; built once per field order
+    return CycloElement.one(order)
 
 
 def clear_caches():
@@ -103,9 +111,17 @@ def gen_bernoulli_poly(chi: DirichletChar, n: int, x) -> CycloElement:
     """
     if n < 0:
         raise ValueError("Bernoulli index must be nonnegative")
+    if type(x) is int:
+        return _bernoulli_at(chi, n, x, 1)
     if type(x) is not Fraction:
         x = Fraction(x)
-    p, q = x.numerator, x.denominator
+    return _bernoulli_at(chi, n, x.numerator, x.denominator)
+
+
+def _bernoulli_at(chi: DirichletChar, n: int, p: int, q: int) -> CycloElement:
+    # B_{n,chi}(p/q) for n >= 0 and p/q in lowest terms with q > 0: the
+    # one cached body behind gen_bernoulli_poly, for callers that already
+    # hold the argument as a reduced integer pair
     if p == 0:
         return gen_bernoulli_number(chi, n)
     key = (chi.modulus, chi.label, n, p, q)
@@ -113,7 +129,7 @@ def gen_bernoulli_poly(chi: DirichletChar, n: int, x) -> CycloElement:
     if cached is not None:
         return cached
     numbers = _gen_numbers(chi, n)
-    one = CycloElement.one(chi.order)
+    one = _one(chi.order)
     # term j is C(n,j) p^j q^(n-j) B_{n-j,chi}, over q^n
     terms = []
     pj, qj = 1, q**n
@@ -141,7 +157,7 @@ def power_sum(chi: DirichletChar, k: int, n: int) -> CycloElement:
     if cached is not None:
         return cached
     d = chi.modulus
-    one = CycloElement.one(chi.order)
+    one = _one(chi.order)
     terms = [
         (sum(a**k for a in range(res, n + 1, d)), v, one)
         for res, v in enumerate(chi.values)

@@ -16,8 +16,9 @@ idempotent, so concurrent first use is harmless.  Only this module
 multiplies, lifts and reduces integer rows of Z[zeta_m] (_dot, _lift_row):
 series.py stores a whole truncated series in the same layout, integer
 rows over one denominator, but multiplies and lifts them only through
-this kernel.  No other module reads the integer layout: sums of
-integer-weighted products go through linear_combination.
+this kernel and takes the rows of elements from _common_rows.  No other
+module reads the integer layout: sums of integer-weighted products go
+through linear_combination.
 """
 
 from __future__ import annotations
@@ -147,6 +148,13 @@ def _lift_row(row, m: int, m2: int) -> list[int]:
     spread = [0] * ((len(row) - 1) * ratio + 1)
     spread[::ratio] = row
     return _remainder(spread, m2)
+
+
+def _common_rows(values) -> tuple[list[list[int]], int]:
+    # the numerator rows of elements of one field over their common
+    # denominator lcm(x.den), and that denominator
+    den = lcm(*(x.den for x in values))
+    return [[v * (den // x.den) for v in x.nums] for x in values], den
 
 
 def _reduced(order: int, nums, den: int) -> CycloElement:

@@ -35,7 +35,11 @@ rational/cyclotomic precision.
 
 Every route returns one linear_combination, an integer-weighted sum of
 products over one denominator; a weight power w^e with e >= -1 enters as
-w^(e+1) in the term's weight and w in the denominator.
+w^(e+1) in the term's weight and w in the denominator.  The per-term
+loops of the folded routes (L23.1b, L23.2b, L23.2c) visit only the a
+(and b) with chi(a) != 0, and form each Bernoulli argument as an integer
+numerator over the route's common denominator, reduced by one gcd to the
+pair (p, q) under which the value is looked up; no Fraction per term.
 
 Verification of distinct instances is embarrassingly parallel: every
 evaluation is pure given the per-process Bernoulli memo tables, and
@@ -47,9 +51,9 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
-from .bernoulli import char_exp_sum, gen_bernoulli_poly, power_sum
+from .bernoulli import _bernoulli_at, char_exp_sum, gen_bernoulli_poly, power_sum
 from .characters import DirichletChar, char_value
 from .cyclotomic import CycloElement, linear_combination
 from .series import TruncatedSeries, _exp_minus_one_over_t, exp_series
@@ -80,11 +84,15 @@ def multinomial(n: int, k: int, l: int, m: int) -> int:
 
 
 def _checked_args(weights, ys, arity: int, name: str):
-    """Weights as three positive ints and ys as arity Fractions; else ValueError."""
-    w = tuple(int(x) for x in weights)
-    if len(w) != 3 or min(w) < 1:
+    """Weights as three positive ints and ys as arity rationals; else ValueError.
+
+    A weight must be an int (not a bool); ints and Fractions among the ys
+    are kept as they are, anything else is converted by Fraction.
+    """
+    w = tuple(weights)
+    if len(w) != 3 or any(type(x) is not int or x < 1 for x in w):
         raise ValueError("weights must be three positive integers")
-    ys = tuple(Fraction(y) for y in ys)
+    ys = tuple(y if type(y) in (int, Fraction) else Fraction(y) for y in ys)
     if len(ys) != arity:
         raise ValueError(f"{name} takes {arity} y-arguments, got {len(ys)}")
     return w, ys
@@ -293,7 +301,8 @@ def _triple_sum(
         if y is None:
             values.append([power_sum(chi, i, w * d - 1) for i in range(n + 1)])
         else:
-            values.append([gen_bernoulli_poly(chi, i, w * ys[y]) for i in range(n + 1)])
+            x = w * ys[y]
+            values.append([gen_bernoulli_poly(chi, i, x) for i in range(n + 1)])
         offset = (0 if y is None else 1) + (bump if j == 0 else 0)
         base = weights[j]
         powers.append(
@@ -313,17 +322,26 @@ def _over(x, D: int) -> int:
     return x.numerator * (D // x.denominator)
 
 
+def _units(chi: DirichletChar, count: int) -> list[tuple[int, CycloElement]]:
+    # (a, chi(a)) for the a < count with chi(a) != 0, in increasing order;
+    # count is a multiple of the modulus d, so the unit residues mod d are
+    # found once and repeated in each block of d
+    d = chi.modulus
+    residues = [(a, v) for a, v in enumerate(chi.values) if not v.is_zero()]
+    return [(t + a, v) for t in range(0, count, d) for a, v in residues]
+
+
 def _char_shift_sum(chi: DirichletChar, k: int, x, r, count: int) -> CycloElement:
     # sum_{a < count} chi(a) B_{k,chi}(x + r*a): a quotient absorbed into a
     # character sum that shifts the Bernoulli argument; each argument is
-    # an integer numerator over the common denominator D
+    # an integer numerator over the common denominator D, reduced by one gcd
     D = lcm(x.denominator, r.denominator)
     base, step = _over(x, D), _over(r, D)
     terms = []
-    for a in range(count):
-        ca = char_value(chi, a)
-        if not ca.is_zero():
-            terms.append((1, ca, gen_bernoulli_poly(chi, k, Fraction(base + step * a, D))))
+    for a, ca in _units(chi, count):
+        p = base + step * a
+        g = gcd(p, D)
+        terms.append((1, ca, _bernoulli_at(chi, k, p // g, D // g)))
     return linear_combination(chi.order, terms)
 
 
@@ -333,11 +351,12 @@ def _folded_pair(n: int, chi: DirichletChar, weights, ys, r, bump: int) -> Cyclo
     # shifting the second argument
     w1, w2, w3 = weights
     y1, y2 = ys
+    x1, x2 = w1 * y1, w2 * y2
     terms = []
     for k in range(n + 1):
-        inner = _char_shift_sum(chi, n - k, w2 * y2, r, w3 * chi.modulus)
+        inner = _char_shift_sum(chi, n - k, x2, r, w3 * chi.modulus)
         weight = comb(n, k) * w1 ** (n - k) * w2**k * w3 ** (n + bump)
-        terms.append((weight, gen_bernoulli_poly(chi, k, w1 * y1), inner))
+        terms.append((weight, gen_bernoulli_poly(chi, k, x1), inner))
     return linear_combination(chi.order, terms, w3)
 
 
@@ -373,26 +392,29 @@ def expansion_sum(
     d = chi.modulus
     (y1,) = ys
     if label == "L23.2b":
-        r = Fraction(w1, w2)
+        x, r = w1 * y1, Fraction(w1, w2)
         terms = []
         for k in range(n + 1):
-            inner = _char_shift_sum(chi, k, w1 * y1, r, w2 * d)
+            inner = _char_shift_sum(chi, k, x, r, w2 * d)
             weight = comb(n, k) * w1 ** (n - k) * w3**k * w2 ** (n + bump)
             terms.append((weight, inner, power_sum(chi, n - k, w3 * d - 1)))
         return linear_combination(chi.order, terms, w2 * w3)
 
-    # L23.2c: the argument w1*y1 + (w1/w2)*a + (w1/w3)*b over one denominator
+    # L23.2c: the argument w1*y1 + (w1/w2)*a + (w1/w3)*b over one
+    # denominator, for unit a and b only (chi(a*b) vanishes otherwise)
     x, r2, r3 = w1 * y1, Fraction(w1, w2), Fraction(w1, w3)
     D = lcm(x.denominator, r2.denominator, r3.denominator)
     base, step2, step3 = _over(x, D), _over(r2, D), _over(r3, D)
     weight = (w2 * w3) ** (n + bump)
+    bs = [b for b, _ in _units(chi, w3 * d)]
     terms = []
-    for a in range(w2 * d):
-        for b in range(w3 * d):
-            cab = char_value(chi, a * b)
-            if not cab.is_zero():
-                p = base + step2 * a + step3 * b
-                terms.append((weight, cab, gen_bernoulli_poly(chi, n, Fraction(p, D))))
+    for a, _ in _units(chi, w2 * d):
+        pa = base + step2 * a
+        for b in bs:
+            p = pa + step3 * b
+            g = gcd(p, D)
+            value = _bernoulli_at(chi, n, p // g, D // g)
+            terms.append((weight, char_value(chi, a * b), value))
     return linear_combination(chi.order, terms, w2 * w3)
 
 

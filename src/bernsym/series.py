@@ -30,7 +30,7 @@ from itertools import chain
 from math import factorial, gcd, lcm
 from operator import mul
 
-from .cyclotomic import CycloElement, _dot, _lift_row, _reduced, euler_phi
+from .cyclotomic import CycloElement, _common_rows, _dot, _lift_row, _reduced, euler_phi
 
 __all__ = ["TruncatedSeries", "exp_series"]
 
@@ -74,9 +74,7 @@ class TruncatedSeries:
         m = field_order
         if m is None:
             m = lcm(*(v.order for v in vals))
-        vals = [v.lift(m) for v in vals]
-        den = lcm(*(v.den for v in vals))
-        rows = [[x * (den // v.den) for x in v.nums] for v in vals]
+        rows, den = _common_rows([v.lift(m) for v in vals])
         rows.extend([(0,) * euler_phi(m)] * (order + 1 - len(rows)))
         return _series(order, m, rows, den)
 
@@ -241,14 +239,15 @@ def exp_series(c, order: int) -> TruncatedSeries:
         raise ValueError("truncation order must be nonnegative")
     if not isinstance(c, CycloElement):
         c = CycloElement.from_rational(c)
-    m, e = c.order, c.den
+    m = c.order
+    (num,), e = _common_rows([c])
     # with c = C/e, c^k/k! = C^k e^(order-k) (order!/k!) / (e^order order!)
     weights = _factorial_weights(e, order)
     rows = []
-    power = (1,) + (0,) * (len(c.nums) - 1)
+    power = (1,) + (0,) * (len(num) - 1)
     for w in weights:
         rows.append([w * x for x in power])
-        power = _dot(m, [power], [c.nums])
+        power = _dot(m, [power], [num])
     return _series(order, m, rows, weights[0])
 
 
@@ -259,10 +258,10 @@ def _exp_sum(m: int, terms, scale, order: int) -> TruncatedSeries:
     scale = Fraction(scale)
     p, q = scale.numerator, scale.denominator
     terms = [(a * p, x.lift(m)) for a, x in terms if not x.is_zero()]
-    common = lcm(*(x.den for _, x in terms))
     bases = [a for a, _ in terms]
+    nums, common = _common_rows([x for _, x in terms])
     # column i holds coordinate i of every term, over the common denominator
-    cols = list(zip(*([v * (common // x.den) for v in x.nums] for _, x in terms)))
+    cols = list(zip(*nums))
     weights = _factorial_weights(q, order)
     rows = []
     powers = [1] * len(bases)  # a^k, with 0^0 = 1

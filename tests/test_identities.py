@@ -25,6 +25,7 @@ F = Fraction
 CHI4 = enumerate_characters(4)[1]
 CHI3 = enumerate_characters(3)[1]
 TRIVIAL = enumerate_characters(1)[0]
+CHI12_IMPRIMITIVE = enumerate_characters(12)[1]  # induced from mod 3
 
 ALL_SPECS = [("L23", i) for i in range(4)] + [("L13", i) for i in range(4)] + [
     ("L12", 0),
@@ -66,6 +67,9 @@ def test_lambda_spec_validation():
         LambdaSpec("L23", 1, (1, 2, 3), (F(0), F(0), F(0)))  # arity is 2
     with pytest.raises(ValueError):
         LambdaSpec("L12", 1, (1, 2, 3), (F(0),))  # arity is 0
+    for weights in ((1.9, 2, 3), (1, F(2), 3), (1, 2, "3"), (1, False, 3)):
+        with pytest.raises(ValueError, match="weights must be three positive integers"):
+            LambdaSpec("L23", 3, weights, ())
 
 
 def test_lambda_l12_1_unit_weights_is_constant_one():
@@ -136,15 +140,25 @@ def _ys_for_label(label):
 
 
 def test_expansion_sum_matches_series():
-    for chi in (TRIVIAL, CHI3, CHI4):
-        for label in EXPANSION_LABELS:
-            ys = _ys_for_label(label)
-            spec = spec_for_label(label, (1, 2, 3), ys)
-            series = lambda_series(spec, chi, 10)
-            for n in range(11):
-                assert series.egf_coeff(n) == expansion_sum(
-                    label, n, chi, (1, 2, 3), ys
-                ), (chi.modulus, label, n)
+    cases = [
+        (chi, label, (1, 2, 3), _ys_for_label(label))
+        for chi in (TRIVIAL, CHI3, CHI4)
+        for label in EXPANSION_LABELS
+    ]
+    # the folded routes on a character that vanishes at residues coprime
+    # to its conductor, with w2 == w3 and a negative y
+    assert CHI12_IMPRIMITIVE.conductor < CHI12_IMPRIMITIVE.modulus
+    ys_folded = {"L23.1b": (F(-1, 2), F(2, 3)), "L23.2b": (F(-1, 2),), "L23.2c": (F(-1, 2),)}
+    cases += [
+        (CHI12_IMPRIMITIVE, label, (2, 2, 3), ys) for label, ys in ys_folded.items()
+    ]
+    for chi, label, weights, ys in cases:
+        spec = spec_for_label(label, weights, ys)
+        series = lambda_series(spec, chi, 10)
+        for n in range(11):
+            assert series.egf_coeff(n) == expansion_sum(
+                label, n, chi, weights, ys
+            ), (chi.modulus, label, weights, n)
 
 
 def test_expansion_sum_rejects_bad_input():
@@ -154,6 +168,9 @@ def test_expansion_sum_rejects_bad_input():
         expansion_sum("L23.0", 2, CHI4, (1, 2, 3), (F(0),))  # arity is 3
     with pytest.raises(ValueError):
         expansion_sum("L12.1", -1, CHI4, (1, 2, 3), ())
+    for weights in ((1, 2.5, 3), (1.0, 2, 3), ("2", 2, 3), (True, 2, 3)):
+        with pytest.raises(ValueError, match="weights must be three positive integers"):
+            expansion_sum("L12.1", 2, CHI4, weights, ())
 
 
 def test_expansion_spot_value():
@@ -193,6 +210,9 @@ def test_theorem_instance_validation():
         TheoremInstance("T1", CHI4, 1, (1, 2, 3), (F(0),))  # arity 3
     with pytest.raises(ValueError):
         TheoremInstance("T8", CHI4, 1, (0, 2, 3), ())
+    for weights in ((1, 2.5, 3), (1, 2, F(3)), ("1", 2, 3), (1, 2, True)):
+        with pytest.raises(ValueError, match="weights must be three positive integers"):
+            TheoremInstance("T7", CHI4, 2, weights, (F(1, 2),))
 
 
 @pytest.mark.parametrize("theorem", THEOREM_IDS)
