@@ -111,8 +111,6 @@ def gen_bernoulli_poly(chi: DirichletChar, n: int, x) -> CycloElement:
     """
     if n < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    if type(x) is int:
-        return _bernoulli_at(chi, n, x, 1)
     if type(x) is not Fraction:
         x = Fraction(x)
     return _bernoulli_at(chi, n, x.numerator, x.denominator)
