@@ -642,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-imprimitive", action="store_true")
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--perturb", action="store_true",
-                   help="sensitivity hook: bump one weight exponent and expect failures")
+                   help="sensitivity hook: raise route weight exponents and expect failures")
     add_format(p)
     p.set_defaults(func=cmd_verify)
 
@@ -661,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-imprimitive", action="store_true")
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--perturb", action="store_true",
-                   help="sensitivity hook: bump one weight exponent and expect failures")
+                   help="sensitivity hook: raise route weight exponents and expect failures")
     add_format(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -33,13 +33,16 @@ the theorem table T1..T8 records which routes give 6, 3 or 2 distinct
 expressions, and verify_theorem checks the resulting equalities at exact
 rational/cyclotomic precision.
 
-Every route returns one linear_combination, an integer-weighted sum of
-products over one denominator; a weight power w^e with e >= -1 enters as
-w^(e+1) in the term's weight and w in the denominator.  The per-term
-loops of the folded routes (L23.1b, L23.2b, L23.2c) visit only the a
-(and b) with chi(a) != 0, and form each Bernoulli argument as an integer
-numerator over the route's common denominator, reduced by one gcd to the
-pair (p, q) under which the value is looked up; no Fraction per term.
+Each route is one row of the table _ROUTES: its family and index, one
+slot per variable, and the slots that the perturb hook raises.  A slot
+is a Bernoulli value, a power sum, a character fold that absorbs one or
+two other variables, or absorbed.  One evaluator sums every row: over
+i1 + i2 + i3 = n with multinomial(n; i1, i2, i3), slot j contributes its
+value times w_{j+1}^(e_j + [slot is B or F]), e_j = n - i_j in family
+L23 and i_j in L12, and the sum is one linear_combination over w1 w2 w3.
+A fold visits only the a with chi(a) != 0 and forms each Bernoulli
+argument as an integer numerator over one denominator, reduced by one
+gcd to the pair (p, q) under which the value is looked up.
 
 Verification of distinct instances is embarrassingly parallel: every
 evaluation is pure given the per-process Bernoulli memo tables, and
@@ -54,7 +57,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from .bernoulli import _bernoulli_at, char_exp_sum, gen_bernoulli_poly, power_sum
-from .characters import DirichletChar, char_value
+from .characters import DirichletChar
 from .cyclotomic import CycloElement, linear_combination
 from .series import TruncatedSeries, _exp_minus_one_over_t, exp_series
 
@@ -86,13 +89,16 @@ def multinomial(n: int, k: int, l: int, m: int) -> int:
 def _checked_args(weights, ys, arity: int, name: str):
     """Weights as three positive ints and ys as arity rationals; else ValueError.
 
-    A weight must be an int (not a bool); ints and Fractions among the ys
-    are kept as they are, anything else is converted by Fraction.
+    A weight must be an int and a y an int or a Fraction (not a bool or a
+    float, whose binary expansion would be verified in place of the
+    intended value).
     """
     w = tuple(weights)
     if len(w) != 3 or any(type(x) is not int or x < 1 for x in w):
         raise ValueError("weights must be three positive integers")
-    ys = tuple(y if type(y) in (int, Fraction) else Fraction(y) for y in ys)
+    ys = tuple(ys)
+    if any(type(y) is not int and type(y) is not Fraction for y in ys):
+        raise ValueError("y-arguments must be ints or Fractions")
     if len(ys) != arity:
         raise ValueError(f"{name} takes {arity} y-arguments, got {len(ys)}")
     return w, ys
@@ -243,121 +249,144 @@ def lambda_series_from_integrals(
 # coefficient expansions
 # ---------------------------------------------------------------------------
 
-_LABEL_FAMILY = {
-    "L23.0": ("L23", 0),
-    "L23.1a": ("L23", 1),
-    "L23.1b": ("L23", 1),
-    "L23.2a": ("L23", 2),
-    "L23.2b": ("L23", 2),
-    "L23.2c": ("L23", 2),
-    "L23.3": ("L23", 3),
-    "L12.0": ("L12", 0),
-    "L12.1": ("L12", 1),
+
+@dataclass(frozen=True)
+class _Route:
+    family: str
+    index: int
+    slots: tuple  # one per variable j = 0, 1, 2, in the forms listed below
+    bump: tuple[int, ...]  # the slots whose weight exponent perturb raises
+
+
+# The slots of each route (the module docstring gives the summation rule),
+# with index i_j in slot j:
+#   ("B", a, y)        B_{i_j,chi}(w_a * y_y)
+#   ("S", a)           S_{i_j}(w_a * d - 1)
+#   ("F", a, y, over)  a fold: the sum of chi(prod a_c) B_{i_j,chi}(w_a * y_y
+#                      + sum (w_a / w_e) a_c) over a_c < w_c * d, one pair
+#                      (c, e) in over for each absorbed variable c
+#   None               absorbed by a fold: index 0, value 1
+_ROUTES = {
+    "L23.0": _Route("L23", 0, (("B", 0, 0), ("B", 1, 1), ("B", 2, 2)), (0,)),
+    "L23.1a": _Route("L23", 1, (("B", 0, 0), ("B", 1, 1), ("S", 2)), (0,)),
+    "L23.1b": _Route("L23", 1, (("B", 0, 0), ("F", 1, 1, ((2, 2),)), None), (2,)),
+    "L23.2a": _Route("L23", 2, (("B", 0, 0), ("S", 1), ("S", 2)), (0,)),
+    "L23.2b": _Route("L23", 2, (("F", 0, 0, ((1, 1),)), None, ("S", 2)), (1,)),
+    "L23.2c": _Route("L23", 2, (("F", 0, 0, ((1, 1), (2, 2))), None, None), (1, 2)),
+    "L23.3": _Route("L23", 3, (("S", 0), ("S", 1), ("S", 2)), (0,)),
+    "L12.0": _Route("L12", 0, (("B", 1, 0), ("B", 2, 0), ("B", 0, 0)), (0,)),
+    "L12.1": _Route("L12", 1, (("S", 1), ("S", 2), ("S", 0)), (0,)),
 }
 
-EXPANSION_LABELS = tuple(_LABEL_FAMILY)
+# The fifth displayed expression of T3 as printed: route L23.1b with the
+# fold's shift ratio w_2/w_1 in place of the orbit-consistent w_2/w_3.
+_T3_PRINTED_LINE5 = _Route("L23", 1, (("B", 0, 0), ("F", 1, 1, ((2, 0),)), None), (2,))
+
+EXPANSION_LABELS = tuple(_ROUTES)
 
 
 def _label_arity(label: str) -> int:
     # number of y-arguments of a route label; an unknown label raises
-    if label not in _LABEL_FAMILY:
+    if label not in _ROUTES:
         raise ValueError(f"unknown expansion label {label!r}")
-    return LambdaSpec.y_arity(*_LABEL_FAMILY[label])
+    route = _ROUTES[label]
+    return LambdaSpec.y_arity(route.family, route.index)
 
 
 def spec_for_label(label: str, weights, ys) -> LambdaSpec:
     """LambdaSpec whose series has the labeled expansion as egf coefficients."""
     _label_arity(label)  # rejects an unknown label
-    family, index = _LABEL_FAMILY[label]
-    return LambdaSpec(family, index, tuple(weights), tuple(ys))
+    route = _ROUTES[label]
+    return LambdaSpec(route.family, route.index, tuple(weights), tuple(ys))
 
 
-# Slots of the unfolded routes, one (argument weight, y index) pair each:
-# slot j reads B_{i,chi}(w_a * y) or, with no y index, S_i(w_a * d - 1).  The
-# power of slot j is carried by its own weight w_{j+1}, with exponent n - i
-# in family L23 and i in family L12, one lower for a power-sum slot.
-_TRIPLE_SLOTS = {
-    "L23.0": ((0, 0), (1, 1), (2, 2)),
-    "L23.1a": ((0, 0), (1, 1), (2, None)),
-    "L23.2a": ((0, 0), (1, None), (2, None)),
-    "L23.3": ((0, None), (1, None), (2, None)),
-    "L12.0": ((1, 0), (2, 0), (0, 0)),
-    "L12.1": ((1, None), (2, None), (0, None)),
-}
+def _units(chi: DirichletChar, count: int) -> list[int]:
+    # the a < count with chi(a) != 0, in increasing order; count is a
+    # multiple of the modulus d, so the unit residues mod d are found once
+    # and repeated in each block of d
+    d = chi.modulus
+    residues = [a for a, v in enumerate(chi.values) if not v.is_zero()]
+    return [t + a for t in range(0, count, d) for a in residues]
 
 
-def _triple_sum(
-    label: str, n: int, chi: DirichletChar, weights, ys, bump: int
+def _fold(chi: DirichletChar, weights, ys, a: int, y: int, over):
+    # A fold slot's Bernoulli arguments w_a*y_y + sum (w_a/w_e)*a_c as
+    # integer numerators over one denominator D: the partial sums over all
+    # but the last absorbed variable, each with its prod a_c, then the
+    # step and unit list of the last.  Only unit a_c are visited, since
+    # chi of the product vanishes otherwise.
+    w, d, x = weights[a], chi.modulus, ys[y]
+    D = lcm(x.denominator, *[weights[e] for _, e in over])
+    heads = [(w * x.numerator * (D // x.denominator), 1)]
+    for c, e in over[:-1]:
+        step = w * (D // weights[e])
+        heads = [(p + step * u, m * u) for p, m in heads for u in _units(chi, weights[c] * d)]
+    c, e = over[-1]
+    return heads, w * (D // weights[e]), _units(chi, weights[c] * d), D
+
+
+def _fold_at(chi: DirichletChar, i: int, fold, coef: int = 1, den: int = 1):
+    # coef/den times the fold at Bernoulli index i: each term is chi(prod
+    # a_c) times the value looked up under its argument reduced by one
+    # gcd; no Fraction is built per term
+    heads, step, units, D = fold
+    values, d = chi.values, chi.modulus
+    terms = []
+    for p0, m in heads:
+        for u in units:
+            p = p0 + step * u
+            g = gcd(p, D)
+            terms.append((coef, values[m * u % d], _bernoulli_at(chi, i, p // g, D // g)))
+    return linear_combination(chi.order, terms, den)
+
+
+def _evaluate(
+    route: _Route, n: int, chi: DirichletChar, weights, ys, bump: int
 ) -> CycloElement:
-    # sum over k + l + m = n of multinomial(n; k, l, m) times the three
-    # weight powers and slot values; bump raises w1's exponent.  Exponents
-    # are >= -1, so each power is kept times its own weight (an integer)
-    # and the sum is divided by w1 w2 w3 once at the end.
-    complementary = _LABEL_FAMILY[label][0] == "L23"
+    # The route's sum at degree n.  Weight exponents are >= -1, so each
+    # power is kept times its own weight (an integer) and the sum is
+    # divided by w1 w2 w3 once; absorbed slots scale every term.
     d = chi.modulus
-    values, powers = [], []
-    for j, (a, y) in enumerate(_TRIPLE_SLOTS[label]):
-        w = weights[a]
-        if y is None:
-            values.append([power_sum(chi, i, w * d - 1) for i in range(n + 1)])
+    complementary = route.family == "L23"
+    scale, free = 1, []
+    degrees = range(n + 1)
+    for j, slot in enumerate(route.slots):
+        w = weights[j]
+        e = bump if j in route.bump else 0
+        if slot is None:
+            scale *= w ** ((n if complementary else 0) + e)
+            continue
+        kind = slot[0]
+        if kind != "S":
+            e += 1
+        powers = [w ** ((n - i if complementary else i) + e) for i in degrees]
+        if kind == "B":
+            x = weights[slot[1]] * ys[slot[2]]
+            values = [gen_bernoulli_poly(chi, i, x) for i in degrees]
+        elif kind == "S":
+            m = weights[slot[1]] * d - 1
+            values = [power_sum(chi, i, m) for i in degrees]
         else:
-            x = w * ys[y]
-            values.append([gen_bernoulli_poly(chi, i, x) for i in range(n + 1)])
-        offset = (0 if y is None else 1) + (bump if j == 0 else 0)
-        base = weights[j]
-        powers.append(
-            [base ** ((n - i if complementary else i) + offset) for i in range(n + 1)]
-        )
-    (v1, v2, v3), (p1, p2, p3) = values, powers
+            values = _fold(chi, weights, ys, *slot[1:])
+            if route.slots.count(None) < 2:  # not the only free slot
+                values = [_fold_at(chi, i, values) for i in degrees]
+        free.append((powers, values))
+    order, den = chi.order, weights[0] * weights[1] * weights[2]
+    p, v = free[0]
+    if len(free) == 1:  # a fold that absorbs both other variables
+        return _fold_at(chi, n, v, scale * p[n], den)
+    q, u = free[1]
+    if len(free) == 3:  # the last two slots summed first, for each degree they share
+        r, s = free[2]
+        inner = []
+        for m in degrees:
+            terms = [(comb(m, l) * q[l] * r[m - l], u[l], s[m - l]) for l in range(m + 1)]
+            inner.append(linear_combination(order, terms))
+        q, u = [1] * (n + 1), inner
     terms = []
-    for k in range(n + 1):
-        j = n - k  # l + m = j, and multinomial(n; k, l, m) = C(n, k) C(j, l)
-        rest = [(comb(j, l) * p2[l] * p3[j - l], v2[l], v3[j - l]) for l in range(j + 1)]
-        terms.append((comb(n, k) * p1[k], v1[k], linear_combination(chi.order, rest)))
-    return linear_combination(chi.order, terms, weights[0] * weights[1] * weights[2])
-
-
-def _over(x, D: int) -> int:
-    # numerator of the rational x written over D (a multiple of its denominator)
-    return x.numerator * (D // x.denominator)
-
-
-def _units(chi: DirichletChar, count: int) -> list[tuple[int, CycloElement]]:
-    # (a, chi(a)) for the a < count with chi(a) != 0, in increasing order;
-    # count is a multiple of the modulus d, so the unit residues mod d are
-    # found once and repeated in each block of d
-    d = chi.modulus
-    residues = [(a, v) for a, v in enumerate(chi.values) if not v.is_zero()]
-    return [(t + a, v) for t in range(0, count, d) for a, v in residues]
-
-
-def _char_shift_sum(chi: DirichletChar, k: int, x, r, count: int) -> CycloElement:
-    # sum_{a < count} chi(a) B_{k,chi}(x + r*a): a quotient absorbed into a
-    # character sum that shifts the Bernoulli argument; each argument is
-    # an integer numerator over the common denominator D, reduced by one gcd
-    D = lcm(x.denominator, r.denominator)
-    base, step = _over(x, D), _over(r, D)
-    terms = []
-    for a, ca in _units(chi, count):
-        p = base + step * a
-        g = gcd(p, D)
-        terms.append((1, ca, _bernoulli_at(chi, k, p // g, D // g)))
-    return linear_combination(chi.order, terms)
-
-
-def _folded_pair(n: int, chi: DirichletChar, weights, ys, r, bump: int) -> CycloElement:
-    # route L23.1b at shift ratio r (w2/w3 on the symmetric orbit): the third
-    # variable's quotient is folded into a character sum over a < w3*d
-    # shifting the second argument
-    w1, w2, w3 = weights
-    y1, y2 = ys
-    x1, x2 = w1 * y1, w2 * y2
-    terms = []
-    for k in range(n + 1):
-        inner = _char_shift_sum(chi, n - k, x2, r, w3 * chi.modulus)
-        weight = comb(n, k) * w1 ** (n - k) * w2**k * w3 ** (n + bump)
-        terms.append((weight, gen_bernoulli_poly(chi, k, x1), inner))
-    return linear_combination(chi.order, terms, w3)
+    for k in degrees:
+        terms.append((scale * comb(n, k) * p[k] * q[n - k], v[k], u[n - k]))
+    return linear_combination(order, terms, den)
 
 
 def expansion_sum(
@@ -375,47 +404,17 @@ def expansion_sum(
     exactly as the series coefficients factor; negative weight exponents
     (k + l - 1 with k = l = 0 and similar) are exact rationals.
 
-    perturb adds one to a single weight exponent and exists only as a
-    sensitivity hook for mutation tests: a perturbed route must break at
-    least one symmetry instance, guarding against vacuously green checks.
+    perturb adds one to the exponent of each weight in the route's bump
+    column of _ROUTES (w1 in the six unfolded routes, w3 in L23.1b, w2 in
+    L23.2b, w2 and w3 in L23.2c) and exists only as a sensitivity hook
+    for mutation tests: a perturbed route must break at least one
+    symmetry instance, guarding against vacuously green checks.
     """
     arity = _label_arity(label)
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    (w1, w2, w3), ys = _checked_args(weights, ys, arity, f"label {label}")
-    bump = 1 if perturb else 0
-    if label in _TRIPLE_SLOTS:
-        return _triple_sum(label, n, chi, (w1, w2, w3), ys, bump)
-    if label == "L23.1b":
-        return _folded_pair(n, chi, (w1, w2, w3), ys, Fraction(w2, w3), bump)
-
-    d = chi.modulus
-    (y1,) = ys
-    if label == "L23.2b":
-        x, r = w1 * y1, Fraction(w1, w2)
-        terms = []
-        for k in range(n + 1):
-            inner = _char_shift_sum(chi, k, x, r, w2 * d)
-            weight = comb(n, k) * w1 ** (n - k) * w3**k * w2 ** (n + bump)
-            terms.append((weight, inner, power_sum(chi, n - k, w3 * d - 1)))
-        return linear_combination(chi.order, terms, w2 * w3)
-
-    # L23.2c: the argument w1*y1 + (w1/w2)*a + (w1/w3)*b over one
-    # denominator, for unit a and b only (chi(a*b) vanishes otherwise)
-    x, r2, r3 = w1 * y1, Fraction(w1, w2), Fraction(w1, w3)
-    D = lcm(x.denominator, r2.denominator, r3.denominator)
-    base, step2, step3 = _over(x, D), _over(r2, D), _over(r3, D)
-    weight = (w2 * w3) ** (n + bump)
-    bs = [b for b, _ in _units(chi, w3 * d)]
-    terms = []
-    for a, _ in _units(chi, w2 * d):
-        pa = base + step2 * a
-        for b in bs:
-            p = pa + step3 * b
-            g = gcd(p, D)
-            value = _bernoulli_at(chi, n, p // g, D // g)
-            terms.append((weight, char_value(chi, a * b), value))
-    return linear_combination(chi.order, terms, w2 * w3)
+    weights, ys = _checked_args(weights, ys, arity, f"label {label}")
+    return _evaluate(_ROUTES[label], n, chi, weights, ys, 1 if perturb else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -534,13 +533,13 @@ def theorem_expressions(
 
 
 def _t3_printed_line5(instance: TheoremInstance) -> CycloElement:
-    # The fifth displayed expression of the six-expression folded-route
-    # identity, with the inner shift ratio written w1/w2 instead of the
-    # orbit-consistent w1/w3.  Evaluated verbatim so the discrepancy can
-    # be reported empirically instead of guessed at.
+    # The printed fifth expression at the weights of its display position,
+    # where its shift ratio reads w1/w2 instead of w1/w3.  Evaluated
+    # verbatim so the discrepancy can be reported empirically instead of
+    # guessed at.
     w1, w2, w3 = instance.weights
-    return _folded_pair(
-        instance.n, instance.chi, (w2, w1, w3), instance.ys, Fraction(w1, w2), 0
+    return _evaluate(
+        _T3_PRINTED_LINE5, instance.n, instance.chi, (w2, w1, w3), instance.ys, 0
     )
 
 

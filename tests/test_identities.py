@@ -125,18 +125,8 @@ def test_l13_reduces_to_l23_under_pair_substitution():
 
 
 def _ys_for_label(label):
-    family_index = {
-        "L23.0": ("L23", 0),
-        "L23.1a": ("L23", 1),
-        "L23.1b": ("L23", 1),
-        "L23.2a": ("L23", 2),
-        "L23.2b": ("L23", 2),
-        "L23.2c": ("L23", 2),
-        "L23.3": ("L23", 3),
-        "L12.0": ("L12", 0),
-        "L12.1": ("L12", 1),
-    }[label]
-    return _ys_for(*family_index, pool=(F(1, 2), F(2, 3), F(0)))
+    route = identities._ROUTES[label]
+    return _ys_for(route.family, route.index, pool=(F(1, 2), F(2, 3), F(0)))
 
 
 def test_expansion_sum_matches_series():
@@ -171,6 +161,9 @@ def test_expansion_sum_rejects_bad_input():
     for weights in ((1, 2.5, 3), (1.0, 2, 3), ("2", 2, 3), (True, 2, 3)):
         with pytest.raises(ValueError, match="weights must be three positive integers"):
             expansion_sum("L12.1", 2, CHI4, weights, ())
+    for ys in ((0.5,), (True,)):
+        with pytest.raises(ValueError, match="y-arguments must be ints or Fractions"):
+            expansion_sum("L23.2a", 2, CHI4, (1, 2, 3), ys)
 
 
 def test_expansion_spot_value():
@@ -179,18 +172,24 @@ def test_expansion_spot_value():
 
 
 def test_multi_route_agreement():
-    # the alternative expansions of one quotient agree term by term
-    ys2 = (F(1, 2), F(1, 3))
-    for n in range(7):
-        assert expansion_sum("L23.1a", n, CHI4, (2, 3, 1), ys2) == expansion_sum(
-            "L23.1b", n, CHI4, (2, 3, 1), ys2
-        )
-    ys1 = (F(1, 2),)
-    for n in range(7):
-        a = expansion_sum("L23.2a", n, CHI4, (2, 3, 1), ys1)
-        b = expansion_sum("L23.2b", n, CHI4, (2, 3, 1), ys1)
-        c = expansion_sum("L23.2c", n, CHI4, (2, 3, 1), ys1)
-        assert a == b == c
+    # the alternative expansions of one quotient agree term by term; unlike
+    # a sweep, this also catches a defect that is symmetric in the weights
+    chi11 = enumerate_characters(11)[1]  # order 10, phi = 4
+    cases = [
+        (CHI4, (2, 3, 1), (F(1, 2), F(1, 3))),
+        (CHI12_IMPRIMITIVE, (2, 2, 3), (F(-1, 2), F(2, 3))),
+        (chi11, (2, 3, 5), (F(1, 2), F(-2, 3))),
+    ]
+    for chi, weights, ys2 in cases:
+        ys1 = ys2[:1]
+        for n in range(7):
+            assert expansion_sum("L23.1a", n, chi, weights, ys2) == expansion_sum(
+                "L23.1b", n, chi, weights, ys2
+            ), (chi.modulus, n)
+            a = expansion_sum("L23.2a", n, chi, weights, ys1)
+            b = expansion_sum("L23.2b", n, chi, weights, ys1)
+            c = expansion_sum("L23.2c", n, chi, weights, ys1)
+            assert a == b == c, (chi.modulus, n)
 
 
 def test_fully_symmetric_route_is_permutation_invariant():
@@ -213,6 +212,9 @@ def test_theorem_instance_validation():
     for weights in ((1, 2.5, 3), (1, 2, F(3)), ("1", 2, 3), (1, 2, True)):
         with pytest.raises(ValueError, match="weights must be three positive integers"):
             TheoremInstance("T7", CHI4, 2, weights, (F(1, 2),))
+    for ys in ((0.1,), (True,)):
+        with pytest.raises(ValueError, match="y-arguments must be ints or Fractions"):
+            TheoremInstance("T7", CHI4, 1, (1, 2, 3), ys)
 
 
 @pytest.mark.parametrize("theorem", THEOREM_IDS)
@@ -227,6 +229,31 @@ def test_theorem_table_permutations(theorem):
     assert not set(spec.perms) & set(spec.collapsed)
     assert len(spec.collapsed_into) == len(spec.collapsed)
     assert all(0 <= t < len(spec.perms) for t in spec.collapsed_into)
+
+
+def test_route_table_shape():
+    # each route reads every variable once, by its own slot or absorbed
+    # into one fold, and only y-arguments its quotient has; a misplaced
+    # index can be symmetric in the weights, and then no sweep fails
+    assert EXPANSION_LABELS == tuple(identities._ROUTES) == (
+        "L23.0", "L23.1a", "L23.1b", "L23.2a", "L23.2b", "L23.2c", "L23.3",
+        "L12.0", "L12.1",
+    )
+    routes = dict(identities._ROUTES, printed=identities._T3_PRINTED_LINE5)
+    for label, route in routes.items():
+        arity = LambdaSpec.y_arity(route.family, route.index)
+        read, absorbed = [], []
+        for slot in route.slots:
+            if slot is None:
+                continue
+            read.append(slot[1])
+            if slot[0] in ("B", "F"):
+                assert 0 <= slot[2] < arity, label
+            if slot[0] == "F":
+                absorbed += [c for c, _ in slot[3]]
+        assert sorted(read + absorbed) == [0, 1, 2], label
+        assert sorted(absorbed) == [j for j, s in enumerate(route.slots) if s is None], label
+        assert route.bump and set(route.bump) <= {0, 1, 2}, label
 
 
 def test_theorem_y_arities():
