@@ -74,7 +74,7 @@ def clear_caches():
 
 def char_exp_sum(chi: DirichletChar, scale, order: int) -> TruncatedSeries:
     """The finite character sum sum_{a=0}^{d-1} chi(a) e^(a*scale*t)."""
-    return _exp_sum(chi.order, enumerate(chi.values), scale, order)
+    return _exp_sum(chi.order, [(a, chi.values[a]) for a in chi.units], scale, order)
 
 
 def gen_bernoulli_series(chi: DirichletChar, order: int) -> TruncatedSeries:
@@ -157,9 +157,8 @@ def power_sum(chi: DirichletChar, k: int, n: int) -> CycloElement:
     d = chi.modulus
     one = _one(chi.order)
     terms = [
-        (sum(a**k for a in range(res, n + 1, d)), v, one)
-        for res, v in enumerate(chi.values)
-        if not v.is_zero()
+        (sum(a**k for a in range(res, n + 1, d)), chi.values[res], one)
+        for res in chi.units
     ]
     value = linear_combination(chi.order, terms)
     _POWER[key] = value

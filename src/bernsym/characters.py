@@ -129,6 +129,8 @@ class DirichletChar:
 
     values[a] is chi(a) for a in [0, d), zero whenever gcd(a, d) > 1.
     For d = 1 the unique character is identically 1, including at a = 0.
+    units is the increasing tuple of the a in [0, d) with chi(a) != 0:
+    the units mod d, and (0,) for d = 1.
     label is the character's stable index within enumerate_characters(d).
     """
 
@@ -138,6 +140,7 @@ class DirichletChar:
     conductor: int
     primitive: bool
     values: tuple[CycloElement, ...]
+    units: tuple[int, ...]
 
     @property
     def is_trivial(self) -> bool:
@@ -154,17 +157,10 @@ class DirichletChar:
         )
 
 
-def _conductor_from_values(d: int, values) -> int:
+def _conductor_from_values(d: int, units, values) -> int:
     # Smallest divisor f of d with chi(a) = 1 for every unit a = 1 mod f.
     for f in range(1, d + 1):
-        if d % f != 0:
-            continue
-        ok = True
-        for a in range(d):
-            if gcd(a, d) == 1 and a % f == 1 % f and not (values[a] == 1):
-                ok = False
-                break
-        if ok:
+        if d % f == 0 and all(values[a] == 1 for a in units if a % f == 1 % f):
             return f
     raise ArithmeticError("conductor search failed")
 
@@ -182,11 +178,13 @@ def enumerate_characters(d: int) -> list[DirichletChar]:
                 conductor=1,
                 primitive=True,
                 values=(CycloElement.one(1),),
+                units=(0,),
             )
         ]
     group = unit_group_structure(d)
     orders = [o for _, o in group.generators]
     big = lcm(*orders) if orders else 1
+    units = tuple(sorted(group.dlog))
     chars = []
     for label, cs in enumerate(itertools.product(*(range(o) for o in orders))):
         # chi(g_i) = zeta_{n_i}^{c_i}; on a unit u with dlog vector (e_i)
@@ -201,7 +199,7 @@ def enumerate_characters(d: int) -> list[DirichletChar]:
             if e_big % step != 0:
                 raise ArithmeticError("character value outside Q(zeta_r)")
             values[u] = zeta(r, e_big // step)
-        f = _conductor_from_values(d, values)
+        f = _conductor_from_values(d, units, values)
         chars.append(
             DirichletChar(
                 modulus=d,
@@ -210,6 +208,7 @@ def enumerate_characters(d: int) -> list[DirichletChar]:
                 conductor=f,
                 primitive=(f == d),
                 values=tuple(values),
+                units=units,
             )
         )
     return chars

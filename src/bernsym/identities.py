@@ -40,9 +40,11 @@ two other variables, or absorbed.  One evaluator sums every row: over
 i1 + i2 + i3 = n with multinomial(n; i1, i2, i3), slot j contributes its
 value times w_{j+1}^(e_j + [slot is B or F]), e_j = n - i_j in family
 L23 and i_j in L12, and the sum is one linear_combination over w1 w2 w3.
-A fold visits only the a with chi(a) != 0 and forms each Bernoulli
-argument as an integer numerator over one denominator, reduced by one
-gcd to the pair (p, q) under which the value is looked up.
+A fold is built once per route call as a flat list of terms
+(chi(prod a_c), p, q): one per tuple of absorbed a_c drawn from the unit
+residues that the character carries, with the Bernoulli argument an
+integer numerator over one denominator reduced by one gcd to the pair
+(p, q) under which the value is looked up at each index.
 
 Verification of distinct instances is embarrassingly parallel: every
 evaluation is pure given the per-process Bernoulli memo tables, and
@@ -300,43 +302,25 @@ def spec_for_label(label: str, weights, ys) -> LambdaSpec:
     return LambdaSpec(route.family, route.index, tuple(weights), tuple(ys))
 
 
-def _units(chi: DirichletChar, count: int) -> list[int]:
-    # the a < count with chi(a) != 0, in increasing order; count is a
-    # multiple of the modulus d, so the unit residues mod d are found once
-    # and repeated in each block of d
-    d = chi.modulus
-    residues = [a for a, v in enumerate(chi.values) if not v.is_zero()]
-    return [t + a for t in range(0, count, d) for a in residues]
-
-
 def _fold(chi: DirichletChar, weights, ys, a: int, y: int, over):
-    # A fold slot's Bernoulli arguments w_a*y_y + sum (w_a/w_e)*a_c as
-    # integer numerators over one denominator D: the partial sums over all
-    # but the last absorbed variable, each with its prod a_c, then the
-    # step and unit list of the last.  Only unit a_c are visited, since
-    # chi of the product vanishes otherwise.
+    # A fold slot's terms (chi(prod a_c), p, q), one per tuple of units
+    # a_c < w_c * d in nested order, where p/q in lowest terms is the
+    # Bernoulli argument w_a*y_y + sum (w_a/w_e)*a_c.  Each p is an integer
+    # numerator over one denominator D, reduced by one gcd; only units are
+    # visited, since chi of the product vanishes otherwise.
     w, d, x = weights[a], chi.modulus, ys[y]
     D = lcm(x.denominator, *[weights[e] for _, e in over])
     heads = [(w * x.numerator * (D // x.denominator), 1)]
-    for c, e in over[:-1]:
+    for c, e in over:
         step = w * (D // weights[e])
-        heads = [(p + step * u, m * u) for p, m in heads for u in _units(chi, weights[c] * d)]
-    c, e = over[-1]
-    return heads, w * (D // weights[e]), _units(chi, weights[c] * d), D
+        units = [t + u for t in range(0, weights[c] * d, d) for u in chi.units]
+        heads = [(p + step * u, m * u) for p, m in heads for u in units]
+    return [(chi.values[m % d], p // (g := gcd(p, D)), D // g) for p, m in heads]
 
 
 def _fold_at(chi: DirichletChar, i: int, fold, coef: int = 1, den: int = 1):
-    # coef/den times the fold at Bernoulli index i: each term is chi(prod
-    # a_c) times the value looked up under its argument reduced by one
-    # gcd; no Fraction is built per term
-    heads, step, units, D = fold
-    values, d = chi.values, chi.modulus
-    terms = []
-    for p0, m in heads:
-        for u in units:
-            p = p0 + step * u
-            g = gcd(p, D)
-            terms.append((coef, values[m * u % d], _bernoulli_at(chi, i, p // g, D // g)))
+    # coef/den times the fold at Bernoulli index i
+    terms = [(coef, v, _bernoulli_at(chi, i, p, q)) for v, p, q in fold]
     return linear_combination(chi.order, terms, den)
 
 

@@ -253,11 +253,12 @@ def exp_series(c, order: int) -> TruncatedSeries:
 
 def _exp_sum(m: int, terms, scale, order: int) -> TruncatedSeries:
     # sum x * e^(a*scale*t) over pairs (int a, x in Q(zeta_m)), truncated
-    # at t^order; with scale = p/q the coefficient of t^k is
-    # sum (a p)^k x / (q^k k!), taken over q^order order! lcm(x.den)
+    # at t^order; callers pass only nonzero x.  With scale = p/q the
+    # coefficient of t^k is sum (a p)^k x / (q^k k!), taken over
+    # q^order order! lcm(x.den)
     scale = Fraction(scale)
     p, q = scale.numerator, scale.denominator
-    terms = [(a * p, x.lift(m)) for a, x in terms if not x.is_zero()]
+    terms = [(a * p, x.lift(m)) for a, x in terms]
     bases = [a for a, _ in terms]
     nums, common = _common_rows([x for _, x in terms])
     # column i holds coordinate i of every term, over the common denominator

@@ -104,6 +104,7 @@ def test_values_at_one_and_order():
     for d in range(1, 25):
         for chi in enumerate_characters(d):
             assert char_value(chi, 1) == 1
+            assert chi.units == tuple(a for a in range(d) if not chi.values[a].is_zero())
             for a in range(d):
                 v = chi.values[a]
                 if not v.is_zero():

@@ -179,6 +179,8 @@ def test_multi_route_agreement():
         (CHI4, (2, 3, 1), (F(1, 2), F(1, 3))),
         (CHI12_IMPRIMITIVE, (2, 2, 3), (F(-1, 2), F(2, 3))),
         (chi11, (2, 3, 5), (F(1, 2), F(-2, 3))),
+        (TRIVIAL, (2, 2, 3), (F(-1, 2), F(2, 3))),  # residue 0 is the only unit
+        (enumerate_characters(2)[0], (2, 3, 5), (F(-3, 4), F(1, 2))),
     ]
     for chi, weights, ys2 in cases:
         ys1 = ys2[:1]
