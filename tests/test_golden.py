@@ -25,6 +25,13 @@ FOLDED_SWEEP = [
     "--ys=-1/2,0,2/3",
 ]
 
+# The folded routes at the high degrees, on the order-10 characters mod 11
+# (phi = 4, the general reduction path of the cyclotomic kernel).
+FOLDED_SWEEP_HIGH = [
+    "sweep", "--format", "json", "--moduli", "11", "--theorems", "T3,T5,T6",
+    "--n-max", "6", "--weights", "1,2,3;2,2,3", "--ys=-1/2,0,2/3",
+]
+
 GOLDEN = {
     "sweep-imprimitive": (
         IMPRIMITIVE_SWEEP,
@@ -45,6 +52,11 @@ GOLDEN = {
         FOLDED_SWEEP + ["--perturb"],
         1,
         "3559579fc905b4fe95dd7efbb3b165b1ed0b48f0f67b35afb8147777b8d8edde",
+    ),
+    "sweep-folded-high": (
+        FOLDED_SWEEP_HIGH,
+        0,
+        "cbea4e6b62923cdba414e7d20fe2b9fede1f8b1833a34e77f94efc8dea610c92",
     ),
     # the README lambda example
     "lambda-readme": (
