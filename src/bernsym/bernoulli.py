@@ -14,7 +14,10 @@ are then served through the binomial expansion
     B_{n,chi}(x) = sum_k C(n,k) B_{k,chi} x^(n-k),
 
 which is the fast cached route (the series product remains available to
-tests as an independent construction).  Generalized power sums
+tests as an independent construction).  The character folds of
+identities.py apply the same expansion to a whole sum of arguments at
+once: they take the numbers from _gen_numbers and never a polynomial
+value.  Generalized power sums
 
     S_k(n, chi) = sum_{a=0}^{n} chi(a) a^k,  with 0^0 = 1,
 
@@ -53,7 +56,8 @@ _POLY_CACHE_LIMIT = 200_000
 
 # Memo tables: the generalized numbers per character key, B_{n,chi}(p/q)
 # keyed by the ints (modulus, label, n, p, q) and S_k(n, chi) keyed by
-# (chi key, k, n).
+# (chi key, k, n).  Only gen_bernoulli_poly fills _POLY: the folds read
+# the numbers alone.
 _GEN_NUMBERS: dict[tuple[int, int], list[CycloElement]] = {}
 _POLY: dict[tuple, CycloElement] = {}
 _POWER: dict[tuple, CycloElement] = {}
@@ -62,7 +66,8 @@ _POWER: dict[tuple, CycloElement] = {}
 @lru_cache(maxsize=None)
 def _one(order: int) -> CycloElement:
     # the unit of Q(zeta_order), the second factor of every weighted sum
-    # below; built once per field order
+    # below and of the fold moments in identities.py; built once per
+    # field order
     return CycloElement.one(order)
 
 
@@ -113,13 +118,7 @@ def gen_bernoulli_poly(chi: DirichletChar, n: int, x) -> CycloElement:
         raise ValueError("Bernoulli index must be nonnegative")
     if type(x) is not Fraction:
         x = Fraction(x)
-    return _bernoulli_at(chi, n, x.numerator, x.denominator)
-
-
-def _bernoulli_at(chi: DirichletChar, n: int, p: int, q: int) -> CycloElement:
-    # B_{n,chi}(p/q) for n >= 0 and p/q in lowest terms with q > 0: the
-    # one cached body behind gen_bernoulli_poly, for callers that already
-    # hold the argument as a reduced integer pair
+    p, q = x.numerator, x.denominator
     if p == 0:
         return gen_bernoulli_number(chi, n)
     key = (chi.modulus, chi.label, n, p, q)

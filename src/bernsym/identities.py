@@ -40,11 +40,14 @@ two other variables, or absorbed.  One evaluator sums every row: over
 i1 + i2 + i3 = n with multinomial(n; i1, i2, i3), slot j contributes its
 value times w_{j+1}^(e_j + [slot is B or F]), e_j = n - i_j in family
 L23 and i_j in L12, and the sum is one linear_combination over w1 w2 w3.
-A fold is built once per route call as a flat list of terms
-(chi(prod a_c), p, q): one per tuple of absorbed a_c drawn from the unit
-residues that the character carries, with the Bernoulli argument an
-integer numerator over one denominator reduced by one gcd to the pair
-(p, q) under which the value is looked up at each index.
+A fold is built once per route call as its power moments: with the
+Bernoulli argument of each tuple of absorbed a_c (drawn from the unit
+residues that the character carries) written as an integer P over one
+denominator D, M_j is the sum of chi(prod a_c) P^j for j = 0..n.  At
+index i the fold is then the binomial sum over j of
+C(i,j) D^(i-j) B_{i-j,chi} M_j over D^i: the same monomials as one
+B_{i,chi} value per tuple, summed in another order, with no Bernoulli
+value looked up per tuple.
 
 Verification of distinct instances is embarrassingly parallel: every
 evaluation is pure given the per-process Bernoulli memo tables, and
@@ -56,9 +59,15 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, lcm
 
-from .bernoulli import _bernoulli_at, char_exp_sum, gen_bernoulli_poly, power_sum
+from .bernoulli import (
+    _gen_numbers,
+    _one,
+    char_exp_sum,
+    gen_bernoulli_poly,
+    power_sum,
+)
 from .characters import DirichletChar
 from .cyclotomic import CycloElement, linear_combination
 from .series import TruncatedSeries, _exp_minus_one_over_t, exp_series
@@ -302,26 +311,50 @@ def spec_for_label(label: str, weights, ys) -> LambdaSpec:
     return LambdaSpec(route.family, route.index, tuple(weights), tuple(ys))
 
 
-def _fold(chi: DirichletChar, weights, ys, a: int, y: int, over):
-    # A fold slot's terms (chi(prod a_c), p, q), one per tuple of units
-    # a_c < w_c * d in nested order, where p/q in lowest terms is the
-    # Bernoulli argument w_a*y_y + sum (w_a/w_e)*a_c.  Each p is an integer
-    # numerator over one denominator D, reduced by one gcd; only units are
-    # visited, since chi of the product vanishes otherwise.
+def _fold(chi: DirichletChar, weights, ys, a: int, y: int, over, n: int):
+    # A fold slot as (D, [M_0, ..., M_n]): M_j is the sum of chi(prod a_c) P^j
+    # over the tuples of units a_c < w_c * d, where P/D, not reduced, is the
+    # Bernoulli argument w_a*y_y + sum (w_a/w_e)*a_c over one denominator.
+    # Only units are visited, since chi of the product vanishes otherwise,
+    # and the integer power sums of P are collected per residue r of the
+    # product, so each M_j takes chi(r) once per residue.
     w, d, x = weights[a], chi.modulus, ys[y]
     D = lcm(x.denominator, *[weights[e] for _, e in over])
     heads = [(w * x.numerator * (D // x.denominator), 1)]
     for c, e in over:
         step = w * (D // weights[e])
         units = [t + u for t in range(0, weights[c] * d, d) for u in chi.units]
-        heads = [(p + step * u, m * u) for p, m in heads for u in units]
-    return [(chi.values[m % d], p // (g := gcd(p, D)), D // g) for p, m in heads]
+        heads = [(p + step * u, r * u % d) for p, r in heads for u in units]
+    by_residue: dict[int, list[int]] = {}
+    for p, r in heads:
+        by_residue.setdefault(r, []).append(p)
+    sums = []
+    for r, ps in by_residue.items():
+        row, powers = [len(ps)], ps
+        for j in range(1, n + 1):
+            if j > 1:
+                powers = [u * v for u, v in zip(powers, ps)]
+            row.append(sum(powers))
+        sums.append((chi.values[r], row))
+    one = _one(chi.order)
+    moments = [
+        linear_combination(chi.order, [(row[j], v, one) for v, row in sums])
+        for j in range(n + 1)
+    ]
+    return D, moments
 
 
 def _fold_at(chi: DirichletChar, i: int, fold, coef: int = 1, den: int = 1):
-    # coef/den times the fold at Bernoulli index i
-    terms = [(coef, v, _bernoulli_at(chi, i, p, q)) for v, p, q in fold]
-    return linear_combination(chi.order, terms, den)
+    # coef/den times the fold at Bernoulli index i: expanding each
+    # B_{i,chi}(P/D) by the binomial rule gives the sum over j of
+    # C(i,j) B_{i-j,chi} M_j / D^j, taken here over D^i
+    D, moments = fold
+    numbers = _gen_numbers(chi, i)
+    terms = [
+        (coef * comb(i, j) * D ** (i - j), numbers[i - j], moments[j])
+        for j in range(i + 1)
+    ]
+    return linear_combination(chi.order, terms, den * D**i)
 
 
 def _evaluate(
@@ -351,7 +384,7 @@ def _evaluate(
             m = weights[slot[1]] * d - 1
             values = [power_sum(chi, i, m) for i in degrees]
         else:
-            values = _fold(chi, weights, ys, *slot[1:])
+            values = _fold(chi, weights, ys, *slot[1:], n)
             if route.slots.count(None) < 2:  # not the only free slot
                 values = [_fold_at(chi, i, values) for i in degrees]
         free.append((powers, values))

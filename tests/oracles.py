@@ -2,12 +2,17 @@
 
 Everything here is computed from first principles (recurrences, brute
 sums, schoolbook polynomial arithmetic) without touching the library's
-series machinery, so agreement between the two is a real check.
+series machinery, so agreement between the two is a real check.  The
+one exception, fold_direct, takes its values from gen_bernoulli_poly
+(which tests/test_bernoulli.py checks against the oracles here) and
+checks only the order in which the folded routes sum them.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import comb
 
+from bernsym.bernoulli import gen_bernoulli_poly
 from bernsym.cyclotomic import CycloElement, cyclotomic_polynomial
 
 
@@ -137,4 +142,26 @@ def bernoulli_poly_binomial(numbers, n, x):
     for j in range(n + 1):
         term = vec_scale(numbers[n - j], comb(n, j) * x**j)
         acc = vec_add(acc, term)
+    return acc
+
+
+def fold_direct(chi, i, x, shifts):
+    """A character fold at Bernoulli index i, summed term by term.
+
+    The sum of chi(prod a_c) B_{i,chi}(x + sum r_c a_c) over every tuple
+    with 0 <= a_c < n_c, one (r_c, n_c) pair in shifts per absorbed
+    variable; each value comes from gen_bernoulli_poly at its own
+    argument, and the residues where chi vanishes are skipped.
+    """
+    d = chi.modulus
+    acc = CycloElement.zero(chi.order)
+    for tup in product(*[range(count) for _, count in shifts]):
+        m = 1
+        for a in tup:
+            m *= a
+        v = chi.values[m % d]
+        if v.is_zero():
+            continue
+        arg = Fraction(x) + sum(r * a for (r, _), a in zip(shifts, tup))
+        acc = acc + v * gen_bernoulli_poly(chi, i, arg)
     return acc

@@ -1,9 +1,13 @@
 from fractions import Fraction
+from math import comb
 
+import oracles
 import pytest
 
 from bernsym import identities
+from bernsym.bernoulli import gen_bernoulli_poly
 from bernsym.characters import enumerate_characters, primitive_characters
+from bernsym.cyclotomic import CycloElement
 from bernsym.identities import (
     EXPANSION_LABELS,
     THEOREM_IDS,
@@ -400,3 +404,56 @@ def test_imprimitive_characters_recorded():
         assert isinstance(rep.all_equal, bool)
         # the derivations only use periodicity, so these hold empirically
         assert rep.all_equal
+
+
+CHI11_ORDER10 = enumerate_characters(11)[1]
+
+
+def _folded_route_by_terms(label, n, chi, w, ys, ratio=None):
+    # The folded route's sum as printed, with every fold summed term by
+    # term through oracles.fold_direct; ratio replaces the w2/w3 of the
+    # L23.1b fold step (the printed T3 line 5 reads w2/w1 there).
+    w1, w2, w3 = w
+    d = chi.modulus
+    if label == "L23.2c":
+        shifts = [(F(w1, w2), w2 * d), (F(w1, w3), w3 * d)]
+        value = oracles.fold_direct(chi, n, w1 * ys[0], shifts)
+        return value.scale(F(w2 * w3) ** (n - 1))
+    total = CycloElement.zero(chi.order)
+    for k in range(n + 1):
+        if label == "L23.2b":
+            shifts = [(F(w1, w2), w2 * d)]
+            a = oracles.fold_direct(chi, k, w1 * ys[0], shifts)
+            b = oracles.power_sum_direct(chi, n - k, w3 * d - 1)
+            c = F(w1 ** (n - k + 1) * w2**n * w3**k)
+        else:
+            shifts = [(F(w2, w3) if ratio is None else ratio, w3 * d)]
+            a = gen_bernoulli_poly(chi, k, w1 * ys[0])
+            b = oracles.fold_direct(chi, n - k, w2 * ys[1], shifts)
+            c = F(w1 ** (n - k + 1) * w2 ** (k + 1) * w3**n)
+        total = total + (a * b).scale(comb(n, k) * c / (w1 * w2 * w3))
+    return total
+
+
+@pytest.mark.parametrize(
+    "chi",
+    [TRIVIAL, CHI12_IMPRIMITIVE, CHI11_ORDER10],
+    ids=["mod1", "mod12-imprimitive", "mod11-order10"],
+)
+def test_folded_routes_match_term_by_term_folds(chi):
+    # the folded routes and the printed T3 line 5 against their folds
+    # summed one Bernoulli value per absorbed tuple; with chi mod 1 and
+    # y = 0 the argument of the all-zero tuple is 0, so 0^0 = 1 is used
+    for w in ((1, 2, 3), (2, 2, 3)):
+        for y in (F(0), F(-1, 2)):
+            for n in range(9):
+                for label in ("L23.1b", "L23.2b", "L23.2c"):
+                    ys = (F(1, 3), y) if label == "L23.1b" else (y,)
+                    expected = _folded_route_by_terms(label, n, chi, w, ys)
+                    assert expansion_sum(label, n, chi, w, ys) == expected, (label, n, w, y)
+                ys = (F(1, 3), y)
+                printed = identities._evaluate(
+                    identities._T3_PRINTED_LINE5, n, chi, w, ys, 0
+                )
+                expected = _folded_route_by_terms("L23.1b", n, chi, w, ys, F(w[1], w[0]))
+                assert printed == expected, ("printed line 5", n, w, y)
