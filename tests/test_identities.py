@@ -30,6 +30,7 @@ CHI4 = enumerate_characters(4)[1]
 CHI3 = enumerate_characters(3)[1]
 TRIVIAL = enumerate_characters(1)[0]
 CHI12_IMPRIMITIVE = enumerate_characters(12)[1]  # induced from mod 3
+CHI11_ORDER10 = enumerate_characters(11)[1]  # phi = 4
 
 ALL_SPECS = [("L23", i) for i in range(4)] + [("L13", i) for i in range(4)] + [
     ("L12", 0),
@@ -406,9 +407,6 @@ def test_imprimitive_characters_recorded():
         assert rep.all_equal
 
 
-CHI11_ORDER10 = enumerate_characters(11)[1]
-
-
 def _folded_route_by_terms(label, n, chi, w, ys, ratio=None):
     # The folded route's sum as printed, with every fold summed term by
     # term through oracles.fold_direct; ratio replaces the w2/w3 of the
@@ -450,10 +448,12 @@ def test_folded_routes_match_term_by_term_folds(chi):
                 for label in ("L23.1b", "L23.2b", "L23.2c"):
                     ys = (F(1, 3), y) if label == "L23.1b" else (y,)
                     expected = _folded_route_by_terms(label, n, chi, w, ys)
-                    assert expansion_sum(label, n, chi, w, ys) == expected, (label, n, w, y)
+                    value = expansion_sum(label, n, chi, w, ys)
+                    assert value == expected, (label, n, w, y)
                 ys = (F(1, 3), y)
                 printed = identities._evaluate(
                     identities._T3_PRINTED_LINE5, n, chi, w, ys, 0
                 )
-                expected = _folded_route_by_terms("L23.1b", n, chi, w, ys, F(w[1], w[0]))
+                ratio = F(w[1], w[0])
+                expected = _folded_route_by_terms("L23.1b", n, chi, w, ys, ratio)
                 assert printed == expected, ("printed line 5", n, w, y)
