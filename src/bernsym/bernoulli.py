@@ -23,6 +23,13 @@ value.  Generalized power sums
 
 are summed directly, grouped by residue class mod d.
 
+The two leaves of every series built here and in identities.py, the
+character sum sum_a chi(a) e^(a s t) and the kernel t/(e^(c t) - 1), are
+built once per process: _CHAR_SUMS keys the sums by (chi key, scale,
+order) and _KERNELS the kernels by (c, order).  No series built from
+them, a product, a quotient or an inverse, is kept: each caller builds
+its own.
+
 All functions are pure given the shared memo tables below; workers in a
 process pool each hold their own tables.
 """
@@ -49,18 +56,22 @@ __all__ = [
 
 _SLACK = 4  # series are built this far beyond the requested degree
 
-# Result tables above this size are dropped wholesale; they refill fast
-# and the bound keeps long verification sweeps at a flat memory profile.
-_POLY_CACHE_LIMIT = 200_000
+# _POLY, _CHAR_SUMS and _KERNELS are dropped wholesale above this size;
+# they refill fast and the bound keeps long verification sweeps and
+# long-lived processes at a flat memory profile.
+_CACHE_LIMIT = 200_000
 
 
 # Memo tables: the generalized numbers per character key, B_{n,chi}(p/q)
 # keyed by the ints (modulus, label, n, p, q) and S_k(n, chi) keyed by
 # (chi key, k, n).  Only gen_bernoulli_poly fills _POLY: the folds read
-# the numbers alone.
+# the numbers alone.  The series leaves: char_exp_sum keyed by (chi key,
+# scale, order) as passed, and t/(e^(c t) - 1) keyed by (c, order).
 _GEN_NUMBERS: dict[tuple[int, int], list[CycloElement]] = {}
 _POLY: dict[tuple, CycloElement] = {}
 _POWER: dict[tuple, CycloElement] = {}
+_CHAR_SUMS: dict[tuple, TruncatedSeries] = {}
+_KERNELS: dict[tuple[int, int], TruncatedSeries] = {}
 
 
 @lru_cache(maxsize=None)
@@ -73,19 +84,40 @@ def _one(order: int) -> CycloElement:
 
 def clear_caches():
     """Reset all memo tables (mainly for tests and long-lived processes)."""
-    for table in (_GEN_NUMBERS, _POLY, _POWER):
+    for table in (_GEN_NUMBERS, _POLY, _POWER, _CHAR_SUMS, _KERNELS):
         table.clear()
+
+
+def _remember(table: dict, key, value):
+    # store value under key, first dropping the whole table at the limit
+    if len(table) > _CACHE_LIMIT:
+        table.clear()
+    table[key] = value
+    return value
 
 
 def char_exp_sum(chi: DirichletChar, scale, order: int) -> TruncatedSeries:
     """The finite character sum sum_{a=0}^{d-1} chi(a) e^(a*scale*t)."""
-    return _exp_sum(chi.order, [(a, chi.values[a]) for a in chi.units], scale, order)
+    key = (chi.key(), scale, order)
+    cached = _CHAR_SUMS.get(key)
+    if cached is not None:
+        return cached
+    terms = [(a, chi.values[a]) for a in chi.units]
+    return _remember(_CHAR_SUMS, key, _exp_sum(chi.order, terms, scale, order))
+
+
+def _t_over_exp_minus_one(c: int, order: int) -> TruncatedSeries:
+    # t/(e^(c t) - 1), truncated at t^order, for an integer c != 0
+    key = (c, order)
+    cached = _KERNELS.get(key)
+    if cached is not None:
+        return cached
+    return _remember(_KERNELS, key, _exp_minus_one_over_t(c, order).invert())
 
 
 def gen_bernoulli_series(chi: DirichletChar, order: int) -> TruncatedSeries:
     """Series whose egf coefficients are B_{0,chi} .. B_{order,chi}."""
-    base = _exp_minus_one_over_t(chi.modulus, order).invert()
-    return base * char_exp_sum(chi, 1, order)
+    return _t_over_exp_minus_one(chi.modulus, order) * char_exp_sum(chi, 1, order)
 
 
 def _gen_numbers(chi: DirichletChar, n: int) -> list[CycloElement]:
@@ -135,10 +167,7 @@ def gen_bernoulli_poly(chi: DirichletChar, n: int, x) -> CycloElement:
         pj *= p
         qj //= q
     value = linear_combination(chi.order, terms, q**n)
-    if len(_POLY) > _POLY_CACHE_LIMIT:
-        _POLY.clear()
-    _POLY[key] = value
-    return value
+    return _remember(_POLY, key, value)
 
 
 def power_sum(chi: DirichletChar, k: int, n: int) -> CycloElement:
@@ -173,5 +202,5 @@ def power_sum_series(chi: DirichletChar, w: int, order: int) -> TruncatedSeries:
     if w < 1:
         raise ValueError("w must be a positive integer")
     d = chi.modulus
-    quotient = _exp_minus_one_over_t(w * d, order) * _exp_minus_one_over_t(d, order).invert()
+    quotient = _exp_minus_one_over_t(w * d, order) * _t_over_exp_minus_one(d, order)
     return quotient * char_exp_sum(chi, 1, order)

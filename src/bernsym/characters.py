@@ -8,13 +8,15 @@ character.  Values are stored in Q(zeta_r) where r is the character's own
 (minimal) order, so coefficient vectors stay as small as possible.
 
 Characters are immutable after enumeration; value tables are safe for
-concurrent reads.
+concurrent reads.  Each modulus is enumerated once per process: the
+characters are kept as a tuple and every call hands out a fresh list.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd, lcm
 
 from .cyclotomic import CycloElement, euler_phi, zeta
@@ -169,8 +171,14 @@ def enumerate_characters(d: int) -> list[DirichletChar]:
     """All phi(d) characters mod d, in lexicographic exponent-vector order."""
     if d < 1:
         raise ValueError(f"invalid modulus d={d}")
+    return list(_characters(d))
+
+
+@lru_cache(maxsize=None)
+def _characters(d: int) -> tuple[DirichletChar, ...]:
+    # the characters of one modulus d >= 1, built on its first use
     if d == 1:
-        return [
+        return (
             DirichletChar(
                 modulus=1,
                 label=0,
@@ -179,8 +187,8 @@ def enumerate_characters(d: int) -> list[DirichletChar]:
                 primitive=True,
                 values=(CycloElement.one(1),),
                 units=(0,),
-            )
-        ]
+            ),
+        )
     group = unit_group_structure(d)
     orders = [o for _, o in group.generators]
     big = lcm(*orders) if orders else 1
@@ -211,7 +219,7 @@ def enumerate_characters(d: int) -> list[DirichletChar]:
                 units=units,
             )
         )
-    return chars
+    return tuple(chars)
 
 
 def primitive_characters(d: int) -> list[DirichletChar]:

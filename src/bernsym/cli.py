@@ -473,19 +473,20 @@ def cmd_lambda(args) -> int:
     ys += [Fraction(0)] * (ys_needed - len(ys))
     spec = LambdaSpec(args.family, args.index, args.weights, tuple(ys))
     records = []
-    closed = integrals = None
+    routes = []
     if args.route in ("closed", "both"):
-        closed = lambda_series(spec, chi, args.order)
+        routes.append(lambda_series(spec, chi, args.order))
     if args.route in ("integrals", "both"):
-        integrals = lambda_series_from_integrals(spec, chi, args.order)
-    primary = closed if closed is not None else integrals
+        routes.append(lambda_series_from_integrals(spec, chi, args.order))
     for n in range(args.order + 1):
-        rec = {"n": n, "egf_coeff": str(primary.egf_coeff(n))}
-        if closed is not None and integrals is not None:
-            rec["routes_agree"] = bool(closed.egf_coeff(n) == integrals.egf_coeff(n))
+        # each route's coefficient is converted once; the first is reported
+        coeffs = [s.egf_coeff(n) for s in routes]
+        rec = {"n": n, "egf_coeff": str(coeffs[0])}
+        if len(coeffs) == 2:
+            rec["routes_agree"] = bool(coeffs[0] == coeffs[1])
         records.append(rec)
     summary = {"order": args.order}
-    if closed is not None and integrals is not None:
+    if len(routes) == 2:
         summary["routes_agree"] = all(r["routes_agree"] for r in records)
     config = {
         "family": args.family,

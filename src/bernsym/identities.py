@@ -64,6 +64,7 @@ from math import comb, lcm
 from .bernoulli import (
     _gen_numbers,
     _one,
+    _t_over_exp_minus_one,
     char_exp_sum,
     gen_bernoulli_poly,
     power_sum,
@@ -203,8 +204,7 @@ def lambda_series(spec: LambdaSpec, chi: DirichletChar, order: int) -> Truncated
 def _char_integral(chi: DirichletChar, scale: int, shift, order: int) -> TruncatedSeries:
     # Closed form of the character-weighted exponential integral:
     # scale * e^(scale*shift*t) * t/(e^(d*scale*t) - 1) * charsum(scale).
-    d = chi.modulus
-    result = _exp_minus_one_over_t(d * scale, order).invert()
+    result = _t_over_exp_minus_one(chi.modulus * scale, order)
     result = result * char_exp_sum(chi, scale, order)
     shift = Fraction(shift)
     if shift:
@@ -214,7 +214,7 @@ def _char_integral(chi: DirichletChar, scale: int, shift, order: int) -> Truncat
 
 def _plain_integral(c: int, order: int) -> TruncatedSeries:
     # Closed form of the plain exponential integral: c*t/(e^(c*t) - 1).
-    return _exp_minus_one_over_t(c, order).invert().scale(c)
+    return _t_over_exp_minus_one(c, order).scale(c)
 
 
 def lambda_series_from_integrals(

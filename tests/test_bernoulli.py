@@ -5,6 +5,8 @@ import pytest
 
 import oracles
 from bernsym.bernoulli import (
+    _CHAR_SUMS,
+    _t_over_exp_minus_one,
     char_exp_sum,
     clear_caches,
     gen_bernoulli_number,
@@ -14,7 +16,8 @@ from bernsym.bernoulli import (
     power_sum_series,
 )
 from bernsym.characters import char_value, enumerate_characters, primitive_characters
-from bernsym.series import TruncatedSeries, exp_series
+from bernsym.identities import LambdaSpec, lambda_series
+from bernsym.series import TruncatedSeries, _exp_minus_one_over_t, exp_series
 
 
 def chi4():
@@ -204,9 +207,55 @@ def test_char_exp_sum_is_finite_geometric():
         assert s == explicit
 
 
+def _leaves_and_lambda():
+    chi = enumerate_characters(5)[1]  # order 4, phi = 2
+    spec = LambdaSpec("L23", 1, (2, 3, 5), (Fraction(1, 2), Fraction(-2, 3)))
+    return (
+        gen_bernoulli_number(chi, 9),
+        char_exp_sum(chi, Fraction(-2, 3), 8),
+        _t_over_exp_minus_one(7, 8),
+        lambda_series(spec, chi, 8),
+    )
+
+
 def test_caches_are_transparent():
-    chi = chi4()
-    before = gen_bernoulli_number(chi, 9)
+    before = _leaves_and_lambda()
     clear_caches()
-    after = gen_bernoulli_number(chi, 9)
+    after = _leaves_and_lambda()
     assert before == after
+    assert after[1] is not before[1] and after[2] is not before[2]  # rebuilt
+    assert _t_over_exp_minus_one(7, 8) == _exp_minus_one_over_t(7, 8).invert()
+
+
+def _geometric_sum(chi, scale, order):
+    # sum_a chi(a) e^(a*scale*t), one exponential per unit residue a
+    terms = [
+        exp_series(a * Fraction(scale), order)
+        * TruncatedSeries.from_coeffs(order, [chi.values[a]], chi.order)
+        for a in chi.units
+    ]
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def test_char_exp_sum_is_keyed_by_its_exact_arguments():
+    chi = enumerate_characters(5)[1]
+    clear_caches()
+    two = char_exp_sum(chi, 2, 6)
+    assert char_exp_sum(chi, Fraction(2), 6) is two
+    plus = char_exp_sum(chi, Fraction(2, 3), 6)
+    minus = char_exp_sum(chi, Fraction(-2, 3), 6)
+    longer = char_exp_sum(chi, Fraction(2, 3), 8)
+    assert len(_CHAR_SUMS) == 4
+    assert plus != minus
+    assert longer.order == 8
+    for scale, order, value in (
+        (2, 6, two),
+        (Fraction(2, 3), 6, plus),
+        (Fraction(-2, 3), 6, minus),
+        (Fraction(2, 3), 8, longer),
+    ):
+        assert value == _geometric_sum(chi, scale, order)
+        assert char_exp_sum(chi, scale, order) is value

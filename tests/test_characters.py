@@ -174,3 +174,13 @@ def test_labels_are_stable():
     second = [(c.label, tuple(str(v) for v in c.values)) for c in enumerate_characters(12)]
     assert first == second
     assert [c.label for c in enumerate_characters(12)] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("listing, d", [(enumerate_characters, 12), (primitive_characters, 5)])
+def test_returned_lists_are_fresh(listing, d):
+    # each modulus is enumerated once; every call hands out its own list
+    first = listing(d)
+    expected = list(first)
+    first.reverse()
+    first.append(None)
+    assert listing(d) == expected
