@@ -10,6 +10,8 @@ character.  Values are stored in Q(zeta_r) where r is the character's own
 Characters are immutable after enumeration; value tables are safe for
 concurrent reads.  Each modulus is enumerated once per process: the
 characters are kept as a tuple and every call hands out a fresh list.
+A character pickles as its key (modulus, label), so every process, pool
+workers included, holds one object per character.
 """
 
 from __future__ import annotations
@@ -149,8 +151,13 @@ class DirichletChar:
         return self.order == 1
 
     def key(self) -> tuple[int, int]:
-        """Stable identity used by caches: (modulus, label)."""
+        """Stable identity across processes: (modulus, label)."""
         return (self.modulus, self.label)
+
+    def __reduce__(self):
+        # unpickled as the character of this key enumerated in the receiving
+        # process, which the memo tables of bernoulli.py are keyed by
+        return (_enumerated, self.key())
 
     def __repr__(self):
         return (
@@ -220,6 +227,11 @@ def _characters(d: int) -> tuple[DirichletChar, ...]:
             )
         )
     return tuple(chars)
+
+
+def _enumerated(d: int, label: int) -> DirichletChar:
+    # the character of key (d, label) built in this process
+    return _characters(d)[label]
 
 
 def primitive_characters(d: int) -> list[DirichletChar]:

@@ -45,9 +45,10 @@ Bernoulli argument of each tuple of absorbed a_c (drawn from the unit
 residues that the character carries) written as an integer P over one
 denominator D, M_j is the sum of chi(prod a_c) P^j for j = 0..n.  At
 index i the fold is then the binomial sum over j of
-C(i,j) D^(i-j) B_{i-j,chi} M_j over D^i: the same monomials as one
-B_{i,chi} value per tuple, summed in another order, with no Bernoulli
-value looked up per tuple.
+C(i,j) D^(i-j) B_{i-j,chi} M_j over D^i, taken by bernoulli._expand, the
+kernel that also gives every Bernoulli polynomial value: the same
+monomials as one B_{i,chi} value per tuple, summed in another order,
+with no Bernoulli value looked up per tuple.
 
 Verification of distinct instances is embarrassingly parallel: every
 evaluation is pure given the per-process Bernoulli memo tables, and
@@ -62,7 +63,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .bernoulli import (
-    _gen_numbers,
+    _expand,
     _one,
     _t_over_exp_minus_one,
     char_exp_sum,
@@ -312,7 +313,8 @@ def spec_for_label(label: str, weights, ys) -> LambdaSpec:
 
 
 def _fold(chi: DirichletChar, weights, ys, a: int, y: int, over, n: int):
-    # A fold slot as (D, [M_0, ..., M_n]): M_j is the sum of chi(prod a_c) P^j
+    # A fold slot as (D, [(1, M_0), ..., (1, M_n)]), the arguments of
+    # bernoulli._expand: M_j is the sum of chi(prod a_c) P^j
     # over the tuples of units a_c < w_c * d, where P/D, not reduced, is the
     # Bernoulli argument w_a*y_y + sum (w_a/w_e)*a_c over one denominator.
     # Only units are visited, since chi of the product vanishes otherwise,
@@ -338,23 +340,10 @@ def _fold(chi: DirichletChar, weights, ys, a: int, y: int, over, n: int):
         sums.append((chi.values[r], row))
     one = _one(chi.order)
     moments = [
-        linear_combination(chi.order, [(row[j], v, one) for v, row in sums])
+        (1, linear_combination(chi.order, [(row[j], v, one) for v, row in sums]))
         for j in range(n + 1)
     ]
     return D, moments
-
-
-def _fold_at(chi: DirichletChar, i: int, fold, coef: int = 1, den: int = 1):
-    # coef/den times the fold at Bernoulli index i: expanding each
-    # B_{i,chi}(P/D) by the binomial rule gives the sum over j of
-    # C(i,j) B_{i-j,chi} M_j / D^j, taken here over D^i
-    D, moments = fold
-    numbers = _gen_numbers(chi, i)
-    terms = [
-        (coef * comb(i, j) * D ** (i - j), numbers[i - j], moments[j])
-        for j in range(i + 1)
-    ]
-    return linear_combination(chi.order, terms, den * D**i)
 
 
 def _evaluate(
@@ -386,12 +375,12 @@ def _evaluate(
         else:
             values = _fold(chi, weights, ys, *slot[1:], n)
             if route.slots.count(None) < 2:  # not the only free slot
-                values = [_fold_at(chi, i, values) for i in degrees]
+                values = [_expand(chi, i, *values) for i in degrees]
         free.append((powers, values))
     order, den = chi.order, weights[0] * weights[1] * weights[2]
     p, v = free[0]
     if len(free) == 1:  # a fold that absorbs both other variables
-        return _fold_at(chi, n, v, scale * p[n], den)
+        return _expand(chi, n, *v, scale * p[n], den)
     q, u = free[1]
     if len(free) == 3:  # the last two slots summed first, for each degree they share
         r, s = free[2]

@@ -5,7 +5,10 @@ import pytest
 
 import oracles
 from bernsym.bernoulli import (
-    _CHAR_SUMS,
+    _CACHE_LIMIT,
+    _GEN_NUMBERS,
+    _poly,
+    _power,
     _t_over_exp_minus_one,
     char_exp_sum,
     clear_caches,
@@ -215,6 +218,8 @@ def _leaves_and_lambda():
         char_exp_sum(chi, Fraction(-2, 3), 8),
         _t_over_exp_minus_one(7, 8),
         lambda_series(spec, chi, 8),
+        gen_bernoulli_poly(chi, 7, Fraction(-2, 3)),
+        power_sum(chi, 5, 13),
     )
 
 
@@ -224,6 +229,7 @@ def test_caches_are_transparent():
     after = _leaves_and_lambda()
     assert before == after
     assert after[1] is not before[1] and after[2] is not before[2]  # rebuilt
+    assert after[4] is not before[4] and after[5] is not before[5]
     assert _t_over_exp_minus_one(7, 8) == _exp_minus_one_over_t(7, 8).invert()
 
 
@@ -248,7 +254,7 @@ def test_char_exp_sum_is_keyed_by_its_exact_arguments():
     plus = char_exp_sum(chi, Fraction(2, 3), 6)
     minus = char_exp_sum(chi, Fraction(-2, 3), 6)
     longer = char_exp_sum(chi, Fraction(2, 3), 8)
-    assert len(_CHAR_SUMS) == 4
+    assert char_exp_sum.cache_info().currsize == 4
     assert plus != minus
     assert longer.order == 8
     for scale, order, value in (
@@ -259,3 +265,43 @@ def test_char_exp_sum_is_keyed_by_its_exact_arguments():
     ):
         assert value == _geometric_sum(chi, scale, order)
         assert char_exp_sum(chi, scale, order) is value
+
+
+def test_memo_tables_are_bounded_and_cleared():
+    chi = chi4()
+    clear_caches()  # so that every table below takes a miss
+    gen_bernoulli_poly(chi, 3, Fraction(1, 3))
+    power_sum(chi, 2, 7)
+    char_exp_sum(chi, 1, 6)
+    tables = (_poly, _power, char_exp_sum, _t_over_exp_minus_one)
+    for table in tables:
+        info = table.cache_info()
+        assert info.maxsize == _CACHE_LIMIT
+        assert info.currsize > 0
+    assert _GEN_NUMBERS
+    clear_caches()
+    assert [table.cache_info().currsize for table in tables] == [0, 0, 0, 0]
+    assert not _GEN_NUMBERS
+
+
+# a float or a bool would be computed in place of the intended value, and
+# a string would be parsed; each raises instead
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (gen_bernoulli_poly, (2, 0.1)),
+        (gen_bernoulli_poly, (2, True)),
+        (gen_bernoulli_poly, (2, "1/2")),
+        (gen_bernoulli_poly, (True, Fraction(1, 2))),
+        (gen_bernoulli_poly, (2.0, Fraction(1, 2))),
+        (gen_bernoulli_number, (True,)),
+        (gen_bernoulli_number, (2.0,)),
+        (power_sum, (True, 7)),
+        (power_sum, (2, True)),
+        (power_sum, (2.0, 7)),
+    ],
+    ids=lambda v: repr(v) if isinstance(v, tuple) else v.__name__,
+)
+def test_non_integer_arguments_are_rejected(fn, args):
+    with pytest.raises(ValueError):
+        fn(chi4(), *args)

@@ -1,4 +1,6 @@
+import pickle
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -10,6 +12,7 @@ from bernsym.characters import (
     unit_group_structure,
 )
 from bernsym.cyclotomic import CycloElement, euler_phi, zeta
+from bernsym.identities import TheoremInstance
 
 
 def test_unit_group_examples():
@@ -184,3 +187,14 @@ def test_returned_lists_are_fresh(listing, d):
     first.reverse()
     first.append(None)
     assert listing(d) == expected
+
+
+def test_characters_pickle_by_reference():
+    # unpickling hands back the enumerated character itself, the key of
+    # the Bernoulli memo tables, also inside a pickled instance
+    for d in range(1, 25):
+        for chi in enumerate_characters(d):
+            assert pickle.loads(pickle.dumps(chi)) is chi
+    chi = enumerate_characters(11)[1]
+    instance = TheoremInstance("T6", chi, 3, (1, 2, 3), (Fraction(1, 2),))
+    assert pickle.loads(pickle.dumps(instance)).chi is chi

@@ -79,6 +79,16 @@ def test_report_bytes_are_pinned(capsys, name):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def test_folded_high_report_is_the_same_cold_and_warm(capsys):
+    # once from empty memo tables, then with the values the first run left
+    argv, expected_code, digest = GOLDEN["sweep-folded-high"]
+    clear_caches()
+    for _ in range(2):
+        assert cli.main(argv) == expected_code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 # Both routes of every quotient spec at order 12: mod 5 char 1 has order 4
 # (phi = 2) and mod 11 char 1 has order 10 (phi = 4, the general reduction
 # path of the series products).

@@ -1,3 +1,6 @@
+import functools
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from math import comb
 
@@ -389,6 +392,29 @@ def test_sweep_verify_caps_workers_at_instance_count(monkeypatch):
     assert [r.instance for r in reports] == instances
     assert [r.all_equal for r in reports] == [r.all_equal for r in serial]
     assert [str(v) for r in reports for v in r.values] == [
+        str(v) for r in serial for v in r.values
+    ]
+
+
+def test_sweep_verify_spawned_pool_matches_serial(monkeypatch):
+    # spawned workers (the start method of macOS and Windows) import bernsym
+    # afresh and unpickle each character as the one they enumerate; the
+    # reports must carry the serial values and the parent's characters
+    spawn = multiprocessing.get_context("spawn")
+    pool = functools.partial(ProcessPoolExecutor, mp_context=spawn)
+    monkeypatch.setattr(identities, "ProcessPoolExecutor", pool)
+    chars = (enumerate_characters(5)[1], CHI11_ORDER10)
+    instances = [
+        TheoremInstance(theorem, chi, n, (1, 2, 3), ys)
+        for theorem, ys in (("T1", (F(1, 2), F(2, 3), F(-1, 3))), ("T6", (F(1, 2),)))
+        for chi in chars
+        for n in range(4)
+    ]
+    serial = sweep_verify(instances, jobs=1)
+    parallel = sweep_verify(instances, jobs=2)
+    assert all(r.instance.chi is inst.chi for r, inst in zip(parallel, instances))
+    assert [r.all_equal for r in parallel] == [r.all_equal for r in serial]
+    assert [str(v) for r in parallel for v in r.values] == [
         str(v) for r in serial for v in r.values
     ]
 
