@@ -40,15 +40,20 @@ two other variables, or absorbed.  One evaluator sums every row: over
 i1 + i2 + i3 = n with multinomial(n; i1, i2, i3), slot j contributes its
 value times w_{j+1}^(e_j + [slot is B or F]), e_j = n - i_j in family
 L23 and i_j in L12, and the sum is one linear_combination over w1 w2 w3.
-A fold is built once per route call as its power moments: with the
-Bernoulli argument of each tuple of absorbed a_c (drawn from the unit
-residues that the character carries) written as an integer P over one
-denominator D, M_j is the sum of chi(prod a_c) P^j for j = 0..n.  At
-index i the fold is then the binomial sum over j of
-C(i,j) D^(i-j) B_{i-j,chi} M_j over D^i, taken by bernoulli._expand, the
-kernel that also gives every Bernoulli polynomial value: the same
-monomials as one B_{i,chi} value per tuple, summed in another order,
-with no Bernoulli value looked up per tuple.
+A fold is a leaf of bernoulli.py, like a value B_{i,chi}(x): its value
+at index i depends only on the character, w_a, y and the (w_c, w_e)
+pairs, not on the degree, the theorem or the weight permutation that
+reaches it, so it is built once per process, not once per route call.
+It is built as its power moments: with the Bernoulli argument of each
+tuple of absorbed a_c (drawn from the unit residues that the character
+carries) written as an integer P over one denominator D, M_j is the sum
+of chi(prod a_c) P^j for j = 0..n.  At index i the fold is then the
+binomial sum over j of C(i,j) D^(i-j) B_{i-j,chi} M_j over D^i, taken by
+bernoulli._expand, the kernel that also gives every Bernoulli polynomial
+value: the same monomials as one B_{i,chi} value per tuple, summed in
+another order, with no Bernoulli value looked up per tuple.  The table
+holds those leaf values only; every route, at every permutation, still
+sums its own.
 
 Verification of distinct instances is embarrassingly parallel: every
 evaluation is pure given the per-process Bernoulli memo tables, and
@@ -60,14 +65,14 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd
 
 from .bernoulli import (
-    _expand,
-    _one,
+    _fold,
+    _gen_numbers,
+    _poly,
     _t_over_exp_minus_one,
     char_exp_sum,
-    gen_bernoulli_poly,
     power_sum,
 )
 from .characters import DirichletChar
@@ -312,40 +317,6 @@ def spec_for_label(label: str, weights, ys) -> LambdaSpec:
     return LambdaSpec(route.family, route.index, tuple(weights), tuple(ys))
 
 
-def _fold(chi: DirichletChar, weights, ys, a: int, y: int, over, n: int):
-    # A fold slot as (D, [(1, M_0), ..., (1, M_n)]), the arguments of
-    # bernoulli._expand: M_j is the sum of chi(prod a_c) P^j
-    # over the tuples of units a_c < w_c * d, where P/D, not reduced, is the
-    # Bernoulli argument w_a*y_y + sum (w_a/w_e)*a_c over one denominator.
-    # Only units are visited, since chi of the product vanishes otherwise,
-    # and the integer power sums of P are collected per residue r of the
-    # product, so each M_j takes chi(r) once per residue.
-    w, d, x = weights[a], chi.modulus, ys[y]
-    D = lcm(x.denominator, *[weights[e] for _, e in over])
-    heads = [(w * x.numerator * (D // x.denominator), 1)]
-    for c, e in over:
-        step = w * (D // weights[e])
-        units = [t + u for t in range(0, weights[c] * d, d) for u in chi.units]
-        heads = [(p + step * u, r * u % d) for p, r in heads for u in units]
-    by_residue: dict[int, list[int]] = {}
-    for p, r in heads:
-        by_residue.setdefault(r, []).append(p)
-    sums = []
-    for r, ps in by_residue.items():
-        row, powers = [len(ps)], ps
-        for j in range(1, n + 1):
-            if j > 1:
-                powers = [u * v for u, v in zip(powers, ps)]
-            row.append(sum(powers))
-        sums.append((chi.values[r], row))
-    one = _one(chi.order)
-    moments = [
-        (1, linear_combination(chi.order, [(row[j], v, one) for v, row in sums]))
-        for j in range(n + 1)
-    ]
-    return D, moments
-
-
 def _evaluate(
     route: _Route, n: int, chi: DirichletChar, weights, ys, bump: int
 ) -> CycloElement:
@@ -366,21 +337,26 @@ def _evaluate(
         if kind != "S":
             e += 1
         powers = [w ** ((n - i if complementary else i) + e) for i in degrees]
-        if kind == "B":
-            x = weights[slot[1]] * ys[slot[2]]
-            values = [gen_bernoulli_poly(chi, i, x) for i in degrees]
+        if kind == "B":  # at w_a * y = p/q in lowest terms, as gen_bernoulli_poly keys it
+            y = ys[slot[2]]
+            p, q = weights[slot[1]] * y.numerator, y.denominator
+            g = gcd(p, q)
+            p, q = p // g, q // g
+            if p == 0:
+                values = _gen_numbers(chi, n)
+            else:
+                values = [_poly(chi, i, p, q) for i in degrees]
         elif kind == "S":
             m = weights[slot[1]] * d - 1
             values = [power_sum(chi, i, m) for i in degrees]
         else:
-            values = _fold(chi, weights, ys, *slot[1:], n)
-            if route.slots.count(None) < 2:  # not the only free slot
-                values = [_expand(chi, i, *values) for i in degrees]
+            pairs = tuple((weights[c], weights[f]) for c, f in slot[3])
+            values = _fold(chi, weights[slot[1]], ys[slot[2]], pairs, n)
         free.append((powers, values))
     order, den = chi.order, weights[0] * weights[1] * weights[2]
     p, v = free[0]
     if len(free) == 1:  # a fold that absorbs both other variables
-        return _expand(chi, n, *v, scale * p[n], den)
+        return v[n].scale(Fraction(scale * p[n], den))
     q, u = free[1]
     if len(free) == 3:  # the last two slots summed first, for each degree they share
         r, s = free[2]
@@ -515,18 +491,13 @@ class VerificationReport:
 
 
 def _route_values(instance: TheoremInstance, perms, perturb: bool) -> list[CycloElement]:
-    # the theorem's route evaluated at each weight permutation in turn
-    label = _THEOREMS[instance.theorem].label
-    w = instance.weights
+    # the theorem's route evaluated at each weight permutation in turn; the
+    # instance has checked its weights, ys and arity once for all of them
+    route = _ROUTES[_THEOREMS[instance.theorem].label]
+    n, chi, w, ys = instance.n, instance.chi, instance.weights, instance.ys
+    bump = 1 if perturb else 0
     return [
-        expansion_sum(
-            label,
-            instance.n,
-            instance.chi,
-            tuple(w[p - 1] for p in perm),
-            instance.ys,
-            perturb=perturb,
-        )
+        _evaluate(route, n, chi, tuple(w[p - 1] for p in perm), ys, bump)
         for perm in perms
     ]
 

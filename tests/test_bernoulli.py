@@ -7,6 +7,8 @@ import oracles
 from bernsym.bernoulli import (
     _CACHE_LIMIT,
     _GEN_NUMBERS,
+    _fold,
+    _fold_table,
     _poly,
     _power,
     _t_over_exp_minus_one,
@@ -19,7 +21,13 @@ from bernsym.bernoulli import (
     power_sum_series,
 )
 from bernsym.characters import char_value, enumerate_characters, primitive_characters
-from bernsym.identities import LambdaSpec, lambda_series
+from bernsym.identities import (
+    LambdaSpec,
+    TheoremInstance,
+    expansion_sum,
+    lambda_series,
+    verify_theorem,
+)
 from bernsym.series import TruncatedSeries, _exp_minus_one_over_t, exp_series
 
 
@@ -273,14 +281,15 @@ def test_memo_tables_are_bounded_and_cleared():
     gen_bernoulli_poly(chi, 3, Fraction(1, 3))
     power_sum(chi, 2, 7)
     char_exp_sum(chi, 1, 6)
-    tables = (_poly, _power, char_exp_sum, _t_over_exp_minus_one)
+    _fold(chi, 2, Fraction(1, 2), ((3, 3),), 2)
+    tables = (_poly, _power, char_exp_sum, _t_over_exp_minus_one, _fold_table)
     for table in tables:
         info = table.cache_info()
         assert info.maxsize == _CACHE_LIMIT
         assert info.currsize > 0
     assert _GEN_NUMBERS
     clear_caches()
-    assert [table.cache_info().currsize for table in tables] == [0, 0, 0, 0]
+    assert [table.cache_info().currsize for table in tables] == [0, 0, 0, 0, 0]
     assert not _GEN_NUMBERS
 
 
@@ -299,9 +308,83 @@ def test_memo_tables_are_bounded_and_cleared():
         (power_sum, (True, 7)),
         (power_sum, (2, True)),
         (power_sum, (2.0, 7)),
+        (char_exp_sum, (0.1, 2)),
+        (char_exp_sum, (True, 3)),
+        (char_exp_sum, ("1/2", 3)),
+        (char_exp_sum, (1, 3.0)),
+        (power_sum_series, (True, 3)),
+        (power_sum_series, (2.0, 3)),
+        (power_sum_series, (2, 3.0)),
+        (gen_bernoulli_series, (2.0,)),
+        (gen_bernoulli_series, (True,)),
     ],
     ids=lambda v: repr(v) if isinstance(v, tuple) else v.__name__,
 )
 def test_non_integer_arguments_are_rejected(fn, args):
     with pytest.raises(ValueError):
         fn(chi4(), *args)
+
+
+# a fold per character kind: trivial (y = 0 gives the argument 0, so
+# 0^0 = 1 is used), imprimitive, and order 10 with phi = 4; data as
+# (w, y, ((w_c, w_e), ...)), one and two absorbed variables
+_FOLD_CHARS = [
+    enumerate_characters(1)[0],
+    enumerate_characters(12)[1],
+    enumerate_characters(11)[1],
+]
+_FOLDS = [
+    (2, Fraction(0), ((3, 3),)),
+    (3, Fraction(-1, 2), ((2, 1),)),
+    (1, Fraction(2, 3), ((2, 2), (3, 3))),
+]
+
+
+@pytest.mark.parametrize("chi", _FOLD_CHARS, ids=["mod1", "mod12-imprimitive", "mod11-order10"])
+def test_fold_grown_on_demand_equals_cold_fold(chi):
+    for w, y, over in _FOLDS:
+        clear_caches()
+        cold = list(_fold(chi, w, y, over, 8))
+        clear_caches()
+        low = _fold(chi, w, y, over, 2)
+        assert len(low) == 3
+        kept = list(low)
+        grown = _fold(chi, w, y, over, 8)
+        assert grown is low  # one entry, grown in place
+        assert grown[:3] == kept and all(a is b for a, b in zip(grown, kept))
+        assert grown == cold
+        assert _fold(chi, w, y, over, 5) is grown and len(grown) == 9
+        assert _fold_table.cache_info().currsize == 1
+
+
+def test_t3_and_t5_share_fold_entries():
+    # T3's L23.1b folds (w_2 y_2, ratio w_2/w_3, a < w_3 d) and T5's
+    # L23.2b folds (w_1 y_1, ratio w_1/w_2, a < w_2 d) are one family: over
+    # all six permutations each reads the same (w_a, y, (w_c, w_c)) keys
+    chi = enumerate_characters(5)[1]
+    y1, y2 = Fraction(1, 3), Fraction(-1, 2)
+    clear_caches()
+    verify_theorem(TheoremInstance("T3", chi, 4, (1, 2, 5), (y1, y2)))
+    before = _fold_table.cache_info()
+    assert before.currsize > 0
+    report = verify_theorem(TheoremInstance("T5", chi, 4, (1, 2, 5), (y2,)))
+    after = _fold_table.cache_info()
+    assert report.all_equal
+    assert after.misses == before.misses and after.currsize == before.currsize
+    assert after.hits == before.hits + 6
+
+
+def test_bernoulli_slots_share_gen_bernoulli_poly_entries():
+    # a route's B slot reads _poly at w_a*y in lowest terms, the key that
+    # gen_bernoulli_poly uses; here every w_a*y is an integer
+    chi = enumerate_characters(5)[1]
+    w, ys = (2, 3, 4), (Fraction(1, 2), Fraction(2, 3), Fraction(-3, 4))
+    clear_caches()
+    expansion_sum("L23.0", 3, chi, w, ys)
+    before = _poly.cache_info()
+    assert before.currsize == 12
+    for a, y in zip(w, ys):
+        for i in range(4):
+            gen_bernoulli_poly(chi, i, a * y)
+    after = _poly.cache_info()
+    assert after.misses == before.misses and after.hits == before.hits + 12

@@ -8,7 +8,7 @@ import oracles
 import pytest
 
 from bernsym import identities
-from bernsym.bernoulli import gen_bernoulli_poly
+from bernsym.bernoulli import clear_caches, gen_bernoulli_poly
 from bernsym.characters import enumerate_characters, primitive_characters
 from bernsym.cyclotomic import CycloElement
 from bernsym.identities import (
@@ -264,6 +264,38 @@ def test_route_table_shape():
         assert sorted(read + absorbed) == [0, 1, 2], label
         assert sorted(absorbed) == [j for j, s in enumerate(route.slots) if s is None], label
         assert route.bump and set(route.bump) <= {0, 1, 2}, label
+
+
+def test_theorem_expressions_match_checked_routes():
+    # theorem_expressions evaluates each permutation without re-checking
+    # it; it must equal expansion_sum, the checked entry, at every
+    # permutation, and each side is computed from empty memo tables
+    chars = (enumerate_characters(5)[1], CHI11_ORDER10)
+    cases = [
+        (tid, chi, n, w, perturb)
+        for tid in THEOREM_IDS
+        for chi in chars
+        for n in range(5)
+        for w in ((1, 2, 3), (2, 2, 3))
+        for perturb in (False, True)
+    ]
+    pool = (F(-1, 2), F(2, 3), F(0))
+
+    def ys_of(tid):
+        return pool[: theorem_y_arity(tid)]
+
+    clear_caches()
+    expected = []
+    for tid, chi, n, w, perturb in cases:
+        spec = identities._THEOREMS[tid]
+        expected.append([
+            expansion_sum(spec.label, n, chi, _permute(w, perm), ys_of(tid), perturb)
+            for perm in spec.perms
+        ])
+    clear_caches()
+    for (tid, chi, n, w, perturb), want in zip(cases, expected):
+        inst = TheoremInstance(tid, chi, n, w, ys_of(tid))
+        assert theorem_expressions(inst, perturb) == want, (tid, chi.key(), n, w, perturb)
 
 
 def test_theorem_y_arities():
