@@ -54,6 +54,22 @@ GOLDEN = {
         1,
         "3559579fc905b4fe95dd7efbb3b165b1ed0b48f0f67b35afb8147777b8d8edde",
     ),
+    # the same perturbed sweep in the other two formats; the last --format wins
+    "sweep-folded-perturb-csv": (
+        FOLDED_SWEEP + ["--perturb", "--format", "csv"],
+        1,
+        "8eb24d7450770c27fa5570010688bcb04f694d534c8123a751de5e92272319c2",
+    ),
+    "sweep-folded-perturb-text": (
+        FOLDED_SWEEP + ["--perturb", "--format", "text"],
+        1,
+        "bfca68494c58d44518c10145154024e911de9dae21f4dc3aca84bd3c19e549cb",
+    ),
+    "sweep-imprimitive-csv": (
+        IMPRIMITIVE_SWEEP + ["--format", "csv"],
+        0,
+        "b7c2c40b2fcb08f7149588ba3749aedbbab5b83cea9e481c8357f9f47a3f265d",
+    ),
     "sweep-folded-high": (
         FOLDED_SWEEP_HIGH,
         0,
