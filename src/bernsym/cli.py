@@ -19,6 +19,7 @@ import sys
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .bernoulli import gen_bernoulli_number, gen_bernoulli_poly, power_sum
@@ -272,105 +273,157 @@ def build_instances(config: SweepConfig) -> list[TheoremInstance]:
 # ---------------------------------------------------------------------------
 # report rendering
 # ---------------------------------------------------------------------------
+#
+# A report is written record by record.  Each record is rendered once to its
+# final text: in json, an object indented for its place in the document, so
+# that the whole is json.dumps(document, indent=2, sort_keys=True) + "\n"
+# byte for byte; in csv, one row; in text, its lines.  A sweep's records are
+# rendered by sweep_verify in the process that verified them, so only their
+# text and verdict flags reach the writer.
+
+_TOOL = {"name": "bernsym", "version": __version__}
+
+# the columns of a sweep record, in the order of its csv header
+_SWEEP_FIELDS = (
+    "theorem", "modulus", "char", "char_order", "conductor", "n", "weights", "ys",
+    "values", "all_equal", "first_mismatch", "extras",
+)
 
 
-def _doc(command: str, config: dict, records: list, summary: dict) -> dict:
-    return {
-        "tool": {"name": "bernsym", "version": __version__},
-        "command": command,
-        "config": config,
-        "records": records,
-        "summary": summary,
-    }
+def _json(value, level: int = 0) -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it `level` deep."""
+    if type(value) is str:
+        return _quote(value)
+    if value is None:
+        return "null"
+    if type(value) is bool:
+        return "true" if value else "false"
+    if type(value) is int:
+        return int.__repr__(value)
+    if not value:
+        return "{}" if type(value) is dict else "[]"
+    inner = level + 1
+    if type(value) is dict:
+        items = [f"{_quote(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
+        opening, closing = "{", "}"
+    else:
+        items = [_json(v, inner) for v in value]
+        opening, closing = "[", "]"
+    indent = "\n" + "  " * inner
+    return f"{opening}{indent}{(',' + indent).join(items)}\n{'  ' * level}{closing}"
 
 
-def _record(report: VerificationReport) -> dict:
-    inst = report.instance
-    rec = {
-        "theorem": inst.theorem,
-        "modulus": inst.chi.modulus,
-        "char": inst.chi.label,
-        "char_order": inst.chi.order,
-        "conductor": inst.chi.conductor,
-        "n": inst.n,
-        "weights": list(inst.weights),
-        "ys": [str(y) for y in inst.ys],
-        "values": [str(v) for v in report.values],
-        "all_equal": report.all_equal,
-        "first_mismatch": None,
-        "extras": report.extras,
-    }
+def _csv_row(values) -> str:
+    # lists and objects are written as compact JSON cells
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(
+        json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v for v in values
+    )
+    return out.getvalue()
+
+
+def _render_record(fmt: str, rec: dict, text) -> str:
+    if fmt == "json":
+        return _json(rec, 2)  # two levels deep, in the document's record list
+    if fmt == "csv":
+        return _csv_row(rec.values())
+    return text(rec)
+
+
+def _write_report(fmt, command, config, fields, texts, summary, head="", tail="") -> None:
+    """Write a report from its records, each rendered by _render_record as fmt.
+
+    csv has a header row and no summary; text has head before the records
+    and tail after them.
+    """
+    write = sys.stdout.write
+    if fmt == "json":
+        # the top-level keys in sorted order: command, config, records, summary, tool
+        write(f'{{\n  "command": {_json(command, 1)},\n  "config": {_json(config, 1)},\n'
+              '  "records": [')
+        empty = True
+        for text in texts:
+            write("\n    " if empty else ",\n    ")
+            write(text)
+            empty = False
+        write("]" if empty else "\n  ]")
+        write(f',\n  "summary": {_json(summary, 1)},\n  "tool": {_json(_TOOL, 1)}\n}}\n')
+    elif fmt == "csv":
+        empty = True
+        for text in texts:
+            if empty:
+                write(_csv_row(fields))
+                empty = False
+            write(text)
+    else:
+        write(head)
+        for text in texts:
+            write(text)
+        write(tail)
+
+
+def _emit(fmt, command, config, records, summary, text, head="") -> None:
+    # a report whose records are in hand as dicts
+    texts = [_render_record(fmt, rec, text) for rec in records]
+    fields = list(records[0]) if records else []
+    _write_report(fmt, command, config, fields, texts, summary, head)
+
+
+def _sweep_text(rec: dict) -> str:
+    w = ",".join(str(x) for x in rec["weights"])
+    ys = ",".join(rec["ys"]) if rec["ys"] else "-"
+    status = "PASS" if rec["all_equal"] else "FAIL"
+    lines = (
+        f"{rec['theorem']} d={rec['modulus']} chi={rec['char']} "
+        f"n={rec['n']} w=({w}) ys=({ys}) {status}\n"
+    )
+    mm = rec["first_mismatch"]
+    if mm is not None:
+        lines += (
+            f"  mismatch: expr[{mm['left_index']}] = {mm['left']}  !=  "
+            f"expr[{mm['right_index']}] = {mm['right']}\n"
+        )
+    return lines
+
+
+def _render_sweep_record(fmt: str, report: VerificationReport) -> str:
+    """One sweep record rendered as fmt, in the process that verified it."""
+    inst, chi = report.instance, report.instance.chi
+    values = [str(v) for v in report.values]
+    mismatch = None
     if report.first_mismatch is not None:
         i, j = report.first_mismatch
-        rec["first_mismatch"] = {
-            "left_index": i,
-            "right_index": j,
-            "left": str(report.values[i]),
-            "right": str(report.values[j]),
-        }
-    return rec
+        mismatch = {"left_index": i, "right_index": j, "left": values[i], "right": values[j]}
+    rec = dict(zip(_SWEEP_FIELDS, (
+        inst.theorem, chi.modulus, chi.label, chi.order, chi.conductor, inst.n,
+        list(inst.weights), [str(y) for y in inst.ys], values, report.all_equal,
+        mismatch, report.extras,
+    )))
+    return _render_record(fmt, rec, _sweep_text)
 
 
-def _summarize(records: list[dict]) -> dict:
-    failures = sum(1 for r in records if not r["all_equal"])
-    summary = {"instances": len(records), "failures": failures}
-    probes = [r for r in records if r["extras"].get("printed_line5_applies")]
+def _summarize(reports: list[VerificationReport]) -> dict:
+    # counted from each report's verdict flags
+    failures = sum(1 for r in reports if not r.all_equal)
+    summary = {"instances": len(reports), "failures": failures}
+    probes = [r for r in reports if r.extras.get("printed_line5_applies")]
     if probes:
-        matched = sum(1 for r in probes if r["extras"].get("printed_line5_matches"))
+        matched = sum(1 for r in probes if r.extras.get("printed_line5_matches"))
         summary["t3_printed_line5"] = {
             "applicable": len(probes),
             "matched": matched,
             "mismatched": len(probes) - matched,
         }
-    collapses = [r for r in records if "collapsed_variants_equal" in r["extras"]]
+    collapses = [r for r in reports if "collapsed_variants_equal" in r.extras]
     if collapses:
         summary["collapsed_variants_ok"] = all(
-            r["extras"]["collapsed_variants_equal"] for r in collapses
+            r.extras["collapsed_variants_equal"] for r in collapses
         )
     return summary
 
 
-def _render_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _render_csv(doc: dict) -> str:
-    out = io.StringIO()
-    records = doc["records"]
-    if not records:
-        return ""
-    fields = list(records[0].keys())
-    writer = csv.DictWriter(out, fieldnames=fields, lineterminator="\n")
-    writer.writeheader()
-    for rec in records:
-        row = {
-            k: json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v
-            for k, v in rec.items()
-        }
-        writer.writerow(row)
-    return out.getvalue()
-
-
-def _render_verify_text(doc: dict) -> str:
-    lines = []
-    for rec in doc["records"]:
-        w = ",".join(str(x) for x in rec["weights"])
-        ys = ",".join(rec["ys"]) if rec["ys"] else "-"
-        status = "PASS" if rec["all_equal"] else "FAIL"
-        lines.append(
-            f"{rec['theorem']} d={rec['modulus']} chi={rec['char']} "
-            f"n={rec['n']} w=({w}) ys=({ys}) {status}"
-        )
-        if rec["first_mismatch"] is not None:
-            mm = rec["first_mismatch"]
-            lines.append(
-                f"  mismatch: expr[{mm['left_index']}] = {mm['left']}  !=  "
-                f"expr[{mm['right_index']}] = {mm['right']}"
-            )
-    summary = doc["summary"]
-    lines.append(
-        f"checked {summary['instances']} instances: {summary['failures']} failures"
-    )
+def _summary_text(summary: dict) -> str:
+    lines = [f"checked {summary['instances']} instances: {summary['failures']} failures"]
     if "t3_printed_line5" in summary:
         probe = summary["t3_printed_line5"]
         verdict = (
@@ -384,15 +437,6 @@ def _render_verify_text(doc: dict) -> str:
             f"the w3 block) {verdict}"
         )
     return "\n".join(lines) + "\n"
-
-
-def _emit(doc: dict, fmt: str, text_renderer) -> None:
-    if fmt == "json":
-        sys.stdout.write(_render_json(doc))
-    elif fmt == "csv":
-        sys.stdout.write(_render_csv(doc))
-    else:
-        sys.stdout.write(text_renderer(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -412,25 +456,24 @@ def cmd_chars(args) -> int:
         }
         for chi in _characters_for(args.modulus, not args.primitive_only)
     ]
-    doc = _doc(
+
+    def text(rec):
+        flag = "primitive" if rec["primitive"] else f"induced from {rec['conductor']}"
+        values = ", ".join(rec["values"])
+        return (
+            f"  label {rec['label']}: order {rec['order']}, conductor "
+            f"{rec['conductor']} ({flag}); values [{values}]\n"
+        )
+
+    _emit(
+        args.format,
         "chars",
         {"modulus": args.modulus, "primitive_only": args.primitive_only},
         records,
         {"characters": len(records)},
+        text,
+        head=f"{len(records)} characters mod {args.modulus}\n",
     )
-
-    def text(doc):
-        lines = [f"{len(doc['records'])} characters mod {args.modulus}"]
-        for rec in doc["records"]:
-            flag = "primitive" if rec["primitive"] else f"induced from {rec['conductor']}"
-            values = ", ".join(rec["values"])
-            lines.append(
-                f"  label {rec['label']}: order {rec['order']}, conductor "
-                f"{rec['conductor']} ({flag}); values [{values}]"
-            )
-        return "\n".join(lines) + "\n"
-
-    _emit(doc, args.format, text)
     return 0
 
 
@@ -456,13 +499,11 @@ def cmd_compute(args) -> int:
         "value": str(value),
         "rational": str(value.as_rational()) if value.is_rational() else None,
     }
-    doc = _doc("compute", record["params"] | {"kind": args.kind}, [record], {})
 
-    def text(doc):
-        rec = doc["records"][0]
+    def text(rec):
         return f"{rec['kind']} d={rec['modulus']} chi={rec['char']} {rec['params']}: {rec['value']}\n"
 
-    _emit(doc, args.format, text)
+    _emit(args.format, "compute", params | {"kind": args.kind}, [record], {}, text)
     return 0
 
 
@@ -498,21 +539,18 @@ def cmd_lambda(args) -> int:
         "order": args.order,
         "route": args.route,
     }
-    doc = _doc("lambda", config, records, summary)
 
-    def text(doc):
-        lines = [
-            f"{args.family}^{args.index} d={args.modulus} chi={args.char} "
-            f"w={tuple(args.weights)} ys={tuple(str(y) for y in ys)}"
-        ]
-        for rec in doc["records"]:
-            suffix = ""
-            if "routes_agree" in rec and not rec["routes_agree"]:
-                suffix = "  [ROUTE MISMATCH]"
-            lines.append(f"  n={rec['n']}: {rec['egf_coeff']}{suffix}")
-        return "\n".join(lines) + "\n"
+    def text(rec):
+        suffix = ""
+        if "routes_agree" in rec and not rec["routes_agree"]:
+            suffix = "  [ROUTE MISMATCH]"
+        return f"  n={rec['n']}: {rec['egf_coeff']}{suffix}\n"
 
-    _emit(doc, args.format, text)
+    head = (
+        f"{args.family}^{args.index} d={args.modulus} chi={args.char} "
+        f"w={tuple(args.weights)} ys={tuple(str(y) for y in ys)}\n"
+    )
+    _emit(args.format, "lambda", config, records, summary, text, head)
     if "routes_agree" in summary and not summary["routes_agree"]:
         return 1
     return 0
@@ -522,11 +560,13 @@ def _run_verification(command: str, config: SweepConfig, jobs: int, perturb: boo
     instances = build_instances(config)
     if not instances:
         raise ValueError("the grid has no instances, so there is nothing to verify")
-    reports = sweep_verify(instances, jobs=jobs, perturb=perturb)
-    records = [_record(r) for r in reports]
-    summary = _summarize(records)
-    doc = _doc(command, config.to_dict(), records, summary)
-    _emit(doc, fmt, _render_verify_text)
+    render = functools.partial(_render_sweep_record, fmt)
+    reports = sweep_verify(instances, jobs=jobs, perturb=perturb, render=render)
+    summary = _summarize(reports)
+    _write_report(
+        fmt, command, config.to_dict(), _SWEEP_FIELDS, (r.text for r in reports), summary,
+        tail=_summary_text(summary),
+    )
     return 0 if summary["failures"] == 0 else 1
 
 

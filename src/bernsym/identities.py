@@ -393,8 +393,8 @@ def expansion_sum(
     symmetry instance, guarding against vacuously green checks.
     """
     arity = _label_arity(label)
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
+    if type(n) is not int or n < 0:
+        raise ValueError("degree must be a nonnegative int")
     weights, ys = _checked_args(weights, ys, arity, f"label {label}")
     return _evaluate(_ROUTES[label], n, chi, weights, ys, 1 if perturb else 0)
 
@@ -470,8 +470,8 @@ class TheoremInstance:
     def __post_init__(self):
         if self.theorem not in _THEOREMS:
             raise ValueError(f"unknown theorem {self.theorem!r}")
-        if self.n < 0:
-            raise ValueError("degree must be nonnegative")
+        if type(self.n) is not int or self.n < 0:
+            raise ValueError("degree must be a nonnegative int")
         w, ys = _checked_args(
             self.weights, self.ys, theorem_y_arity(self.theorem), self.theorem
         )
@@ -481,13 +481,19 @@ class TheoremInstance:
 
 @dataclass
 class VerificationReport:
-    """Exact expression values for one instance plus the equality verdict."""
+    """Exact expression values for one instance plus the equality verdict.
 
-    instance: TheoremInstance
-    values: list[CycloElement]
+    A report that sweep_verify has rendered holds its record as text and
+    keeps only the verdict flags (all_equal, first_mismatch, extras): its
+    instance and values are None, since the caller holds the instances.
+    """
+
+    instance: TheoremInstance | None
+    values: list[CycloElement] | None
     all_equal: bool
     first_mismatch: tuple[int, int] | None
     extras: dict
+    text: str | None = None
 
 
 def _route_values(instance: TheoremInstance, perms, perturb: bool) -> list[CycloElement]:
@@ -561,31 +567,32 @@ def verify_theorem(instance: TheoremInstance, perturb: bool = False) -> Verifica
 
 
 def _verify_star(args):
-    instance, perturb = args
-    return verify_theorem(instance, perturb=perturb)
+    instance, perturb, render = args
+    report = verify_theorem(instance, perturb=perturb)
+    if render is not None:
+        # only the rendered record and the flags travel back from a worker
+        report.text = render(report)
+        report.instance = report.values = None
+    return report
 
 
 def sweep_verify(
-    instances, jobs: int = 1, perturb: bool = False
+    instances, jobs: int = 1, perturb: bool = False, render=None
 ) -> list[VerificationReport]:
     """Verify a finite grid of instances, preserving input order.
 
     With jobs > 1 the instances are checked in a process pool of at most
     one worker per instance; each worker warms its own memo tables.
     Report order matches instance order for any worker count.
+
+    render, if given, is a picklable callable from a report to its text.
+    It is applied where the report was made, in the worker with jobs > 1,
+    and each report then keeps that text and its verdict flags only.
     """
-    instances = list(instances)
-    if not instances:
-        return []
-    if jobs <= 1 or len(instances) == 1:
-        return [verify_theorem(inst, perturb=perturb) for inst in instances]
-    jobs = min(jobs, len(instances))
+    tasks = [(inst, perturb, render) for inst in instances]
+    if jobs <= 1 or len(tasks) <= 1:
+        return [_verify_star(task) for task in tasks]
+    jobs = min(jobs, len(tasks))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(instances) // (jobs * 4))
-        return list(
-            pool.map(
-                _verify_star,
-                [(inst, perturb) for inst in instances],
-                chunksize=chunk,
-            )
-        )
+        chunk = max(1, len(tasks) // (jobs * 4))
+        return list(pool.map(_verify_star, tasks, chunksize=chunk))

@@ -164,8 +164,10 @@ def test_expansion_sum_rejects_bad_input():
         expansion_sum("nope", 2, CHI4, (1, 2, 3), (F(0),))
     with pytest.raises(ValueError):
         expansion_sum("L23.0", 2, CHI4, (1, 2, 3), (F(0),))  # arity is 3
-    with pytest.raises(ValueError):
-        expansion_sum("L12.1", -1, CHI4, (1, 2, 3), ())
+    # a degree is an int: a bool or a float would be verified as its value
+    for n in (-1, True, 1.0, F(1), "1"):
+        with pytest.raises(ValueError, match="degree must be a nonnegative int"):
+            expansion_sum("L12.1", n, CHI4, (1, 2, 3), ())
     for weights in ((1, 2.5, 3), (1.0, 2, 3), ("2", 2, 3), (True, 2, 3)):
         with pytest.raises(ValueError, match="weights must be three positive integers"):
             expansion_sum("L12.1", 2, CHI4, weights, ())
@@ -213,8 +215,9 @@ def test_fully_symmetric_route_is_permutation_invariant():
 def test_theorem_instance_validation():
     with pytest.raises(ValueError):
         TheoremInstance("T9", CHI4, 1, (1, 2, 3), ())
-    with pytest.raises(ValueError):
-        TheoremInstance("T1", CHI4, -1, (1, 2, 3), (F(0), F(0), F(0)))
+    for n in (-1, True, False, 1.0, F(1), "1"):
+        with pytest.raises(ValueError, match="degree must be a nonnegative int"):
+            TheoremInstance("T7", CHI4, n, (1, 2, 3), (F(0),))
     with pytest.raises(ValueError):
         TheoremInstance("T1", CHI4, 1, (1, 2, 3), (F(0),))  # arity 3
     with pytest.raises(ValueError):
