@@ -66,9 +66,11 @@ _SLACK = 4  # series are built this far beyond the requested degree
 # grown on demand; _poly, _power, _char_exp_sum and _t_over_exp_minus_one
 # are lru_cache tables keyed by their exact arguments, a character by the
 # object itself (one per key in each process, see characters.py), and
-# _fold_table is one whose entries are lists of a fold's values by index,
-# grown on demand: asked for a higher index, _fold rebuilds the fold's
-# moments from its integer data and appends only the new indices.  Each
+# _fold_table is one whose entries are lists of a fold's values by index.
+# identities.sweep_verify asks each fold for its top index first, so a
+# sweep builds it once; callers that ascend in n (expansion_sum, the tests)
+# still grow it on demand: asked for a higher index, _fold rebuilds the
+# fold's moments from its integer data and appends only the new indices.  Each
 # evicts its least recently used entries above this size, which keeps long
 # sweeps and long-lived processes at a flat memory profile.
 _CACHE_LIMIT = 200_000

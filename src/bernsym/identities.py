@@ -56,8 +56,11 @@ holds those leaf values only; every route, at every permutation, still
 sums its own.
 
 Verification of distinct instances is embarrassingly parallel: every
-evaluation is pure given the per-process Bernoulli memo tables, and
-sweep_verify preserves grid order for any worker count.
+evaluation is pure given the per-process Bernoulli memo tables.
+sweep_verify verifies each degree run, the instances that share
+(theorem, chi, weights, ys), from its highest n down, so each fold is
+built once, at its top index, and the lower degrees read a prefix of
+its entry; it returns the reports in input order for any worker count.
 """
 
 from __future__ import annotations
@@ -322,7 +325,10 @@ def _evaluate(
 ) -> CycloElement:
     # The route's sum at degree n.  Weight exponents are >= -1, so each
     # power is kept times its own weight (an integer) and the sum is
-    # divided by w1 w2 w3 once; absorbed slots scale every term.
+    # divided by w1 w2 w3 once; absorbed slots scale every term.  The
+    # Bernoulli numbers are filled to n first, so that the ascending
+    # loops of the slots below do not refill them a few indices at a time.
+    _gen_numbers(chi, n)
     d = chi.modulus
     complementary = route.family == "L23"
     scale, free = 1, []
@@ -579,20 +585,37 @@ def _verify_star(args):
 def sweep_verify(
     instances, jobs: int = 1, perturb: bool = False, render=None
 ) -> list[VerificationReport]:
-    """Verify a finite grid of instances, preserving input order.
+    """Verify a finite grid of instances; reports come back in input order.
+
+    The instances are verified degree run by degree run, each run from its
+    highest n down.  A degree run is the instances that share (theorem,
+    chi, weights, ys); the runs keep the order in which they first appear.
+    The folds of a run's routes are then asked for their top index first,
+    so each is built once, and every lower degree reads a prefix of its
+    memo entry.  Every value is exact, so the order changes no report.
 
     With jobs > 1 the instances are checked in a process pool of at most
-    one worker per instance; each worker warms its own memo tables.
-    Report order matches instance order for any worker count.
+    one worker per instance, dealt in that order; each worker warms its
+    own memo tables.
 
     render, if given, is a picklable callable from a report to its text.
     It is applied where the report was made, in the worker with jobs > 1,
     and each report then keeps that text and its verdict flags only.
     """
-    tasks = [(inst, perturb, render) for inst in instances]
+    instances = list(instances)
+    runs: dict = {}
+    for k, inst in enumerate(instances):
+        runs.setdefault((inst.theorem, inst.chi, inst.weights, inst.ys), []).append(k)
+    order = [k for run in runs.values() for k in sorted(run, key=lambda i: -instances[i].n)]
+    tasks = [(instances[k], perturb, render) for k in order]
     if jobs <= 1 or len(tasks) <= 1:
-        return [_verify_star(task) for task in tasks]
-    jobs = min(jobs, len(tasks))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(tasks) // (jobs * 4))
-        return list(pool.map(_verify_star, tasks, chunksize=chunk))
+        done = map(_verify_star, tasks)
+    else:
+        jobs = min(jobs, len(tasks))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            chunk = max(1, len(tasks) // (jobs * 4))
+            done = list(pool.map(_verify_star, tasks, chunksize=chunk))
+    reports = [None] * len(tasks)
+    for k, report in zip(order, done):
+        reports[k] = report
+    return reports

@@ -7,7 +7,7 @@ from math import comb
 import oracles
 import pytest
 
-from bernsym import identities
+from bernsym import bernoulli, identities
 from bernsym.bernoulli import clear_caches, gen_bernoulli_poly
 from bernsym.characters import enumerate_characters, primitive_characters
 from bernsym.cyclotomic import CycloElement
@@ -429,6 +429,77 @@ def test_sweep_verify_caps_workers_at_instance_count(monkeypatch):
     assert [str(v) for r in reports for v in r.values] == [
         str(v) for r in serial for v in r.values
     ]
+
+
+def test_sweep_verify_builds_each_fold_once(monkeypatch):
+    # a sweep verifies each degree run from its top n down, so every fold
+    # is built once, at its top index, and the Bernoulli numbers of the
+    # character are filled once
+    builds = {"moments": 0, "series": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            builds[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        bernoulli, "_fold_moments", counted("moments", bernoulli._fold_moments)
+    )
+    monkeypatch.setattr(
+        bernoulli,
+        "gen_bernoulli_series",
+        counted("series", bernoulli.gen_bernoulli_series),
+    )
+    chi = enumerate_characters(7)[1]  # order 6
+    instances = [
+        TheoremInstance(theorem, chi, n, w, ys)
+        for theorem, ys in (("T3", (F(1, 3), F(-1, 2))), ("T5", (F(1, 2),)), ("T6", (F(2, 3),)))
+        for w in ((1, 2, 3), (2, 2, 3))
+        for n in range(7)
+    ]
+    clear_caches()
+    reports = sweep_verify(instances)
+    assert all(r.all_equal for r in reports)
+    keys = bernoulli._fold_table.cache_info().currsize
+    assert keys > 0
+    assert builds == {"moments": keys, "series": 1}
+
+
+class _SerialPool:
+    # an in-process stand-in for the pool that maps serially, so no
+    # process is started
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+def test_sweep_verify_returns_reports_in_input_order(monkeypatch):
+    # two degree runs interleaved, one descending in n and one shuffled,
+    # and one instance repeated; the input is also given as a generator
+    down = [TheoremInstance("T7", CHI3, n, (1, 2, 3), (F(1, 2),)) for n in (4, 3, 2, 1, 0)]
+    mixed = [
+        TheoremInstance("T3", CHI4, n, (2, 1, 3), (F(1, 3), F(0))) for n in (2, 0, 4, 1, 3)
+    ]
+    instances = [inst for pair in zip(down, mixed) for inst in pair] + [mixed[0]]
+    expected = [verify_theorem(inst) for inst in instances]
+    monkeypatch.setattr(identities, "ProcessPoolExecutor", _SerialPool)
+    for jobs in (1, 2):
+        for given in (instances, (inst for inst in instances)):
+            reports = sweep_verify(given, jobs=jobs)
+            assert [r.instance for r in reports] == instances
+            assert [r.all_equal for r in reports] == [r.all_equal for r in expected]
+            assert [r.extras for r in reports] == [r.extras for r in expected]
+            assert [r.values for r in reports] == [r.values for r in expected]
 
 
 def test_sweep_verify_spawned_pool_matches_serial(monkeypatch):
