@@ -33,6 +33,10 @@ FOLDED_SWEEP_HIGH = [
     "--n-max", "6", "--weights", "1,2,3;2,2,3", "--ys=-1/2,0,2/3",
 ]
 
+# Every theorem on the order-10 characters mod 11 (phi = 4): the B and S
+# slots of T1, T2, T4, T7 and T8 beyond the degree-2 fields.
+ALL_THEOREMS_PHI4 = ["sweep", "--format", "json", "--moduli", "11", "--n-max", "4"]
+
 GOLDEN = {
     "sweep-imprimitive": (
         IMPRIMITIVE_SWEEP,
@@ -74,6 +78,11 @@ GOLDEN = {
         FOLDED_SWEEP_HIGH,
         0,
         "cbea4e6b62923cdba414e7d20fe2b9fede1f8b1833a34e77f94efc8dea610c92",
+    ),
+    "sweep-all-theorems-phi4": (
+        ALL_THEOREMS_PHI4,
+        0,
+        "f5326c29f6303aef8f6f9f52b95e638aa1025ee3a2f03480d7cfd384057542b2",
     ),
     # the README lambda example
     "lambda-readme": (
