@@ -9,32 +9,32 @@ and e^(x t) times the same series generates the polynomials B_{n,chi}(x).
 The modulus-1 character, enumerate_characters(1)[0], gives the ordinary
 B_n and B_n(x) of t/(e^t - 1), with B_1 = -1/2.
 The numbers are extracted exactly from a truncated series.  Every other
-Bernoulli value comes from one kernel, _expand, which applies the
+value is read from power moments.  One kernel, _expand, applies the
 binomial expansion
 
     B_{n,chi}(x) = sum_k C(n,k) B_{k,chi} x^(n-k)
 
-to a list of power moments: the powers of one argument x for a
-polynomial value, or the moments of a whole sum of arguments for a
-character fold (the series product remains available to tests as an
-independent construction).  A character fold, the coefficient that the
-folded routes of identities.py sum,
+to the moments M_j = sum chi(r) P^j of a list of arguments P/D, each with
+a residue r: the one argument x of a polynomial value, or every argument
+of a character fold, the coefficient that the folded routes of
+identities.py sum,
 
     sum over a_c < w_c d of chi(prod a_c) B_{i,chi}(w y + sum (w/w_e) a_c),
 
-with one pair (w_c, w_e) per absorbed variable, is a leaf like
-B_{i,chi}(x): its values by index are built once per process.
-Generalized power sums
+with one pair (w_c, w_e) per absorbed variable.  So a Bernoulli value is
+a fold with no absorbed variable (the series product remains available
+to tests as an independent construction).  Generalized power sums
 
     S_k(n, chi) = sum_{a=0}^{n} chi(a) a^k,  with 0^0 = 1,
 
-are summed directly, grouped by residue class mod d.
+are the same moments, M_k, of the integers a <= n, each at its residue
+a mod d, and one function, _moments, builds every list of moments.
 
 The two leaves of every series built here and in identities.py, the
 character sum sum_a chi(a) e^(a s t) and the kernel t/(e^(c t) - 1), are
-built once per process, like the polynomial values, the folds and the
-power sums.  No series built from them, a product, a quotient or an
-inverse, is kept: each caller builds its own.
+built once per process, like the numbers, the folds and the power sums.
+No series built from them, a product, a quotient or an inverse, is kept:
+each caller builds its own.
 
 All functions are pure given the memo tables below; workers in a
 process pool each hold their own tables.
@@ -44,11 +44,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .characters import DirichletChar
 from .cyclotomic import CycloElement, linear_combination
-from .series import TruncatedSeries, _exp_minus_one_over_t, _exp_sum
+from .series import TruncatedSeries, _check_order, _exp_minus_one_over_t, _exp_sum
 
 __all__ = [
     "gen_bernoulli_series",
@@ -62,19 +62,19 @@ __all__ = [
 
 _SLACK = 4  # series are built this far beyond the requested degree
 
-# Memo tables: _GEN_NUMBERS holds B_{0,chi} .. B_{N,chi} per character,
-# grown on demand; _poly, _power, _char_exp_sum and _t_over_exp_minus_one
-# are lru_cache tables keyed by their exact arguments, a character by the
-# object itself (one per key in each process, see characters.py), and
-# _fold_table is one whose entries are lists of a fold's values by index.
-# identities.sweep_verify asks each fold for its top index first, so a
-# sweep builds it once; callers that ascend in n (expansion_sum, the tests)
-# still grow it on demand: asked for a higher index, _fold rebuilds the
-# fold's moments from its integer data and appends only the new indices.  Each
-# evicts its least recently used entries above this size, which keeps long
-# sweeps and long-lived processes at a flat memory profile.
+# Memo tables: each is an lru_cache keyed by its exact arguments, a
+# character by the object itself (one per key in each process, see
+# characters.py).  The leaves read by index, _number_table (B_{k,chi} per
+# character), _power_table (S_k(m, chi) per range) and _fold_table (per
+# fold, a Bernoulli value included), hold one list of values by index
+# each, grown on demand: asked for a higher index, the reader rebuilds the
+# moments (the series, for the numbers) and appends only the new indices.
+# identities.sweep_verify asks each leaf for its top index first, so a
+# sweep builds it once.  _char_exp_sum and _t_over_exp_minus_one hold one
+# series each.  Each table evicts its least recently used entries above
+# this size, which keeps long sweeps and long-lived processes at a flat
+# memory profile.
 _CACHE_LIMIT = 200_000
-_GEN_NUMBERS: dict[DirichletChar, list[CycloElement]] = {}
 
 
 @lru_cache(maxsize=None)
@@ -82,11 +82,6 @@ def _one(order: int) -> CycloElement:
     # the unit of Q(zeta_order), the second factor of every weighted sum
     # below and of the fold moments; built once per field order
     return CycloElement.one(order)
-
-
-def _check_order(order) -> None:
-    if type(order) is not int or order < 0:
-        raise ValueError("truncation order must be a nonnegative int")
 
 
 def char_exp_sum(chi: DirichletChar, scale, order: int) -> TruncatedSeries:
@@ -123,27 +118,22 @@ def gen_bernoulli_series(chi: DirichletChar, order: int) -> TruncatedSeries:
     return _t_over_exp_minus_one(chi.modulus, order) * char_exp_sum(chi, 1, order)
 
 
+@lru_cache(maxsize=_CACHE_LIMIT)
+def _number_table(chi: DirichletChar) -> list[CycloElement]:
+    # the entry of one character: B_{0,chi}, B_{1,chi}, ..., filled by _gen_numbers
+    return []
+
+
 def _gen_numbers(chi: DirichletChar, n: int) -> list[CycloElement]:
-    table = _GEN_NUMBERS.get(chi)
-    if table is None or n >= len(table):
+    # B_{k,chi} at every k <= n, read from the series at n + _SLACK when the
+    # entry is short; the list is the table's entry, read, never changed, by
+    # the caller
+    numbers = _number_table(chi)
+    if len(numbers) <= n:
         top = n + _SLACK
         series = gen_bernoulli_series(chi, top)
-        table = [series.egf_coeff(k) for k in range(top + 1)]
-        _GEN_NUMBERS[chi] = table
-    return table
-
-
-def _expand(chi: DirichletChar, i: int, D: int, moments):
-    # the sum over j <= i of C(i,j) D^(i-j) B_{i-j,chi} c_j x_j over D^i,
-    # with moments[j] = (c_j, x_j): the binomial expansion of B_{i,chi} at
-    # one argument x = p/q (D = q, c_j = p^j, x_j = 1) or summed over a
-    # character fold's arguments P/D (c_j = 1, x_j = M_j)
-    numbers = _gen_numbers(chi, i)
-    terms = [
-        (comb(i, j) * D ** (i - j) * c, numbers[i - j], x)
-        for j, (c, x) in zip(range(i + 1), moments)
-    ]
-    return linear_combination(chi.order, terms, D**i)
+        numbers.extend(series.egf_coeff(k) for k in range(len(numbers), top + 1))
+    return numbers
 
 
 def gen_bernoulli_number(chi: DirichletChar, n: int) -> CycloElement:
@@ -163,22 +153,9 @@ def gen_bernoulli_poly(chi: DirichletChar, n: int, x) -> CycloElement:
     """
     if type(n) is not int or n < 0:
         raise ValueError("Bernoulli index must be a nonnegative int")
-    if type(x) is int:
-        p, q = x, 1
-    elif type(x) is Fraction:
-        p, q = x.numerator, x.denominator
-    else:
+    if type(x) is not int and type(x) is not Fraction:
         raise ValueError("x must be an int or a Fraction")
-    if p == 0:
-        return gen_bernoulli_number(chi, n)
-    return _poly(chi, n, p, q)
-
-
-@lru_cache(maxsize=_CACHE_LIMIT)
-def _poly(chi: DirichletChar, n: int, p: int, q: int) -> CycloElement:
-    # B_{n,chi}(p/q) for p != 0: moment j is p^j times the unit
-    one = _one(chi.order)
-    return _expand(chi, n, q, [(p**j, one) for j in range(n + 1)])
+    return _fold(chi, 1, x, (), n)[n]
 
 
 def power_sum(chi: DirichletChar, k: int, n: int) -> CycloElement:
@@ -189,12 +166,30 @@ def power_sum(chi: DirichletChar, k: int, n: int) -> CycloElement:
     """
     if type(k) is not int or type(n) is not int or k < 0 or n < 0:
         raise ValueError("power sum requires ints k >= 0 and n >= 0")
-    return _power(chi, k, n)
+    return _power_sums(chi, n, k)[k]
 
 
 @lru_cache(maxsize=_CACHE_LIMIT)
-def _fold_table(chi: DirichletChar, w: int, y, over) -> list[CycloElement]:
-    # the entry of one fold: its values at indices 0, 1, ..., filled by _fold
+def _power_table(chi: DirichletChar, m: int) -> list[CycloElement]:
+    # the entry of one range: S_0(m, chi), S_1(m, chi), ..., filled by _power_sums
+    return []
+
+
+def _power_sums(chi: DirichletChar, m: int, n: int) -> list[CycloElement]:
+    # S_i(m, chi) at every index i <= n: the moments of the integers a <= m
+    # in a unit residue; the list is the table's entry, like _fold's
+    values = _power_table(chi, m)
+    if len(values) <= n:
+        heads = [(a, r) for r in chi.units for a in range(r, m + 1, chi.modulus)]
+        values.extend(_moments(chi, heads, n)[len(values) :])
+    return values
+
+
+@lru_cache(maxsize=_CACHE_LIMIT)
+def _fold_table(chi: DirichletChar, w: int, p: int, q: int, over) -> list[CycloElement]:
+    # the entry of one fold at y = p/q: its values at indices 0, 1, ...,
+    # filled by _fold; keyed by ints, since a Fraction key would cost its
+    # Python-level hash and equality on every lookup
     return []
 
 
@@ -202,29 +197,53 @@ def _fold(chi: DirichletChar, w: int, y, over, n: int) -> list[CycloElement]:
     # The fold sum over a_c < w_c * d of chi(prod a_c) B_{i,chi}(w*y +
     # sum (w/w_e)*a_c), one pair (w_c, w_e) in over for each absorbed
     # variable, at every index i <= n; the list is the table's entry, so it
-    # may run past n and is read, never changed, by the caller.
-    values = _fold_table(chi, w, y, over)
+    # may run past n and is read, never changed, by the caller.  With no
+    # absorbed variable the fold is the value B_{i,chi}(w*y), kept under
+    # w*y in lowest terms as (1, p, q), the key gen_bernoulli_poly uses.
+    p, q = y.numerator, y.denominator
+    if not over:
+        p *= w
+        g = gcd(p, q)
+        w, p, q = 1, p // g, q // g
+    values = _fold_table(chi, w, p, q, over)
     if len(values) <= n:
-        D, moments = _fold_moments(chi, w, y, over, n)
-        values.extend(_expand(chi, i, D, moments) for i in range(len(values), n + 1))
+        numbers = _gen_numbers(chi, n)
+        D, moments = _fold_moments(chi, w, Fraction(p, q), over, n)
+        values.extend(
+            _expand(chi, numbers, i, D, moments) for i in range(len(values), n + 1)
+        )
     return values
 
 
+def _expand(chi: DirichletChar, numbers, i: int, D: int, moments) -> CycloElement:
+    # the sum over j <= i of C(i,j) D^(i-j) B_{i-j,chi} M_j over D^i: the
+    # binomial expansion of B_{i,chi} summed over the arguments P/D whose
+    # power moments are M_0, M_1, ...
+    terms = [(comb(i, j) * D ** (i - j), numbers[i - j], moments[j]) for j in range(i + 1)]
+    return linear_combination(chi.order, terms, D**i)
+
+
 def _fold_moments(chi: DirichletChar, w: int, y, over, n: int):
-    # The fold as (D, [(1, M_0), ..., (1, M_n)]), the arguments of _expand:
-    # M_j is the sum of chi(prod a_c) P^j over the tuples of units
-    # a_c < w_c * d, where P/D, not reduced, is the Bernoulli argument
-    # w*y + sum (w/w_e)*a_c over one denominator.  Only units are visited,
-    # since chi of the product vanishes otherwise, and the integer power
-    # sums of P are collected per residue r of the product, so each M_j
-    # takes chi(r) once per residue.
+    # The fold as (D, [M_0, ..., M_n]), the arguments of _expand: P/D, not
+    # reduced, is the Bernoulli argument w*y + sum (w/w_e)*a_c of each tuple
+    # over one denominator, and only tuples of units a_c < w_c * d are
+    # visited, since chi of the product vanishes otherwise.  The first head
+    # takes residue 1 % d, so that a fold with no absorbed variable also
+    # works at d = 1.
     d = chi.modulus
     D = lcm(y.denominator, *[w_e for _, w_e in over])
-    heads = [(w * y.numerator * (D // y.denominator), 1)]
+    heads = [(w * y.numerator * (D // y.denominator), 1 % d)]
     for w_c, w_e in over:
         step = w * (D // w_e)
         units = [t + u for t in range(0, w_c * d, d) for u in chi.units]
         heads = [(p + step * u, r * u % d) for p, r in heads for u in units]
+    return D, _moments(chi, heads, n)
+
+
+def _moments(chi: DirichletChar, heads, n: int) -> list[CycloElement]:
+    # M_0, ..., M_n with M_j the sum of chi(r) P^j over the (P, r) pairs in
+    # heads, 0^0 = 1.  The integer power sums of P are collected per
+    # residue r, so each M_j takes chi(r) once per residue.
     by_residue: dict[int, list[int]] = {}
     for p, r in heads:
         by_residue.setdefault(r, []).append(p)
@@ -237,22 +256,10 @@ def _fold_moments(chi: DirichletChar, w: int, y, over, n: int):
             row.append(sum(powers))
         sums.append((chi.values[r], row))
     one = _one(chi.order)
-    moments = [
-        (1, linear_combination(chi.order, [(row[j], v, one) for v, row in sums]))
+    return [
+        linear_combination(chi.order, [(row[j], v, one) for v, row in sums])
         for j in range(n + 1)
     ]
-    return D, moments
-
-
-@lru_cache(maxsize=_CACHE_LIMIT)
-def _power(chi: DirichletChar, k: int, n: int) -> CycloElement:
-    d = chi.modulus
-    one = _one(chi.order)
-    terms = [
-        (sum(a**k for a in range(res, n + 1, d)), chi.values[res], one)
-        for res in chi.units
-    ]
-    return linear_combination(chi.order, terms)
 
 
 def power_sum_series(chi: DirichletChar, w: int, order: int) -> TruncatedSeries:
@@ -270,11 +277,10 @@ def power_sum_series(chi: DirichletChar, w: int, order: int) -> TruncatedSeries:
 
 
 # held here, so that clear_caches reaches them through a rebound name
-_CACHES = (_poly, _power, _fold_table, _char_exp_sum, _t_over_exp_minus_one)
+_CACHES = (_number_table, _power_table, _fold_table, _char_exp_sum, _t_over_exp_minus_one)
 
 
 def clear_caches():
     """Reset all memo tables (mainly for tests and long-lived processes)."""
-    _GEN_NUMBERS.clear()
     for cache in _CACHES:
         cache.cache_clear()

@@ -40,25 +40,26 @@ two other variables, or absorbed.  One evaluator sums every row: over
 i1 + i2 + i3 = n with multinomial(n; i1, i2, i3), slot j contributes its
 value times w_{j+1}^(e_j + [slot is B or F]), e_j = n - i_j in family
 L23 and i_j in L12, and the sum is one linear_combination over w1 w2 w3.
-A fold is a leaf of bernoulli.py, like a value B_{i,chi}(x): its value
-at index i depends only on the character, w_a, y and the (w_c, w_e)
-pairs, not on the degree, the theorem or the weight permutation that
-reaches it, so it is built once per process, not once per route call.
-It is built as its power moments: with the Bernoulli argument of each
-tuple of absorbed a_c (drawn from the unit residues that the character
-carries) written as an integer P over one denominator D, M_j is the sum
-of chi(prod a_c) P^j for j = 0..n.  At index i the fold is then the
-binomial sum over j of C(i,j) D^(i-j) B_{i-j,chi} M_j over D^i, taken by
-bernoulli._expand, the kernel that also gives every Bernoulli polynomial
-value: the same monomials as one B_{i,chi} value per tuple, summed in
-another order, with no Bernoulli value looked up per tuple.  The table
-holds those leaf values only; every route, at every permutation, still
-sums its own.
+Every slot reads one leaf of bernoulli.py, a list of values by index: a
+fold's values, a Bernoulli value being a fold that absorbs no variable,
+or the power sums S_i(w_a d - 1, chi).  A leaf depends only on the
+character, w_a, y and the (w_c, w_e) pairs, not on the degree, the
+theorem or the weight permutation that reaches it, so it is built once
+per process, not once per route call.  A fold is built as its power
+moments: with the Bernoulli argument of each tuple of absorbed a_c
+(drawn from the unit residues that the character carries) written as an
+integer P over one denominator D, M_j is the sum of chi(prod a_c) P^j
+for j = 0..n.  At index i the fold is then the binomial sum over j of
+C(i,j) D^(i-j) B_{i-j,chi} M_j over D^i, taken by bernoulli._expand: the
+same monomials as one B_{i,chi} value per tuple, summed in another
+order, with no Bernoulli value looked up per tuple.  The tables hold
+those leaf values only; every route, at every permutation, still sums
+its own.
 
 Verification of distinct instances is embarrassingly parallel: every
 evaluation is pure given the per-process Bernoulli memo tables.
 sweep_verify verifies each degree run, the instances that share
-(theorem, chi, weights, ys), from its highest n down, so each fold is
+(theorem, chi, weights, ys), from its highest n down, so each leaf is
 built once, at its top index, and the lower degrees read a prefix of
 its entry; it returns the reports in input order for any worker count.
 """
@@ -68,19 +69,12 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
-from .bernoulli import (
-    _fold,
-    _gen_numbers,
-    _poly,
-    _t_over_exp_minus_one,
-    char_exp_sum,
-    power_sum,
-)
+from .bernoulli import _fold, _power_sums, _t_over_exp_minus_one, char_exp_sum
 from .characters import DirichletChar
 from .cyclotomic import CycloElement, linear_combination
-from .series import TruncatedSeries, _exp_minus_one_over_t, exp_series
+from .series import TruncatedSeries, _check_order, _exp_minus_one_over_t, exp_series
 
 __all__ = [
     "LambdaSpec",
@@ -180,8 +174,7 @@ def lambda_series(spec: LambdaSpec, chi: DirichletChar, order: int) -> Truncated
     counting the explicit t^(3-i) of families L23 and L13) is structural,
     never left to a division that could silently drop terms.
     """
-    if order < 0:
-        raise ValueError("truncation order must be nonnegative")
+    _check_order(order)
     d = chi.modulus
     w1, w2, w3 = spec.weights
     big = w1 * w2 * w3
@@ -236,6 +229,7 @@ def lambda_series_from_integrals(
     series, instead of assembling one global closed form.  Must agree
     with lambda_series coefficient-for-coefficient.
     """
+    _check_order(order)
     d = chi.modulus
     w1, w2, w3 = spec.weights
     big = w1 * w2 * w3
@@ -280,27 +274,27 @@ class _Route:
 
 # The slots of each route (the module docstring gives the summation rule),
 # with index i_j in slot j:
-#   ("B", a, y)        B_{i_j,chi}(w_a * y_y)
+#   ("B", a, y, ())    B_{i_j,chi}(w_a * y_y), a fold with no absorbed variable
 #   ("S", a)           S_{i_j}(w_a * d - 1)
 #   ("F", a, y, over)  a fold: the sum of chi(prod a_c) B_{i_j,chi}(w_a * y_y
 #                      + sum (w_a / w_e) a_c) over a_c < w_c * d, one pair
 #                      (c, e) in over for each absorbed variable c
 #   None               absorbed by a fold: index 0, value 1
 _ROUTES = {
-    "L23.0": _Route("L23", 0, (("B", 0, 0), ("B", 1, 1), ("B", 2, 2)), (0,)),
-    "L23.1a": _Route("L23", 1, (("B", 0, 0), ("B", 1, 1), ("S", 2)), (0,)),
-    "L23.1b": _Route("L23", 1, (("B", 0, 0), ("F", 1, 1, ((2, 2),)), None), (2,)),
-    "L23.2a": _Route("L23", 2, (("B", 0, 0), ("S", 1), ("S", 2)), (0,)),
+    "L23.0": _Route("L23", 0, (("B", 0, 0, ()), ("B", 1, 1, ()), ("B", 2, 2, ())), (0,)),
+    "L23.1a": _Route("L23", 1, (("B", 0, 0, ()), ("B", 1, 1, ()), ("S", 2)), (0,)),
+    "L23.1b": _Route("L23", 1, (("B", 0, 0, ()), ("F", 1, 1, ((2, 2),)), None), (2,)),
+    "L23.2a": _Route("L23", 2, (("B", 0, 0, ()), ("S", 1), ("S", 2)), (0,)),
     "L23.2b": _Route("L23", 2, (("F", 0, 0, ((1, 1),)), None, ("S", 2)), (1,)),
     "L23.2c": _Route("L23", 2, (("F", 0, 0, ((1, 1), (2, 2))), None, None), (1, 2)),
     "L23.3": _Route("L23", 3, (("S", 0), ("S", 1), ("S", 2)), (0,)),
-    "L12.0": _Route("L12", 0, (("B", 1, 0), ("B", 2, 0), ("B", 0, 0)), (0,)),
+    "L12.0": _Route("L12", 0, (("B", 1, 0, ()), ("B", 2, 0, ()), ("B", 0, 0, ())), (0,)),
     "L12.1": _Route("L12", 1, (("S", 1), ("S", 2), ("S", 0)), (0,)),
 }
 
 # The fifth displayed expression of T3 as printed: route L23.1b with the
 # fold's shift ratio w_2/w_1 in place of the orbit-consistent w_2/w_3.
-_T3_PRINTED_LINE5 = _Route("L23", 1, (("B", 0, 0), ("F", 1, 1, ((2, 0),)), None), (2,))
+_T3_PRINTED_LINE5 = _Route("L23", 1, (("B", 0, 0, ()), ("F", 1, 1, ((2, 0),)), None), (2,))
 
 EXPANSION_LABELS = tuple(_ROUTES)
 
@@ -325,11 +319,7 @@ def _evaluate(
 ) -> CycloElement:
     # The route's sum at degree n.  Weight exponents are >= -1, so each
     # power is kept times its own weight (an integer) and the sum is
-    # divided by w1 w2 w3 once; absorbed slots scale every term.  The
-    # Bernoulli numbers are filled to n first, so that the ascending
-    # loops of the slots below do not refill them a few indices at a time.
-    _gen_numbers(chi, n)
-    d = chi.modulus
+    # divided by w1 w2 w3 once; absorbed slots scale every term.
     complementary = route.family == "L23"
     scale, free = 1, []
     degrees = range(n + 1)
@@ -339,25 +329,13 @@ def _evaluate(
         if slot is None:
             scale *= w ** ((n if complementary else 0) + e)
             continue
-        kind = slot[0]
-        if kind != "S":
-            e += 1
-        powers = [w ** ((n - i if complementary else i) + e) for i in degrees]
-        if kind == "B":  # at w_a * y = p/q in lowest terms, as gen_bernoulli_poly keys it
-            y = ys[slot[2]]
-            p, q = weights[slot[1]] * y.numerator, y.denominator
-            g = gcd(p, q)
-            p, q = p // g, q // g
-            if p == 0:
-                values = _gen_numbers(chi, n)
-            else:
-                values = [_poly(chi, i, p, q) for i in degrees]
-        elif kind == "S":
-            m = weights[slot[1]] * d - 1
-            values = [power_sum(chi, i, m) for i in degrees]
+        if slot[0] == "S":
+            values = _power_sums(chi, weights[slot[1]] * chi.modulus - 1, n)
         else:
+            e += 1
             pairs = tuple((weights[c], weights[f]) for c, f in slot[3])
             values = _fold(chi, weights[slot[1]], ys[slot[2]], pairs, n)
+        powers = [w ** ((n - i if complementary else i) + e) for i in degrees]
         free.append((powers, values))
     order, den = chi.order, weights[0] * weights[1] * weights[2]
     p, v = free[0]

@@ -233,10 +233,15 @@ def _factorial_weights(e: int, order: int) -> list[int]:
     return weights
 
 
+def _check_order(order) -> None:
+    # the one rule for the truncation order of every series builder
+    if type(order) is not int or order < 0:
+        raise ValueError("truncation order must be a nonnegative int")
+
+
 def exp_series(c, order: int) -> TruncatedSeries:
     """exp(c*t) truncated at t^order, for rational or cyclotomic c."""
-    if order < 0:
-        raise ValueError("truncation order must be nonnegative")
+    _check_order(order)
     if not isinstance(c, CycloElement):
         c = CycloElement.from_rational(c)
     m = c.order

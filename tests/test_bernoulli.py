@@ -6,11 +6,10 @@ import pytest
 import oracles
 from bernsym.bernoulli import (
     _CACHE_LIMIT,
-    _GEN_NUMBERS,
     _fold,
     _fold_table,
-    _poly,
-    _power,
+    _number_table,
+    _power_table,
     _t_over_exp_minus_one,
     char_exp_sum,
     clear_caches,
@@ -175,7 +174,7 @@ def test_power_sum_rejects_negative():
 
 
 def test_power_sum_matches_direct_oracle():
-    for d in (1, 3, 4, 5, 8):
+    for d in (1, 3, 4, 5, 8, 11, 12):
         for chi in enumerate_characters(d):
             for k in range(7):
                 for n in (0, 1, 5, 2 * d, 4 * d - 1):
@@ -282,15 +281,13 @@ def test_memo_tables_are_bounded_and_cleared():
     power_sum(chi, 2, 7)
     char_exp_sum(chi, 1, 6)
     _fold(chi, 2, Fraction(1, 2), ((3, 3),), 2)
-    tables = (_poly, _power, char_exp_sum, _t_over_exp_minus_one, _fold_table)
+    tables = (_number_table, _power_table, char_exp_sum, _t_over_exp_minus_one, _fold_table)
     for table in tables:
         info = table.cache_info()
         assert info.maxsize == _CACHE_LIMIT
         assert info.currsize > 0
-    assert _GEN_NUMBERS
     clear_caches()
     assert [table.cache_info().currsize for table in tables] == [0, 0, 0, 0, 0]
-    assert not _GEN_NUMBERS
 
 
 # a float or a bool would be computed in place of the intended value, and
@@ -327,7 +324,8 @@ def test_non_integer_arguments_are_rejected(fn, args):
 
 # a fold per character kind: trivial (y = 0 gives the argument 0, so
 # 0^0 = 1 is used), imprimitive, and order 10 with phi = 4; data as
-# (w, y, ((w_c, w_e), ...)), one and two absorbed variables
+# (w, y, ((w_c, w_e), ...)), none (a Bernoulli value), one and two
+# absorbed variables
 _FOLD_CHARS = [
     enumerate_characters(1)[0],
     enumerate_characters(12)[1],
@@ -337,6 +335,8 @@ _FOLDS = [
     (2, Fraction(0), ((3, 3),)),
     (3, Fraction(-1, 2), ((2, 1),)),
     (1, Fraction(2, 3), ((2, 2), (3, 3))),
+    (3, Fraction(-1, 2), ()),
+    (2, Fraction(0), ()),
 ]
 
 
@@ -375,16 +375,16 @@ def test_t3_and_t5_share_fold_entries():
 
 
 def test_bernoulli_slots_share_gen_bernoulli_poly_entries():
-    # a route's B slot reads _poly at w_a*y in lowest terms, the key that
+    # a route's B slot reads _fold_table at w_a*y in lowest terms, the key that
     # gen_bernoulli_poly uses; here every w_a*y is an integer
     chi = enumerate_characters(5)[1]
     w, ys = (2, 3, 4), (Fraction(1, 2), Fraction(2, 3), Fraction(-3, 4))
     clear_caches()
     expansion_sum("L23.0", 3, chi, w, ys)
-    before = _poly.cache_info()
-    assert before.currsize == 12
+    before = _fold_table.cache_info()
+    assert before.currsize == 3
     for a, y in zip(w, ys):
         for i in range(4):
             gen_bernoulli_poly(chi, i, a * y)
-    after = _poly.cache_info()
+    after = _fold_table.cache_info()
     assert after.misses == before.misses and after.hits == before.hits + 12

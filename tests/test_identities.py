@@ -26,7 +26,7 @@ from bernsym.identities import (
     theorem_y_arity,
     verify_theorem,
 )
-from bernsym.series import TruncatedSeries
+from bernsym.series import TruncatedSeries, exp_series
 
 F = Fraction
 CHI4 = enumerate_characters(4)[1]
@@ -50,6 +50,23 @@ def _permute(w, perm):
 def _ys_for(family, index, pool=(F(0), F(1, 2))):
     arity = LambdaSpec.y_arity(family, index)
     return tuple(pool[j % len(pool)] for j in range(arity))
+
+
+# one truncation-order rule for every series builder: a negative order, a
+# bool, a float or a string raises ValueError
+@pytest.mark.parametrize(
+    "build",
+    [exp_series, lambda_series, lambda_series_from_integrals],
+    ids=lambda fn: fn.__name__,
+)
+@pytest.mark.parametrize("order", [-1, True, 2.0, "3"], ids=repr)
+def test_series_builders_reject_a_bad_order(build, order):
+    if build is exp_series:
+        args = (1,)
+    else:
+        args = (LambdaSpec("L23", 1, (1, 2, 3), (F(1, 2), F(0))), enumerate_characters(5)[1])
+    with pytest.raises(ValueError, match="truncation order"):
+        build(*args, order)
 
 
 def test_multinomial():
