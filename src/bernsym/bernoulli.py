@@ -60,18 +60,18 @@ __all__ = [
     "clear_caches",
 ]
 
-_SLACK = 4  # series are built this far beyond the requested degree
-
 # Memo tables: each is an lru_cache keyed by its exact arguments, a
 # character by the object itself (one per key in each process, see
 # characters.py).  The leaves read by index, _number_table (B_{k,chi} per
 # character), _power_table (S_k(m, chi) per range) and _fold_table (per
 # fold, a Bernoulli value included), hold one list of values by index
-# each, grown on demand: asked for a higher index, the reader rebuilds the
-# moments (the series, for the numbers) and appends only the new indices.
+# each, grown on demand by one rule: asked for an index n past its end,
+# the reader rebuilds the moments (the series, for the numbers) up to
+# max(n, 2 * len(entry)) and appends only the new indices, so a caller
+# that ascends in n rebuilds an entry O(log n) times.
 # identities.sweep_verify asks each leaf for its top index first, so a
-# sweep builds it once.  _char_exp_sum and _t_over_exp_minus_one hold one
-# series each.  Each table evicts its least recently used entries above
+# sweep builds it once, at exactly that index.  _char_exp_sum and
+# _t_over_exp_minus_one hold one series each.  Each table evicts its least recently used entries above
 # this size, which keeps long sweeps and long-lived processes at a flat
 # memory profile.
 _CACHE_LIMIT = 200_000
@@ -125,12 +125,12 @@ def _number_table(chi: DirichletChar) -> list[CycloElement]:
 
 
 def _gen_numbers(chi: DirichletChar, n: int) -> list[CycloElement]:
-    # B_{k,chi} at every k <= n, read from the series at n + _SLACK when the
-    # entry is short; the list is the table's entry, read, never changed, by
-    # the caller
+    # B_{k,chi} at every k <= n, read from the series when the entry is
+    # short; the list is the table's entry, read, never changed, by the
+    # caller
     numbers = _number_table(chi)
     if len(numbers) <= n:
-        top = n + _SLACK
+        top = max(n, 2 * len(numbers))
         series = gen_bernoulli_series(chi, top)
         numbers.extend(series.egf_coeff(k) for k in range(len(numbers), top + 1))
     return numbers
@@ -181,7 +181,7 @@ def _power_sums(chi: DirichletChar, m: int, n: int) -> list[CycloElement]:
     values = _power_table(chi, m)
     if len(values) <= n:
         heads = [(a, r) for r in chi.units for a in range(r, m + 1, chi.modulus)]
-        values.extend(_moments(chi, heads, n)[len(values) :])
+        values.extend(_moments(chi, heads, max(n, 2 * len(values)))[len(values) :])
     return values
 
 
@@ -207,10 +207,11 @@ def _fold(chi: DirichletChar, w: int, y, over, n: int) -> list[CycloElement]:
         w, p, q = 1, p // g, q // g
     values = _fold_table(chi, w, p, q, over)
     if len(values) <= n:
-        numbers = _gen_numbers(chi, n)
-        D, moments = _fold_moments(chi, w, Fraction(p, q), over, n)
+        top = max(n, 2 * len(values))
+        numbers = _gen_numbers(chi, top)
+        D, moments = _fold_moments(chi, w, Fraction(p, q), over, top)
         values.extend(
-            _expand(chi, numbers, i, D, moments) for i in range(len(values), n + 1)
+            _expand(chi, numbers, i, D, moments) for i in range(len(values), top + 1)
         )
     return values
 

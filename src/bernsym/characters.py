@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm
 
-from .cyclotomic import CycloElement, euler_phi, zeta
+from .cyclotomic import CycloElement, _factorize, euler_phi, zeta
 
 __all__ = [
     "UnitGroupStructure",
@@ -31,22 +31,6 @@ __all__ = [
     "primitive_characters",
     "char_value",
 ]
-
-
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 def _multiplicative_order(a: int, m: int) -> int:
@@ -183,19 +167,8 @@ def enumerate_characters(d: int) -> list[DirichletChar]:
 
 @lru_cache(maxsize=None)
 def _characters(d: int) -> tuple[DirichletChar, ...]:
-    # the characters of one modulus d >= 1, built on its first use
-    if d == 1:
-        return (
-            DirichletChar(
-                modulus=1,
-                label=0,
-                order=1,
-                conductor=1,
-                primitive=True,
-                values=(CycloElement.one(1),),
-                units=(0,),
-            ),
-        )
+    # the characters of one modulus d >= 1, built on its first use; for
+    # d = 1 the unit group is trivial and its one residue is 0 = 1 mod 1
     group = unit_group_structure(d)
     orders = [o for _, o in group.generators]
     big = lcm(*orders) if orders else 1

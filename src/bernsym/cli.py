@@ -48,35 +48,45 @@ def _fraction(text: str) -> Fraction:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
 
 
 def _nonneg_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
     return value
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part != "")
+def _int_list(text: str, expected: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in text.split(",") if part != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+
 
 def _positive_int_list(text: str) -> tuple[int, ...]:
-    values = _int_list(text)
+    expected = "positive integers"
+    values = _int_list(text, expected)
     if not values or min(values) < 1:
-        raise argparse.ArgumentTypeError(f"expected positive integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
     return values
 
 
 def _weights(text: str) -> tuple[int, int, int]:
-    vals = _int_list(text)
+    expected = "three positive weights w1,w2,w3"
+    vals = _int_list(text, expected)
     if len(vals) != 3 or min(vals) < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected three positive weights w1,w2,w3, got {text!r}"
-        )
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
     return vals  # type: ignore[return-value]
 
 

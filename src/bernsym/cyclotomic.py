@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 __all__ = [
     "CycloElement",
@@ -36,23 +36,29 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def euler_phi(m: int) -> int:
-    """Euler totient, by trial-division factorization (small arguments)."""
-    if m < 1:
-        raise ValueError(f"totient undefined for m={m}")
-    result = m
-    n = m
+def _factorize(n: int) -> list[tuple[int, int]]:
+    # the (prime, exponent) pairs of n >= 1, by trial division (small n)
+    out = []
     p = 2
     while p * p <= n:
         if n % p == 0:
+            e = 0
             while n % p == 0:
                 n //= p
-            result -= result // p
+                e += 1
+            out.append((p, e))
         p += 1
     if n > 1:
-        result -= result // n
-    return result
+        out.append((n, 1))
+    return out
+
+
+@lru_cache(maxsize=None)
+def euler_phi(m: int) -> int:
+    """Euler totient, the product of (p - 1) p^(e-1) over m = prod p^e."""
+    if m < 1:
+        raise ValueError(f"totient undefined for m={m}")
+    return prod((p - 1) * p ** (e - 1) for p, e in _factorize(m))
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -261,21 +267,11 @@ class CycloElement:
 
     def _combine(self, rhs: CycloElement, sign: int) -> CycloElement:
         # self + sign * rhs over the common denominator lcm(den, rhs.den)
-        if not any(rhs.nums):
-            return self
-        a, da = self.nums, self.den
-        b, db = rhs.nums, rhs.den
-        if not any(a):
-            return rhs if sign > 0 else -rhs
-        if da == db:
-            fa = 1
-            fb = sign
-        else:
-            g = gcd(da, db)
-            fa = db // g
-            fb = sign * (da // g)
-            da *= fa
-        return _reduced(self.order, [x * fa + y * fb for x, y in zip(a, b)], da)
+        da, db = self.den, rhs.den
+        g = gcd(da, db)
+        fa, fb = db // g, sign * (da // g)
+        nums = [x * fa + y * fb for x, y in zip(self.nums, rhs.nums)]
+        return _reduced(self.order, nums, da * fa)
 
     def __add__(self, other):
         rhs = self._coerce(other)

@@ -37,9 +37,10 @@ Each route is one row of the table _ROUTES: its family and index, one
 slot per variable, and the slots that the perturb hook raises.  A slot
 is a Bernoulli value, a power sum, a character fold that absorbs one or
 two other variables, or absorbed.  One evaluator sums every row: over
-i1 + i2 + i3 = n with multinomial(n; i1, i2, i3), slot j contributes its
-value times w_{j+1}^(e_j + [slot is B or F]), e_j = n - i_j in family
-L23 and i_j in L12, and the sum is one linear_combination over w1 w2 w3.
+i1 + i2 + i3 = n, with the coefficient multinomial(n; i1, i2, i3) =
+n!/(i1! i2! i3!) = C(n, i1) C(n - i1, i2), slot j contributes its value
+times w_{j+1}^(e_j + [slot is B or F]), e_j = n - i_j in family L23 and
+i_j in L12, and the sum is one linear_combination over w1 w2 w3.
 Every slot reads one leaf of bernoulli.py, a list of values by index: a
 fold's values, a Bernoulli value being a fold that absorbs no variable,
 or the power sums S_i(w_a d - 1, chi).  A leaf depends only on the
@@ -82,7 +83,6 @@ __all__ = [
     "VerificationReport",
     "THEOREM_IDS",
     "EXPANSION_LABELS",
-    "multinomial",
     "lambda_series",
     "lambda_series_from_integrals",
     "spec_for_label",
@@ -92,13 +92,6 @@ __all__ = [
     "verify_theorem",
     "sweep_verify",
 ]
-
-
-def multinomial(n: int, k: int, l: int, m: int) -> int:
-    """Trinomial coefficient n!/(k! l! m!) with k + l + m = n."""
-    if min(k, l, m) < 0 or k + l + m != n:
-        raise ValueError(f"invalid multinomial index ({n}; {k}, {l}, {m})")
-    return comb(n, k) * comb(n - k, l)
 
 
 def _checked_args(weights, ys, arity: int, name: str):
@@ -499,17 +492,6 @@ def theorem_expressions(
     return _route_values(instance, _THEOREMS[instance.theorem].perms, perturb)
 
 
-def _t3_printed_line5(instance: TheoremInstance) -> CycloElement:
-    # The printed fifth expression at the weights of its display position,
-    # where its shift ratio reads w1/w2 instead of w1/w3.  Evaluated
-    # verbatim so the discrepancy can be reported empirically instead of
-    # guessed at.
-    w1, w2, w3 = instance.weights
-    return _evaluate(
-        _T3_PRINTED_LINE5, instance.n, instance.chi, (w2, w1, w3), instance.ys, 0
-    )
-
-
 def verify_theorem(instance: TheoremInstance, perturb: bool = False) -> VerificationReport:
     """Evaluate all expressions of one instance and report exact equality.
 
@@ -539,7 +521,13 @@ def verify_theorem(instance: TheoremInstance, perturb: bool = False) -> Verifica
         applies = w2 != w3
         extras["printed_line5_applies"] = applies
         if applies:
-            printed = _t3_printed_line5(instance)
+            # The printed fifth expression at the weights of its display
+            # position, where its shift ratio reads w1/w2 instead of
+            # w1/w3.  Evaluated verbatim so the discrepancy can be
+            # reported empirically instead of guessed at.
+            printed = _evaluate(
+                _T3_PRINTED_LINE5, instance.n, instance.chi, (w2, w1, w3), instance.ys, 0
+            )
             extras["printed_line5_matches"] = bool(printed == values[4])
     return VerificationReport(
         instance=instance,

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from bernsym import bernoulli
 from bernsym.bernoulli import (
     _CACHE_LIMIT,
     _fold,
@@ -388,3 +389,41 @@ def test_bernoulli_slots_share_gen_bernoulli_poly_entries():
             gen_bernoulli_poly(chi, i, a * y)
     after = _fold_table.cache_info()
     assert after.misses == before.misses and after.hits == before.hits + 12
+
+
+def test_leaves_asked_for_in_ascending_n_grow_geometrically(monkeypatch):
+    # each leaf entry grows to max(n, 2 * len(entry)), so a caller that
+    # ascends in n rebuilds it a logarithmic number of times, and every
+    # value equals a cold build at its index
+    builds = {"_fold_moments": 0, "_moments": 0, "gen_bernoulli_series": 0,
+              "linear_combination": 0}
+
+    def counted(name):
+        fn = getattr(bernoulli, name)
+
+        def wrapper(*args):
+            builds[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(bernoulli, name, wrapper)
+
+    for name in builds:
+        counted(name)
+    chi, x, top = enumerate_characters(11)[1], Fraction(1, 3), 30
+    leaves = [
+        ("gen_bernoulli_series", lambda n: gen_bernoulli_number(chi, n)),
+        ("_moments", lambda k: power_sum(chi, k, 20)),
+        ("_fold_moments", lambda n: gen_bernoulli_poly(chi, n, x)),
+    ]
+    for name, leaf in leaves:
+        clear_caches()
+        if name == "_fold_moments":
+            gen_bernoulli_number(chi, top)  # count the fold's own work only
+        builds.update(dict.fromkeys(builds, 0))
+        ascending = [leaf(n) for n in range(top + 1)]
+        assert builds[name] <= 6
+        if name == "_fold_moments":
+            assert builds["linear_combination"] <= 90
+        for n, value in enumerate(ascending):
+            clear_caches()
+            assert leaf(n) == value

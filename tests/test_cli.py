@@ -51,6 +51,25 @@ def test_chars_rejects_zero_modulus(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["chars", "--modulus", "abc"], "--modulus/-d"),
+        (["sweep", "--moduli", "4,x"], "--moduli"),
+        (["sweep", "--weights", "1,2,x"], "--weights"),
+        (["sweep", "--n-max", "two"], "--n-max"),
+        (["lambda", "--family", "L23", "--index", "x", "--modulus", "4"], "--index"),
+    ],
+)
+def test_non_numeric_flag_value_is_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected" in err
+    assert "invalid _" not in err
+
+
 def test_compute_bernoulli_number(capsys):
     code, doc = run_json(
         capsys, ["compute", "bernoulli-number", "--modulus", "1", "--char", "0", "-n", "4"]

@@ -19,7 +19,6 @@ from bernsym.identities import (
     expansion_sum,
     lambda_series,
     lambda_series_from_integrals,
-    multinomial,
     spec_for_label,
     sweep_verify,
     theorem_expressions,
@@ -67,16 +66,6 @@ def test_series_builders_reject_a_bad_order(build, order):
         args = (LambdaSpec("L23", 1, (1, 2, 3), (F(1, 2), F(0))), enumerate_characters(5)[1])
     with pytest.raises(ValueError, match="truncation order"):
         build(*args, order)
-
-
-def test_multinomial():
-    assert multinomial(0, 0, 0, 0) == 1
-    assert multinomial(3, 1, 1, 1) == 6
-    assert multinomial(6, 2, 2, 2) == 90
-    with pytest.raises(ValueError):
-        multinomial(4, 1, 1, 1)
-    with pytest.raises(ValueError):
-        multinomial(2, 3, -1, 0)
 
 
 def test_lambda_spec_validation():

@@ -9,7 +9,7 @@ import pytest
 
 from bernsym.bernoulli import gen_bernoulli_poly
 from bernsym.characters import enumerate_characters
-from bernsym.cyclotomic import cyclotomic_polynomial
+from bernsym.cyclotomic import _factorize, cyclotomic_polynomial, euler_phi
 
 sympy = pytest.importorskip("sympy")
 
@@ -20,6 +20,12 @@ def test_cyclotomic_polynomials_match_sympy():
     for m in range(1, 201):
         expected = sympy.Poly(sympy.cyclotomic_poly(m, X), X).all_coeffs()[::-1]
         assert list(cyclotomic_polynomial(m)) == [int(c) for c in expected], m
+
+
+def test_factorization_and_totient_match_sympy():
+    for m in range(1, 201):
+        assert _factorize(m) == sorted(sympy.factorint(m).items()), m
+        assert euler_phi(m) == sympy.totient(m), m
 
 
 def test_ordinary_bernoulli_polynomials_match_sympy():
