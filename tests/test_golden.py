@@ -37,6 +37,12 @@ FOLDED_SWEEP_HIGH = [
 # slots of T1, T2, T4, T7 and T8 beyond the degree-2 fields.
 ALL_THEOREMS_PHI4 = ["sweep", "--format", "json", "--moduli", "11", "--n-max", "4"]
 
+# Every theorem on the characters mod 17 (orders up to 16, phi = 8) and
+# mod 19 (orders up to 18, phi = 6), cut to n <= 2 and one weight triple.
+ALL_THEOREMS_PHI8 = [
+    "sweep", "--format", "json", "--moduli", "17,19", "--n-max", "2", "--weights", "1,2,3",
+]
+
 GOLDEN = {
     "sweep-imprimitive": (
         IMPRIMITIVE_SWEEP,
@@ -83,6 +89,11 @@ GOLDEN = {
         ALL_THEOREMS_PHI4,
         0,
         "f5326c29f6303aef8f6f9f52b95e638aa1025ee3a2f03480d7cfd384057542b2",
+    ),
+    "sweep-all-theorems-phi8": (
+        ALL_THEOREMS_PHI8,
+        0,
+        "16c7d4e452fd345a36f75eea80fc0ca7a89c70a60507c2aded09b011aecd035b",
     ),
     # the README lambda example
     "lambda-readme": (
