@@ -12,6 +12,15 @@ concurrent reads.  Each modulus is enumerated once per process: the
 characters are kept as a tuple and every call hands out a fresh list.
 A character pickles as its key (modulus, label), so every process, pool
 workers included, holds one object per character.
+
+Galois orbits.  For k prime to the order r of chi, sigma_k: zeta_r ->
+zeta_r^k is an automorphism of Q(zeta_r), and sigma_k o chi is again a
+character mod d, of the same order and conductor: chi's Galois conjugate.
+_galois_orbits groups the characters of a sweep by that relation, found
+by exact comparison only: psi joins chi's orbit when, for some such k,
+the sigma_k image of chi's value table equals psi's own table value for
+value.  A character whose table is no exact image of another's, a defect
+in enumeration included, stays in an orbit of its own.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm
 
-from .cyclotomic import CycloElement, _factorize, euler_phi, zeta
+from .cyclotomic import CycloElement, _conjugate, _factorize, euler_phi, zeta
 
 __all__ = [
     "UnitGroupStructure",
@@ -214,3 +223,26 @@ def primitive_characters(d: int) -> list[DirichletChar]:
 def char_value(chi: DirichletChar, a: int) -> CycloElement:
     """Periodic extension chi(a mod d), defined for any integer a."""
     return chi.values[a % chi.modulus]
+
+
+def _galois_orbits(chars) -> dict[DirichletChar, tuple[DirichletChar, int]]:
+    # Each character of chars mapped to (rep, k) with psi.values the sigma_k
+    # image of rep.values, value for value: rep is the member of its orbit
+    # with the smallest (modulus, label) among chars, and maps to (rep, 1).
+    out: dict[DirichletChar, tuple[DirichletChar, int]] = {}
+    for chi in sorted(chars, key=lambda c: (c.modulus, c.label)):
+        if chi in out:
+            continue
+        out[chi] = (chi, 1)
+        r = chi.order
+        images = [
+            (k, tuple(_conjugate(v, k) for v in chi.values))
+            for k in range(1, r + 1)
+            if gcd(k, r) == 1
+        ]
+        for psi in chars:
+            if psi not in out and psi.modulus == chi.modulus and psi.order == r:
+                k = next((k for k, image in images if image == psi.values), None)
+                if k is not None:
+                    out[psi] = (chi, k)
+    return out

@@ -13,7 +13,8 @@ the constructors from rationals, as_rational, coeffs and rendering.
 All values are immutable after construction and safe to share across
 threads or processes.  The Phi_m table is memoized; recomputation is
 idempotent, so concurrent first use is harmless.  Only this module
-multiplies, lifts and reduces integer rows of Z[zeta_m] (_dot, _lift_row):
+multiplies, lifts, conjugates and reduces integer rows of Z[zeta_m]
+(_dot, and _spread_row for both lift and sigma_k: zeta -> zeta^k):
 series.py stores a whole truncated series in the same layout, integer
 rows over one denominator, but multiplies and lifts them only through
 this kernel and takes the rows of elements from _common_rows.  No other
@@ -147,13 +148,23 @@ def _dot(m: int, xs, ys) -> list[int]:
     return _remainder(conv, m)
 
 
-def _lift_row(row, m: int, m2: int) -> list[int]:
-    # the numerators of a row of Z[zeta_m] under zeta_m -> zeta_m2^(m2/m),
-    # for m | m2: spread, then reduce modulo Phi_m2
-    ratio = m2 // m
-    spread = [0] * ((len(row) - 1) * ratio + 1)
-    spread[::ratio] = row
-    return _remainder(spread, m2)
+def _spread_row(row, step: int, m: int) -> list[int]:
+    # the numerators of sum row[i] zeta_m^(i*step): spread, fold the
+    # exponents mod m, then reduce modulo Phi_m.  step = m/m1 lifts a row
+    # of Z[zeta_m1] into Z[zeta_m]; step = k prime to m is sigma_k
+    spread = [0] * ((len(row) - 1) * step + 1)
+    spread[::step] = row
+    if len(spread) > m:  # zeta_m^m = 1
+        spread = [sum(spread[j::m]) for j in range(m)]
+    return _remainder(spread, m)
+
+
+def _conjugate(x: CycloElement, k: int) -> CycloElement:
+    # sigma_k(x) under zeta_m -> zeta_m^k, for k prime to m = x.order: a
+    # field automorphism, so it maps every rational expression in values
+    # to the same expression in their images
+    m = x.order
+    return _reduced(m, _spread_row(x.nums, k, m), x.den)
 
 
 def _common_rows(values) -> tuple[list[list[int]], int]:
@@ -362,7 +373,7 @@ class CycloElement:
             return self
         if m2 < 1 or m2 % m != 0:
             raise ValueError(f"target order {m2} is not a multiple of {m}")
-        return _reduced(m2, _lift_row(self.nums, m, m2), self.den)
+        return _reduced(m2, _spread_row(self.nums, m2 // m, m2), self.den)
 
     # -- rendering ---------------------------------------------------------
 

@@ -63,6 +63,18 @@ sweep_verify verifies each degree run, the instances that share
 (theorem, chi, weights, ys), from its highest n down, so each leaf is
 built once, at its top index, and the lower degrees read a prefix of
 its entry; it returns the reports in input order for any worker count.
+
+sweep_verify also verifies one character per Galois orbit.  Every value
+above is built from chi's values by rational operations, so for k prime
+to the order of chi the automorphism sigma_k: zeta -> zeta^k maps each
+value at chi to the value at the conjugate character sigma_k o chi
+(B_{n,chi^sigma} = sigma(B_{n,chi}), Washington, GTM 83, ch. 4), and
+keeps both equality and inequality, so every verdict is the same.
+Among the instances that differ only in their character, those whose
+characters form one orbit (characters._galois_orbits, by exact
+comparison of value tables) are verified once, at the smallest label
+present; each conjugate's report holds the sigma_k images of those
+values and the same verdict flags, equal to its direct evaluation.
 """
 
 from __future__ import annotations
@@ -73,8 +85,8 @@ from fractions import Fraction
 from math import comb
 
 from .bernoulli import _fold, _power_sums, _t_over_exp_minus_one, char_exp_sum
-from .characters import DirichletChar
-from .cyclotomic import CycloElement, linear_combination
+from .characters import DirichletChar, _galois_orbits
+from .cyclotomic import CycloElement, _conjugate, linear_combination
 from .series import TruncatedSeries, _check_order, _exp_minus_one_over_t, exp_series
 
 __all__ = [
@@ -539,13 +551,52 @@ def verify_theorem(instance: TheoremInstance, perturb: bool = False) -> Verifica
 
 
 def _verify_star(args):
-    instance, perturb, render = args
+    # one task: the representative instance, verified, and the reports of
+    # its conjugates (instance, k), whose values are the sigma_k images
+    instance, conjugates, perturb, render = args
     report = verify_theorem(instance, perturb=perturb)
+    reports = [report] + [
+        VerificationReport(
+            conjugate,
+            [_conjugate(v, k) for v in report.values],
+            report.all_equal,
+            report.first_mismatch,
+            dict(report.extras),
+        )
+        for conjugate, k in conjugates
+    ]
     if render is not None:
-        # only the rendered record and the flags travel back from a worker
-        report.text = render(report)
-        report.instance = report.values = None
-    return report
+        # only the rendered records and the flags travel back from a worker
+        for r in reports:
+            r.text = render(r)
+            r.instance = r.values = None
+    return reports
+
+
+def _orbit_groups(instances) -> dict[int, list[tuple[int, int]]]:
+    # {head: [(conjugate, k)]} over instance indices: the instances that
+    # share (theorem, n, weights, ys), grouped by the Galois orbits of their
+    # characters; each head's character is its orbit's representative
+    cells: dict = {}
+    for i, inst in enumerate(instances):
+        cells.setdefault((inst.theorem, inst.n, inst.weights, inst.ys), []).append(i)
+    orbits: dict = {}  # one orbit map per distinct tuple of characters
+    groups: dict = {}
+    for cell in cells.values():
+        chars = tuple(dict.fromkeys(instances[i].chi for i in cell))
+        if chars not in orbits:
+            orbits[chars] = _galois_orbits(chars)
+        orbit, head = orbits[chars], {}
+        for i in cell:
+            chi = instances[i].chi
+            if orbit[chi][0] is chi and chi not in head:
+                head[chi] = i
+                groups[i] = []
+        for i in cell:
+            rep, k = orbit[instances[i].chi]
+            if head[rep] != i:
+                groups[head[rep]].append((i, k))
+    return groups
 
 
 def sweep_verify(
@@ -560,20 +611,39 @@ def sweep_verify(
     so each is built once, and every lower degree reads a prefix of its
     memo entry.  Every value is exact, so the order changes no report.
 
-    With jobs > 1 the instances are checked in a process pool of at most
-    one worker per instance, dealt in that order; each worker warms its
+    Only one character per Galois orbit is verified.  The instances that
+    share (theorem, n, weights, ys) are grouped by the orbits of their
+    characters, and verify_theorem runs once per group, on the member
+    whose character has the smallest label.  The report of each other
+    member psi = sigma_k o chi is derived: its values are the sigma_k
+    images of the verified values, and its all_equal, first_mismatch and
+    extras are copied.  Since sigma_k is a field automorphism and every
+    value is rational in the character's values, this is what direct
+    evaluation gives.  A character joins an orbit only when its value
+    table is the exact sigma_k image of the representative's, so any
+    mismatched character, and any whose representative is absent from
+    its group, is verified directly.
+
+    With jobs > 1 the groups are checked in a process pool of at most
+    one worker per group, dealt in that order; each worker warms its
     own memo tables.
 
     render, if given, is a picklable callable from a report to its text.
     It is applied where the report was made, in the worker with jobs > 1,
-    and each report then keeps that text and its verdict flags only.
+    derived reports included, and each report then keeps that text and
+    its verdict flags only.
     """
     instances = list(instances)
+    groups = _orbit_groups(instances)
     runs: dict = {}
-    for k, inst in enumerate(instances):
+    for k in sorted(groups):
+        inst = instances[k]
         runs.setdefault((inst.theorem, inst.chi, inst.weights, inst.ys), []).append(k)
-    order = [k for run in runs.values() for k in sorted(run, key=lambda i: -instances[i].n)]
-    tasks = [(instances[k], perturb, render) for k in order]
+    heads = [k for run in runs.values() for k in sorted(run, key=lambda i: -instances[i].n)]
+    tasks = [
+        (instances[k], [(instances[c], step) for c, step in groups[k]], perturb, render)
+        for k in heads
+    ]
     if jobs <= 1 or len(tasks) <= 1:
         done = map(_verify_star, tasks)
     else:
@@ -581,7 +651,8 @@ def sweep_verify(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunk = max(1, len(tasks) // (jobs * 4))
             done = list(pool.map(_verify_star, tasks, chunksize=chunk))
-    reports = [None] * len(tasks)
-    for k, report in zip(order, done):
-        reports[k] = report
+    reports = [None] * len(instances)
+    for k, task_reports in zip(heads, done):
+        for i, report in zip([k] + [c for c, _ in groups[k]], task_reports):
+            reports[i] = report
     return reports

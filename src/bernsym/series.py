@@ -30,7 +30,7 @@ from itertools import chain
 from math import factorial, gcd, lcm
 from operator import mul
 
-from .cyclotomic import CycloElement, _common_rows, _dot, _lift_row, _reduced, euler_phi
+from .cyclotomic import CycloElement, _common_rows, _dot, _reduced, _spread_row, euler_phi
 
 __all__ = ["TruncatedSeries", "exp_series"]
 
@@ -221,7 +221,7 @@ def _lifted(s: TruncatedSeries, m: int) -> tuple[tuple[int, ...], ...]:
     # the rows under zeta_s -> zeta_m^(m/s)
     if m == s.field_order:
         return s.rows
-    return tuple(tuple(_lift_row(row, s.field_order, m)) for row in s.rows)
+    return tuple(tuple(_spread_row(row, m // s.field_order, m)) for row in s.rows)
 
 
 def _factorial_weights(e: int, order: int) -> list[int]:

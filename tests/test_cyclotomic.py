@@ -6,6 +6,7 @@ import pytest
 
 from bernsym.cyclotomic import (
     CycloElement,
+    _conjugate,
     cyclotomic_polynomial,
     euler_phi,
     linear_combination,
@@ -140,6 +141,23 @@ def test_lift_is_ring_homomorphism():
             b = _random_element(m, rng)
             assert (a * b).lift(m2) == a.lift(m2) * b.lift(m2)
             assert (a + b).lift(m2) == a.lift(m2) + b.lift(m2)
+
+
+def test_conjugate_is_a_field_automorphism():
+    # sigma_k: zeta -> zeta^k for k prime to m, up to m = 24 (phi = 8 at
+    # 15, 16, 20 and 24): a ring map that fixes Q, sends zeta^j to zeta^(jk)
+    # and composes as sigma_k o sigma_l = sigma_(kl)
+    rng = random.Random(171719)
+    for m in range(1, 25):
+        units = [k for k in range(1, m + 1) if gcd(k, m) == 1]
+        a, b = _random_element(m, rng), _random_element(m, rng)
+        for k in units:
+            assert _conjugate(a * b, k) == _conjugate(a, k) * _conjugate(b, k)
+            assert _conjugate(a + b, k) == _conjugate(a, k) + _conjugate(b, k)
+            assert _conjugate(CycloElement.from_rational(Fraction(-7, 3), m), k) == Fraction(-7, 3)
+            assert all(_conjugate(zeta(m, j), k) == zeta(m, j * k) for j in range(m))
+            for l in units:
+                assert _conjugate(_conjugate(a, k), l) == _conjugate(a, k * l % m or m)
 
 
 def test_lift_preserves_rationals():

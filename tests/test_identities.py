@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
@@ -7,10 +8,10 @@ from math import comb
 import oracles
 import pytest
 
-from bernsym import bernoulli, identities
+from bernsym import bernoulli, cli, identities
 from bernsym.bernoulli import clear_caches, gen_bernoulli_poly
-from bernsym.characters import enumerate_characters, primitive_characters
-from bernsym.cyclotomic import CycloElement
+from bernsym.characters import _galois_orbits, enumerate_characters, primitive_characters
+from bernsym.cyclotomic import CycloElement, _conjugate
 from bernsym.identities import (
     EXPANSION_LABELS,
     THEOREM_IDS,
@@ -595,3 +596,93 @@ def test_folded_routes_match_term_by_term_folds(chi):
                 ratio = F(w[1], w[0])
                 expected = _folded_route_by_terms("L23.1b", n, chi, w, ys, ratio)
                 assert printed == expected, ("printed line 5", n, w, y)
+
+
+# -- Galois orbits -------------------------------------------------------------
+
+GALOIS_YS = (F(-1, 2), F(2, 3), F(1, 3))
+
+
+def _flags(report):
+    return report.all_equal, report.first_mismatch, report.extras
+
+
+def _verified_instances(monkeypatch):
+    # the instances that sweep_verify hands to verify_theorem, in turn
+    verified = []
+
+    def counted(instance, perturb=False):
+        verified.append(instance)
+        return verify_theorem(instance, perturb=perturb)
+
+    monkeypatch.setattr(identities, "verify_theorem", counted)
+    return verified
+
+
+@pytest.mark.parametrize("d", [5, 7, 11, 13, 17])
+def test_derived_reports_equal_direct_evaluation(monkeypatch, d):
+    # every non-representative character's direct report holds the sigma_k
+    # images of its representative's values and the same flags, and the
+    # record sweep_verify renders for it, without verifying it, is the one
+    # rendered from its direct report
+    render = functools.partial(cli._render_sweep_record, "json")
+    chars = enumerate_characters(d)
+    orbits = _galois_orbits(chars)
+    instances = [
+        TheoremInstance(t, chi, n, (1, 2, 3), GALOIS_YS[: theorem_y_arity(t)])
+        for t in THEOREM_IDS
+        for chi in chars
+        for n in range(4)
+    ]
+    direct = [verify_theorem(inst) for inst in instances]
+    by_key = {(i.theorem, i.chi, i.n): r for i, r in zip(instances, direct)}
+    derived = 0
+    for inst, report in zip(instances, direct):
+        rep, k = orbits[inst.chi]
+        if rep is not inst.chi:
+            derived += 1
+            source = by_key[inst.theorem, rep, inst.n]
+            assert report.values == [_conjugate(v, k) for v in source.values]
+            assert _flags(report) == _flags(source)
+    assert derived == 8 * 4 * sum(1 for chi in chars if orbits[chi][0] is not chi) > 0
+    verified = _verified_instances(monkeypatch)
+    for order in (slice(None), slice(None, None, -1)):  # also conjugates first
+        verified.clear()
+        swept = sweep_verify(instances[order], render=render)
+        assert len(verified) == len(instances) - derived
+        assert all(orbits[inst.chi][0] is inst.chi for inst in verified)
+        for report, full in zip(swept, direct[order]):
+            assert report.text == render(full)
+            assert _flags(report) == _flags(full)
+
+
+def test_conjugate_without_its_representative_is_verified_directly(monkeypatch):
+    # mod 5 char 3 is the sigma_3 conjugate of char 1; a grid without char 1,
+    # or a cell (theorem, n, weights, ys) without it, verifies char 3 itself
+    config = cli.SweepConfig(moduli=(5,), n_max=2, weights=((1, 2, 3),), char_labels=(3,))
+    alone = cli.build_instances(config)
+    chi, psi = enumerate_characters(5)[1], enumerate_characters(5)[3]
+    t7 = [TheoremInstance("T7", c, n, (1, 2, 3), (F(1, 2),)) for c in (chi, psi) for n in range(3)]
+    t8 = [TheoremInstance("T8", psi, n, (1, 2, 3), ()) for n in range(3)]
+    verified = _verified_instances(monkeypatch)
+    for instances, expected in ((alone, alone), (t7 + t8, t7[:3] + t8)):
+        verified.clear()
+        reports = sweep_verify(instances)
+        assert sorted(verified, key=instances.index) == expected
+        assert [r.values for r in reports] == [verify_theorem(i).values for i in instances]
+
+
+def test_tampered_conjugate_is_not_placed_in_the_orbit(monkeypatch):
+    # a copy of mod 5 char 3 with its value at 2 negated is no sigma_k image
+    # of char 1's table, so it forms an orbit of its own and is verified
+    chi, psi = enumerate_characters(5)[1], enumerate_characters(5)[3]
+    values = list(psi.values)
+    values[2] = -values[2]
+    bad = dataclasses.replace(psi, values=tuple(values))
+    assert _galois_orbits([chi, psi, bad]) == {chi: (chi, 1), psi: (chi, 3), bad: (bad, 1)}
+    instances = [TheoremInstance("T7", c, 2, (1, 2, 3), (F(1, 2),)) for c in (chi, psi, bad)]
+    verified = _verified_instances(monkeypatch)
+    reports = sweep_verify(instances)
+    assert [inst.chi for inst in verified] == [chi, bad]
+    assert reports[2].values == verify_theorem(instances[2]).values
+    assert reports[2].values != reports[1].values

@@ -22,7 +22,7 @@ import pytest
 
 from bernsym import __version__, cli, identities
 from bernsym.bernoulli import gen_bernoulli_poly
-from bernsym.characters import enumerate_characters
+from bernsym.characters import _galois_orbits, enumerate_characters
 from bernsym.identities import (
     LambdaSpec,
     TheoremInstance,
@@ -323,16 +323,30 @@ class _Classes(pickle.Unpickler):
 
 
 def test_worker_result_carries_only_text_and_flags():
-    chi = enumerate_characters(11)[1]
-    instance = TheoremInstance("T3", chi, 3, (1, 2, 3), (F(-1, 2), F(2, 3)))
+    # one task: mod 11 char 1 (order 10) verified, and the reports of its
+    # three Galois conjugates derived from it
+    chars = enumerate_characters(11)
+    chi = chars[1]
+    orbits = _galois_orbits(chars)
+    conjugates = [(psi, k) for psi, (rep, k) in orbits.items() if rep is chi and psi is not chi]
+    assert len(conjugates) == 3
+
+    def instance_of(psi):
+        return TheoremInstance("T3", psi, 3, (1, 2, 3), (F(-1, 2), F(2, 3)))
+
+    instance = instance_of(chi)
     render = functools.partial(cli._render_sweep_record, "json")
-    full = identities.verify_theorem(instance)
-    result = identities._verify_star((instance, False, render))
+    task = (instance, [(instance_of(psi), k) for psi, k in conjugates], False, render)
+    result = identities._verify_star(task)
     unpickler = _Classes(pickle.dumps(result))
     shipped = unpickler.load()
     assert unpickler.names == {"bernsym.identities.VerificationReport"}
-    assert shipped.instance is None and shipped.values is None
-    assert json.loads(shipped.text) == _record(full)
-    assert (shipped.all_equal, shipped.first_mismatch, shipped.extras) == (
-        full.all_equal, full.first_mismatch, full.extras
-    )
+    assert len(shipped) == 1 + len(conjugates)
+    for report, psi in zip(shipped, [chi] + [psi for psi, _ in conjugates]):
+        full = identities.verify_theorem(instance_of(psi))
+        assert report.instance is None and report.values is None
+        assert json.loads(report.text) == _record(full)
+        assert report.text == render(full)
+        assert (report.all_equal, report.first_mismatch, report.extras) == (
+            full.all_equal, full.first_mismatch, full.extras
+        )
