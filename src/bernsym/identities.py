@@ -635,7 +635,7 @@ def sweep_verify(
     """
     instances = list(instances)
     groups = _orbit_groups(instances)
-    runs: dict = {}
+    runs: dict = {}  # the degree runs of the group heads, in input order
     for k in sorted(groups):
         inst = instances[k]
         runs.setdefault((inst.theorem, inst.chi, inst.weights, inst.ys), []).append(k)
