@@ -135,13 +135,13 @@ LAMBDA_YS = ("1/2", "-2/3", "3/4")
 LAMBDA_DIGEST = "f3b59800023de662313c34be5a9a9b5d709c9f7958cee07c3d633d2edfc0e993"
 
 
-def _lambda_digest(capsys) -> str:
+def _lambda_digest(capsys, chars=((5, 1), (11, 1))) -> str:
     out = []
-    for modulus in (5, 11):
+    for modulus, label in chars:
         for family, index in LAMBDA_SPECS:
             argv = [
                 "lambda", "--family", family, "--index", str(index),
-                "--modulus", str(modulus), "--char", "1", "--weights", "2,3,5",
+                "--modulus", str(modulus), "--char", str(label), "--weights", "2,3,5",
                 "--order", "12", "--route", "both", "--format", "json",
             ]
             arity = (1 if family == "L12" else 3) - index
@@ -158,3 +158,17 @@ def test_lambda_series_bytes_are_pinned(capsys):
     clear_caches()
     assert _lambda_digest(capsys) == LAMBDA_DIGEST
     assert _lambda_digest(capsys) == LAMBDA_DIGEST
+
+
+# The same twenty calls in the rational coefficient fields: the trivial
+# character (mod 1) and mod 8 char 1 (order 2, field order 2, phi = 1),
+# where every factor of the series products has rows of length 1.
+RATIONAL_LAMBDA_CHARS = ((1, 0), (8, 1))
+RATIONAL_LAMBDA_DIGEST = "15f05e119f9ff0e894bdd0ac5599d78f1be2d1a4132006044fe5fc1a245a8d3a"
+
+
+def test_rational_field_lambda_series_bytes_are_pinned(capsys):
+    # cold, then warm, as for the cyclotomic fields above
+    clear_caches()
+    assert _lambda_digest(capsys, RATIONAL_LAMBDA_CHARS) == RATIONAL_LAMBDA_DIGEST
+    assert _lambda_digest(capsys, RATIONAL_LAMBDA_CHARS) == RATIONAL_LAMBDA_DIGEST
