@@ -10,8 +10,9 @@ character.  Values are stored in Q(zeta_r) where r is the character's own
 Characters are immutable after enumeration; value tables are safe for
 concurrent reads.  Each modulus is enumerated once per process: the
 characters are kept as a tuple and every call hands out a fresh list.
-A character pickles as its key (modulus, label), so every process, pool
-workers included, holds one object per character.
+An enumerated character pickles as its key (modulus, label), so every
+process, pool workers included, holds one object per character; any
+other DirichletChar pickles with its value table.
 
 Galois orbits.  For k prime to the order r of chi, sigma_k: zeta_r ->
 zeta_r^k is an automorphism of Q(zeta_r), and sigma_k o chi is again a
@@ -26,7 +27,7 @@ in enumeration included, stays in an orbit of its own.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -148,9 +149,14 @@ class DirichletChar:
         return (self.modulus, self.label)
 
     def __reduce__(self):
-        # unpickled as the character of this key enumerated in the receiving
-        # process, which the memo tables of bernoulli.py are keyed by
-        return (_enumerated, self.key())
+        # The enumerated character of a key is unpickled as the character of
+        # that key enumerated in the receiving process, which the memo tables
+        # of bernoulli.py are keyed by.  Any other character, a
+        # dataclasses.replace copy say, travels with its own value table.
+        chars = _characters(self.modulus) if self.modulus >= 1 else ()
+        if 0 <= self.label < len(chars) and chars[self.label] is self:
+            return (_enumerated, self.key())
+        return (DirichletChar, tuple(getattr(self, f.name) for f in fields(self)))
 
     def __repr__(self):
         return (

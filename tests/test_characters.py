@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 import random
 from fractions import Fraction
@@ -198,3 +199,15 @@ def test_characters_pickle_by_reference():
     chi = enumerate_characters(11)[1]
     instance = TheoremInstance("T6", chi, 3, (1, 2, 3), (Fraction(1, 2),))
     assert pickle.loads(pickle.dumps(instance)).chi is chi
+
+
+def test_other_characters_pickle_with_their_table():
+    # a copy of an enumerated character is not the object of its key, so it
+    # travels with its own value table, tampered or not
+    psi = enumerate_characters(5)[3]
+    values = list(psi.values)
+    values[2] = -values[2]
+    for copy in (dataclasses.replace(psi, values=tuple(values)), dataclasses.replace(psi)):
+        back = pickle.loads(pickle.dumps(copy))
+        assert back is not psi and back is not copy
+        assert dataclasses.astuple(back) == dataclasses.astuple(copy)

@@ -686,3 +686,21 @@ def test_tampered_conjugate_is_not_placed_in_the_orbit(monkeypatch):
     assert [inst.chi for inst in verified] == [chi, bad]
     assert reports[2].values == verify_theorem(instances[2]).values
     assert reports[2].values != reports[1].values
+
+
+def test_pool_verifies_a_copy_of_a_character_and_not_its_key():
+    # a tampered copy of mod 5 char 3 crosses to the workers with its own
+    # table, so the pool verifies the copy, as a serial run does
+    psi = enumerate_characters(5)[3]
+    values = list(psi.values)
+    values[2] = -values[2]
+    bad = dataclasses.replace(psi, values=tuple(values))
+    instances = [TheoremInstance("T7", bad, n, (1, 2, 3), (F(1, 2),)) for n in range(3)]
+    serial = sweep_verify(instances, jobs=1)
+    parallel = sweep_verify(instances, jobs=2)
+    assert str(serial[2].values[0]) == "[792/125, 1078/375] @ zeta(4)"
+    for s, p in zip(serial, parallel):
+        assert p.instance.chi.values == bad.values
+        assert (p.values, p.all_equal, p.first_mismatch, p.extras) == (
+            s.values, s.all_equal, s.first_mismatch, s.extras
+        )
