@@ -27,6 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
+from operator import mul
 
 __all__ = [
     "CycloElement",
@@ -126,11 +127,17 @@ def _remainder(poly: list[int], m: int) -> list[int]:
 
 def _dot(m: int, xs, ys) -> list[int]:
     # sum of xs[i] * ys[i] over rows of Z[zeta_m], reduced modulo Phi_m
-    # once, after the whole sum; phi(m) is the length of the rows
+    # once, after the whole sum; phi(m) is the length of the rows of ys.
+    # Rows of xs of length 1 are rationals, whose image in Q(zeta_m) is
+    # (x, 0, ..., 0): they scale ys, one integer dot product per
+    # coordinate, with nothing to lift or reduce
     pairs = zip(xs, ys)
-    phi = len(xs[0])
+    phi = len(ys[0])
     if phi == 1:  # the field is Q
         return [sum([x * y for (x,), (y,) in pairs])]
+    if len(xs[0]) == 1:
+        scalars = [x for x, in xs]
+        return [sum(map(mul, scalars, col)) for col in zip(*ys)]
     if phi == 2:  # zeta^2 = -p0 - p1 zeta with Phi_m = p0 + p1 x + x^2
         p0, p1, _ = cyclotomic_polynomial(m)
         c0 = c1 = c2 = 0

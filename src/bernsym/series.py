@@ -19,8 +19,11 @@ normalized CycloElements.
 Sums and products take two series of the same truncation order; a
 different order raises ValueError, and a rational scalar goes through
 scale.  Operands with different coefficient fields are lifted to
-Q(zeta_l) with l the lcm of the two orders.  All operations are pure and
-the values immutable, so series can be shared freely across workers.
+Q(zeta_l) with l the lcm of the two orders, except in one case: a
+rational factor of a product (rows of length 1) whose field order divides
+the other's scales the other's coordinates unlifted, with the same
+result.  All operations are pure and the values immutable, so series can
+be shared freely across workers.
 """
 
 from __future__ import annotations
@@ -88,8 +91,7 @@ class TruncatedSeries:
     def _align(self, other: TruncatedSeries):
         # (field order, rows of self, rows of other), both in the lcm
         # field; the truncation orders must agree
-        if self.order != other.order:
-            raise ValueError(f"truncation order mismatch: {self.order} vs {other.order}")
+        _check_orders(self, other)
         m = lcm(self.field_order, other.field_order)
         return m, _lifted(self, m), _lifted(other, m)
 
@@ -141,9 +143,20 @@ class TruncatedSeries:
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        m, a, b = self._align(other)
+        # a factor with rows of length 1 over a field order that divides the
+        # other's is rational: it goes first, unlifted, and _dot scales the
+        # other's coordinates with it
+        if _scales(other, self):
+            a, b = other, self
+        else:
+            a, b = self, other
+        if _scales(a, b):
+            _check_orders(a, b)
+            m, x, y = b.field_order, a.rows, b.rows
+        else:
+            m, x, y = a._align(b)
         n = self.order
-        rows = [_dot(m, a[: k + 1], b[k::-1]) for k in range(n + 1)]
+        rows = [_dot(m, x[: k + 1], y[k::-1]) for k in range(n + 1)]
         return _series(n, m, rows, self.den * other.den)
 
     def pow(self, e: int) -> TruncatedSeries:
@@ -215,6 +228,17 @@ def _series(order: int, m: int, rows, den: int) -> TruncatedSeries:
         rows = [[x // g for x in row] for row in rows]
         den //= g
     return TruncatedSeries(order, m, tuple(map(tuple, rows)), den)
+
+
+def _check_orders(a: TruncatedSeries, b: TruncatedSeries) -> None:
+    if a.order != b.order:
+        raise ValueError(f"truncation order mismatch: {a.order} vs {b.order}")
+
+
+def _scales(a: TruncatedSeries, b: TruncatedSeries) -> bool:
+    # whether a is rational, rows of length 1, in a field order dividing
+    # b's, so that a * b lies in b's field
+    return len(a.rows[0]) == 1 and b.field_order % a.field_order == 0
 
 
 def _lifted(s: TruncatedSeries, m: int) -> tuple[tuple[int, ...], ...]:

@@ -2,18 +2,21 @@
 
 Everything here is computed from first principles (recurrences, brute
 sums, schoolbook polynomial arithmetic) without touching the library's
-series machinery, so agreement between the two is a real check.  The
-one exception, fold_direct, takes its values from gen_bernoulli_poly
-(which tests/test_bernoulli.py checks against the oracles here) and
-checks only the order in which the folded routes sum them.
+series machinery, so agreement between the two is a real check.  Two
+exceptions: fold_direct takes its values from gen_bernoulli_poly (which
+tests/test_bernoulli.py checks against the oracles here) and checks only
+the order in which the folded routes sum them; lifted_product keeps the
+library's lift-then-multiply series product, the reference for the
+product that multiplies a rational factor in unlifted.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, lcm
 
 from bernsym.bernoulli import gen_bernoulli_poly
-from bernsym.cyclotomic import CycloElement, cyclotomic_polynomial
+from bernsym.cyclotomic import CycloElement, _dot, cyclotomic_polynomial
+from bernsym.series import _check_orders, _lifted, _series
 
 
 def bernoulli_recurrence(n_max):
@@ -71,6 +74,20 @@ def cauchy_product(a_coeffs, b_coeffs, order):
             s = term if s is None else s + term
         out.append(s)
     return out
+
+
+def lifted_product(a, b):
+    """The series product a * b with both factors lifted to Q(zeta_lcm) first.
+
+    The library's product before rational factors were multiplied in
+    unlifted: each coefficient is one _dot over the lifted rows, reduced
+    modulo Phi_m, so the result is the same canonical series.
+    """
+    _check_orders(a, b)
+    m = lcm(a.field_order, b.field_order)
+    x, y = _lifted(a, m), _lifted(b, m)
+    rows = [_dot(m, x[: k + 1], y[k::-1]) for k in range(a.order + 1)]
+    return _series(a.order, m, rows, a.den * b.den)
 
 
 def poly_mul_int(a, b):

@@ -6,6 +6,8 @@ from math import gcd, lcm
 
 import pytest
 
+import oracles
+from bernsym import series as series_module
 from bernsym.cyclotomic import CycloElement, euler_phi, zeta
 from bernsym.series import TruncatedSeries, _exp_minus_one_over_t, exp_series
 from oracles import (
@@ -290,3 +292,45 @@ def test_integer_layout_matches_fraction_reference():
         assert a == TruncatedSeries.from_coeffs(order, a.coeffs, 2 * m)
         assert (a == p) == (la == lp)
         assert c * c.invert() == TruncatedSeries.one(order, m)
+
+
+# -- a rational factor multiplied in unlifted --------------------------------
+
+
+def _rational_series(rng, order, m):
+    # rows of length 1 over field order m (1 or 2), with zero rows and
+    # negative entries
+    values = [
+        0 if k % 3 == 1 else Fraction(rng.randint(-(10**9), 10**9), rng.randint(1, 10**3))
+        for k in range(order + 1)
+    ]
+    return TruncatedSeries.from_coeffs(order, values, m)
+
+
+def test_rational_factor_product_equals_the_lifted_product(monkeypatch):
+    # a rational factor (rows of length 1, field order 1 or 2) on either
+    # side; when one field order divides the other, nothing is lifted, and
+    # otherwise (2 against 3, 5, 7, 11) both factors lift to the lcm field
+    lifts = []
+    real_lifted = series_module._lifted
+    monkeypatch.setattr(
+        series_module, "_lifted", lambda s, m: lifts.append((s.field_order, m)) or real_lifted(s, m)
+    )
+    rng = random.Random(22)
+    for m in (1, 2, 3, 4, 5, 7, 8, 11, 16):
+        for m_rational in (1, 2):
+            l = lcm(m, m_rational)
+            for order in (0, 3, 12):
+                r = _rational_series(rng, order, m_rational)
+                c = _build(_ref_series(rng, order, m), m)
+                for a, b in ((r, c), (c, r)):
+                    want = oracles.lifted_product(a, b)
+                    lifts.clear()
+                    got = a * b
+                    assert lifts == (
+                        [] if l in (m, m_rational) else [(a.field_order, l), (b.field_order, l)]
+                    ), (m, m_rational)
+                    assert (got.field_order, got.rows, got.den) == (
+                        want.field_order, want.rows, want.den
+                    ), (m, m_rational, order)
+                    assert _vectors(got) == _vectors(want)
