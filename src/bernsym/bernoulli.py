@@ -30,11 +30,13 @@ to tests as an independent construction).  Generalized power sums
 are the same moments, M_k, of the integers a <= n, each at its residue
 a mod d, and one function, _moments, builds every list of moments.
 
-The two leaves of every series built here and in identities.py, the
-character sum sum_a chi(a) e^(a s t) and the kernel t/(e^(c t) - 1), are
-built once per process, like the numbers, the folds and the power sums.
-No series built from them, a product, a quotient or an inverse, is kept:
-each caller builds its own.
+The leaves of every series built here and in identities.py, the
+character sum sum_a chi(a) e^(a s t), the kernel t/(e^(c t) - 1) and the
+per-variable factor of the integral route of lambda (_char_integral),
+are built once per process, like the numbers, the folds and the power
+sums.  Only the integral route reads the factors, and no other product,
+quotient or inverse is kept, so no series built by one lambda route is
+read by the other.
 
 All functions are pure given the memo tables below; workers in a
 process pool each hold their own tables.
@@ -48,7 +50,7 @@ from math import comb, gcd, lcm
 
 from .characters import DirichletChar
 from .cyclotomic import CycloElement, linear_combination
-from .series import TruncatedSeries, _check_order, _exp_minus_one_over_t, _exp_sum
+from .series import TruncatedSeries, _check_order, _exp_minus_one_over_t, _exp_sum, exp_series
 
 __all__ = [
     "gen_bernoulli_series",
@@ -70,10 +72,10 @@ __all__ = [
 # max(n, 2 * len(entry)) and appends only the new indices, so a caller
 # that ascends in n rebuilds an entry O(log n) times.
 # identities.sweep_verify asks each leaf for its top index first, so a
-# sweep builds it once, at exactly that index.  _char_exp_sum and
-# _t_over_exp_minus_one hold one series each.  Each table evicts its least recently used entries above
-# this size, which keeps long sweeps and long-lived processes at a flat
-# memory profile.
+# sweep builds it once, at exactly that index.  _char_exp_sum,
+# _t_over_exp_minus_one and _char_integral hold one series each.  Each
+# table evicts its least recently used entries above this size, which
+# keeps long sweeps and long-lived processes at a flat memory profile.
 _CACHE_LIMIT = 200_000
 
 
@@ -110,6 +112,18 @@ char_exp_sum.cache_info = _char_exp_sum.cache_info
 def _t_over_exp_minus_one(c: int, order: int) -> TruncatedSeries:
     # t/(e^(c t) - 1), truncated at t^order, for an integer c != 0
     return _exp_minus_one_over_t(c, order).invert()
+
+
+@lru_cache(maxsize=_CACHE_LIMIT)
+def _char_integral(chi: DirichletChar, scale: int, shift, order: int) -> TruncatedSeries:
+    # The factor of one variable of the integral route of identities.py,
+    # the closed form of the character-weighted p-adic integral:
+    # scale * e^(scale*shift*t) * t/(e^(d*scale*t) - 1) * charsum(scale),
+    # its rational part multiplied first
+    result = _t_over_exp_minus_one(chi.modulus * scale, order)
+    if shift:
+        result = result * exp_series(scale * shift, order)
+    return (result * char_exp_sum(chi, scale, order)).scale(scale)
 
 
 def gen_bernoulli_series(chi: DirichletChar, order: int) -> TruncatedSeries:
@@ -278,7 +292,14 @@ def power_sum_series(chi: DirichletChar, w: int, order: int) -> TruncatedSeries:
 
 
 # held here, so that clear_caches reaches them through a rebound name
-_CACHES = (_number_table, _power_table, _fold_table, _char_exp_sum, _t_over_exp_minus_one)
+_CACHES = (
+    _number_table,
+    _power_table,
+    _fold_table,
+    _char_exp_sum,
+    _t_over_exp_minus_one,
+    _char_integral,
+)
 
 
 def clear_caches():

@@ -84,7 +84,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .bernoulli import _fold, _power_sums, _t_over_exp_minus_one, char_exp_sum
+from .bernoulli import _char_integral, _fold, _power_sums, _t_over_exp_minus_one, char_exp_sum
 from .characters import DirichletChar, _galois_orbits
 from .cyclotomic import CycloElement, _conjugate, linear_combination
 from .series import TruncatedSeries, _check_order, _exp_minus_one_over_t, exp_series
@@ -198,25 +198,13 @@ def lambda_series(spec: LambdaSpec, chi: DirichletChar, order: int) -> Truncated
         num_scales = (big,) * i
         shift = big * sum(spec.ys, Fraction(0))
         pref_power = (2 if spec.family == "L23" else 1) - i
-    num = _product(
-        [exp_series(shift, order)]
-        + [_exp_minus_one_over_t(d * c, order) for c in num_scales]
-    )
+    # the rational factors first, each product starting from a
+    # nonconstant one, then the character sums
+    num = [exp_series(shift, order)] if shift else []
+    num += [_exp_minus_one_over_t(d * c, order) for c in num_scales]
     den = _product([_exp_minus_one_over_t(d * s, order) for s in scales])
-    result = num * den.invert()
-    result = _product([result] + [char_exp_sum(chi, s, order) for s in scales])
+    result = _product(num + [den.invert()] + [char_exp_sum(chi, s, order) for s in scales])
     return result.scale(Fraction(big) ** pref_power)
-
-
-def _char_integral(chi: DirichletChar, scale: int, shift, order: int) -> TruncatedSeries:
-    # Closed form of the character-weighted exponential integral:
-    # scale * e^(scale*shift*t) * t/(e^(d*scale*t) - 1) * charsum(scale).
-    result = _t_over_exp_minus_one(chi.modulus * scale, order)
-    result = result * char_exp_sum(chi, scale, order)
-    shift = Fraction(shift)
-    if shift:
-        result = result * exp_series(scale * shift, order)
-    return result.scale(scale)
 
 
 def _plain_integral(c: int, order: int) -> TruncatedSeries:
@@ -251,7 +239,7 @@ def lambda_series_from_integrals(
             factors.append(_char_integral(chi, s, shift, order))
         result = _product(factors)
         if i:
-            result = result * _plain_integral(d * big, order).invert().pow(i)
+            result = result * _product([_plain_integral(d * big, order).invert()] * i)
             result = result.scale(d**i)
         return result
     if i == 0:

@@ -7,6 +7,7 @@ import oracles
 from bernsym import bernoulli
 from bernsym.bernoulli import (
     _CACHE_LIMIT,
+    _char_integral,
     _fold,
     _fold_table,
     _number_table,
@@ -26,6 +27,7 @@ from bernsym.identities import (
     TheoremInstance,
     expansion_sum,
     lambda_series,
+    lambda_series_from_integrals,
     verify_theorem,
 )
 from bernsym.series import TruncatedSeries, _exp_minus_one_over_t, exp_series
@@ -275,6 +277,52 @@ def test_char_exp_sum_is_keyed_by_its_exact_arguments():
         assert char_exp_sum(chi, scale, order) is value
 
 
+def test_char_integral_is_keyed_by_its_exact_arguments():
+    chi = enumerate_characters(5)[1]
+    clear_caches()
+    third = _char_integral(chi, 2, Fraction(1, 3), 6)
+    assert _char_integral(chi, Fraction(2), Fraction(1, 3), 6) is third
+    unshifted = _char_integral(chi, 2, 0, 6)
+    assert _char_integral(chi, 2, Fraction(0), 6) is unshifted
+    wider = _char_integral(chi, 3, Fraction(1, 3), 6)
+    longer = _char_integral(chi, 2, Fraction(1, 3), 8)
+    assert _char_integral.cache_info().currsize == 4
+    assert len({id(s) for s in (third, unshifted, wider, longer)}) == 4
+    for scale, shift, order, value in (
+        (2, Fraction(1, 3), 6, third),
+        (2, 0, 6, unshifted),
+        (3, Fraction(1, 3), 6, wider),
+        (2, Fraction(1, 3), 8, longer),
+    ):
+        # scale e^(scale shift t) t/(e^(5 scale t) - 1) sum_a chi(a) e^(a scale t)
+        kernel = _exp_minus_one_over_t(5 * scale, order).invert()
+        closed = exp_series(scale * shift, order) * kernel * _geometric_sum(chi, scale, order)
+        assert value == closed.scale(scale)
+        assert _char_integral(chi, scale, shift, order) is value
+
+
+def test_char_integral_table_is_read_by_the_integral_route_only():
+    # the closed route of lambda never reads the integral factors, so no
+    # series built by one route is read by the other
+    chi = enumerate_characters(7)[1]
+    ys = (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4))
+    specs = [
+        LambdaSpec(family, index, (2, 3, 5), ys[: LambdaSpec.y_arity(family, index)])
+        for family, top in (("L23", 3), ("L13", 3), ("L12", 1))
+        for index in range(top + 1)
+    ]
+    clear_caches()
+    for spec in specs:
+        lambda_series(spec, chi, 8)
+    assert _char_integral.cache_info().currsize == 0
+    for spec in specs:
+        lambda_series_from_integrals(spec, chi, 8)
+    info = _char_integral.cache_info()
+    assert info.currsize == info.misses > 0 and info.hits > 0
+    clear_caches()
+    assert _char_integral.cache_info().currsize == 0
+
+
 def test_memo_tables_are_bounded_and_cleared():
     chi = chi4()
     clear_caches()  # so that every table below takes a miss
@@ -282,13 +330,25 @@ def test_memo_tables_are_bounded_and_cleared():
     power_sum(chi, 2, 7)
     char_exp_sum(chi, 1, 6)
     _fold(chi, 2, Fraction(1, 2), ((3, 3),), 2)
-    tables = (_number_table, _power_table, char_exp_sum, _t_over_exp_minus_one, _fold_table)
+    _char_integral(chi, 2, Fraction(1, 2), 6)
+    tables = (
+        _number_table,
+        _power_table,
+        char_exp_sum,
+        _t_over_exp_minus_one,
+        _fold_table,
+        _char_integral,
+    )
+    assert set(bernoulli._CACHES) == {
+        _number_table, _power_table, bernoulli._char_exp_sum, _t_over_exp_minus_one,
+        _fold_table, _char_integral,
+    }
     for table in tables:
         info = table.cache_info()
         assert info.maxsize == _CACHE_LIMIT
         assert info.currsize > 0
     clear_caches()
-    assert [table.cache_info().currsize for table in tables] == [0, 0, 0, 0, 0]
+    assert [table.cache_info().currsize for table in tables] == [0] * len(tables)
 
 
 # a float or a bool would be computed in place of the intended value, and
