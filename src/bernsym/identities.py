@@ -198,8 +198,8 @@ def lambda_series(spec: LambdaSpec, chi: DirichletChar, order: int) -> Truncated
         num_scales = (big,) * i
         shift = big * sum(spec.ys, Fraction(0))
         pref_power = (2 if spec.family == "L23" else 1) - i
-    # the rational factors first, each product starting from a
-    # nonconstant one, then the character sums
+    # the rational factors first, leaving out exp(0 t) = 1, then the
+    # character sums
     num = [exp_series(shift, order)] if shift else []
     num += [_exp_minus_one_over_t(d * c, order) for c in num_scales]
     den = _product([_exp_minus_one_over_t(d * s, order) for s in scales])

@@ -146,10 +146,7 @@ class TruncatedSeries:
         # a factor with rows of length 1 over a field order that divides the
         # other's is rational: it goes first, unlifted, and _dot scales the
         # other's coordinates with it
-        if _scales(other, self):
-            a, b = other, self
-        else:
-            a, b = self, other
+        a, b = (other, self) if _scales(other, self) else (self, other)
         if _scales(a, b):
             _check_orders(a, b)
             m, x, y = b.field_order, a.rows, b.rows
