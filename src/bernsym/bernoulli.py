@@ -57,7 +57,6 @@ __all__ = [
     "gen_bernoulli_number",
     "gen_bernoulli_poly",
     "power_sum",
-    "power_sum_series",
     "char_exp_sum",
     "clear_caches",
 ]
@@ -275,20 +274,6 @@ def _moments(chi: DirichletChar, heads, n: int) -> list[CycloElement]:
         linear_combination(chi.order, [(row[j], v, one) for v, row in sums])
         for j in range(n + 1)
     ]
-
-
-def power_sum_series(chi: DirichletChar, w: int, order: int) -> TruncatedSeries:
-    """Series whose egf coefficient at k is S_k(w*d - 1, chi).
-
-    Built from the closed form
-    (e^(w d t) - 1)/(e^(d t) - 1) * sum_{a<d} chi(a) e^(a t).
-    """
-    if type(w) is not int or w < 1:
-        raise ValueError("w must be a positive integer")
-    _check_order(order)
-    d = chi.modulus
-    quotient = _exp_minus_one_over_t(w * d, order) * _t_over_exp_minus_one(d, order)
-    return quotient * char_exp_sum(chi, 1, order)
 
 
 # held here, so that clear_caches reaches them through a rebound name

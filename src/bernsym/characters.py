@@ -39,7 +39,6 @@ __all__ = [
     "unit_group_structure",
     "enumerate_characters",
     "primitive_characters",
-    "char_value",
 ]
 
 
@@ -140,10 +139,6 @@ class DirichletChar:
     values: tuple[CycloElement, ...]
     units: tuple[int, ...]
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def key(self) -> tuple[int, int]:
         """Stable identity across processes: (modulus, label)."""
         return (self.modulus, self.label)
@@ -224,11 +219,6 @@ def _enumerated(d: int, label: int) -> DirichletChar:
 
 def primitive_characters(d: int) -> list[DirichletChar]:
     return [chi for chi in enumerate_characters(d) if chi.primitive]
-
-
-def char_value(chi: DirichletChar, a: int) -> CycloElement:
-    """Periodic extension chi(a mod d), defined for any integer a."""
-    return chi.values[a % chi.modulus]
 
 
 def _galois_orbits(chars) -> dict[DirichletChar, tuple[DirichletChar, int]]:

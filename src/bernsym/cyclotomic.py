@@ -259,9 +259,6 @@ class CycloElement:
         den = self.den
         return tuple(Fraction(x, den) for x in self.nums)
 
-    def is_zero(self) -> bool:
-        return not any(self.nums)
-
     def is_rational(self) -> bool:
         # The power basis contains 1, so rationals are exactly the
         # constant vectors.
@@ -337,18 +334,6 @@ class CycloElement:
         return _reduced(self.order, nums, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers are not supported")
-        result = CycloElement.one(self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     # -- comparison -------------------------------------------------------
 

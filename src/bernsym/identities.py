@@ -97,7 +97,6 @@ __all__ = [
     "EXPANSION_LABELS",
     "lambda_series",
     "lambda_series_from_integrals",
-    "spec_for_label",
     "expansion_sum",
     "theorem_y_arity",
     "theorem_expressions",
@@ -298,13 +297,6 @@ def _label_arity(label: str) -> int:
         raise ValueError(f"unknown expansion label {label!r}")
     route = _ROUTES[label]
     return LambdaSpec.y_arity(route.family, route.index)
-
-
-def spec_for_label(label: str, weights, ys) -> LambdaSpec:
-    """LambdaSpec whose series has the labeled expansion as egf coefficients."""
-    _label_arity(label)  # rejects an unknown label
-    route = _ROUTES[label]
-    return LambdaSpec(route.family, route.index, tuple(weights), tuple(ys))
 
 
 def _evaluate(
@@ -619,7 +611,8 @@ def sweep_verify(
     render, if given, is a picklable callable from a report to its text.
     It is applied where the report was made, in the worker with jobs > 1,
     derived reports included, and each report then keeps that text and
-    its verdict flags only.
+    its verdict flags only.  Without render, each report holds the
+    caller's own instance object, with jobs > 1 too.
     """
     instances = list(instances)
     groups = _orbit_groups(instances)
@@ -642,5 +635,8 @@ def sweep_verify(
     reports = [None] * len(instances)
     for k, task_reports in zip(heads, done):
         for i, report in zip([k] + [c for c, _ in groups[k]], task_reports):
+            if report.instance is not None:
+                # the caller's own object, not the copy a worker unpickled
+                report.instance = instances[i]
             reports[i] = report
     return reports

@@ -83,11 +83,6 @@ class TruncatedSeries:
 
     # -- helpers -----------------------------------------------------------
 
-    def truncate(self, order: int) -> TruncatedSeries:
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return _series(order, self.field_order, self.rows[: order + 1], self.den)
-
     def _align(self, other: TruncatedSeries):
         # (field order, rows of self, rows of other), both in the lcm
         # field; the truncation orders must agree
@@ -156,14 +151,6 @@ class TruncatedSeries:
         rows = [_dot(m, x[: k + 1], y[k::-1]) for k in range(n + 1)]
         return _series(n, m, rows, self.den * other.den)
 
-    def pow(self, e: int) -> TruncatedSeries:
-        if e < 0:
-            raise ValueError("negative series powers are not supported")
-        result = TruncatedSeries.one(self.order, self.field_order)
-        for _ in range(e):
-            result = result * self
-        return result
-
     def invert(self) -> TruncatedSeries:
         """Multiplicative inverse up to the truncation order.
 
@@ -189,14 +176,6 @@ class TruncatedSeries:
         sign = -1 if den < 0 else 1
         out = [[sign * self.den * a0 ** (n - k) * x for x in c] for k, c in enumerate(cs)]
         return _series(n, m, out, sign * den)
-
-    def shift_down(self, j: int) -> TruncatedSeries:
-        """Exact division by t^j; the low j coefficients must vanish."""
-        if j < 0 or j > self.order:
-            raise ValueError(f"invalid shift {j} for order {self.order}")
-        if any(chain.from_iterable(self.rows[:j])):
-            raise ValueError(f"series is not divisible by t^{j}")
-        return _series(self.order - j, self.field_order, self.rows[j:], self.den)
 
     # -- comparison ------------------------------------------------------------
 
@@ -261,9 +240,14 @@ def _check_order(order) -> None:
 
 
 def exp_series(c, order: int) -> TruncatedSeries:
-    """exp(c*t) truncated at t^order, for rational or cyclotomic c."""
+    """exp(c*t) truncated at t^order.
+
+    c is an int, a Fraction or a CycloElement (not a bool or a float).
+    """
     _check_order(order)
     if not isinstance(c, CycloElement):
+        if type(c) is not int and type(c) is not Fraction:
+            raise ValueError("c must be an int, a Fraction or a CycloElement")
         c = CycloElement.from_rational(c)
     m = c.order
     (num,), e = _common_rows([c])

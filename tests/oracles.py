@@ -2,21 +2,24 @@
 
 Everything here is computed from first principles (recurrences, brute
 sums, schoolbook polynomial arithmetic) without touching the library's
-series machinery, so agreement between the two is a real check.  Two
+series machinery, so agreement between the two is a real check.  Three
 exceptions: fold_direct takes its values from gen_bernoulli_poly (which
 tests/test_bernoulli.py checks against the oracles here) and checks only
 the order in which the folded routes sum them; lifted_product keeps the
 library's lift-then-multiply series product, the reference for the
-product that multiplies a rational factor in unlifted.
+product that multiplies a rational factor in unlifted; and
+power_sum_series builds the power sums' closed-form generating function
+from the library's series leaves, a route the library's power sums,
+read from moments, do not take.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import comb, lcm
 
-from bernsym.bernoulli import gen_bernoulli_poly
+from bernsym.bernoulli import _t_over_exp_minus_one, char_exp_sum, gen_bernoulli_poly
 from bernsym.cyclotomic import CycloElement, _dot, cyclotomic_polynomial
-from bernsym.series import _check_orders, _lifted, _series
+from bernsym.series import _check_orders, _exp_minus_one_over_t, _lifted, _series
 
 
 def bernoulli_recurrence(n_max):
@@ -49,7 +52,7 @@ def gen_bernoulli_number(chi, n, table=None):
     acc = CycloElement.zero(chi.order)
     for a in range(d):
         v = chi.values[a]
-        if not v.is_zero():
+        if v != 0:
             acc = acc + v.scale(bernoulli_poly(n, Fraction(a, d), table))
     return acc.scale(Fraction(d) ** (n - 1))
 
@@ -59,9 +62,20 @@ def power_sum_direct(chi, k, n):
     acc = CycloElement.zero(chi.order)
     for a in range(n + 1):
         v = chi.values[a % chi.modulus]
-        if not v.is_zero():
+        if v != 0:
             acc = acc + v.scale(a**k)
     return acc
+
+
+def power_sum_series(chi, w, order):
+    """Series whose egf coefficient at k is S_k(w*d - 1, chi).
+
+    Built from the closed form
+    (e^(w d t) - 1)/(e^(d t) - 1) * sum_{a<d} chi(a) e^(a t).
+    """
+    d = chi.modulus
+    quotient = _exp_minus_one_over_t(w * d, order) * _t_over_exp_minus_one(d, order)
+    return quotient * char_exp_sum(chi, 1, order)
 
 
 def cauchy_product(a_coeffs, b_coeffs, order):
@@ -177,7 +191,7 @@ def fold_direct(chi, i, x, shifts):
         for a in tup:
             m *= a
         v = chi.values[m % d]
-        if v.is_zero():
+        if v == 0:
             continue
         arg = Fraction(x) + sum(r * a for (r, _), a in zip(shifts, tup))
         acc = acc + v * gen_bernoulli_poly(chi, i, arg)

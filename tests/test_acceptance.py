@@ -16,9 +16,8 @@ from bernsym.bernoulli import (
     gen_bernoulli_number,
     gen_bernoulli_poly,
     power_sum,
-    power_sum_series,
 )
-from bernsym.characters import char_value, enumerate_characters, primitive_characters
+from bernsym.characters import enumerate_characters, primitive_characters
 from bernsym.cli import SweepConfig, build_instances, y_tuples
 from bernsym.cyclotomic import CycloElement
 from bernsym.identities import (
@@ -185,7 +184,7 @@ def test_power_sum_identity():
     for d in range(1, 9):
         for chi in enumerate_characters(d):
             for w in range(1, 5):
-                series = power_sum_series(chi, w, 12)
+                series = oracles.power_sum_series(chi, w, 12)
                 for k in range(13):
                     if not (series.egf_coeff(k) == power_sum(chi, k, w * d - 1)):
                         ok = False
@@ -220,8 +219,8 @@ def test_shift_difference_law():
                         lhs = gen_bernoulli_poly(chi, n, x + w * d) - gen_bernoulli_poly(chi, n, x)
                         rhs = CycloElement.zero(chi.order)
                         for a in range(w * d):
-                            v = char_value(chi, a)
-                            if not v.is_zero():
+                            v = chi.values[a % chi.modulus]
+                            if v != 0:
                                 rhs = rhs + v.scale((x + a) ** (n - 1))
                         if not (lhs == rhs.scale(n)):
                             ok = False

@@ -1,5 +1,6 @@
 """The public surface: the README's library example and every __all__ list."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -9,7 +10,8 @@ import pytest
 
 import bernsym
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def _readme_python_block() -> str:
@@ -44,3 +46,53 @@ def test_every_listed_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+
+
+def _statements(path: Path):
+    # (names defined, names used) per top-level statement of a module: a
+    # use is a loaded name, an attribute read or an imported name, so the
+    # strings of __all__ and the name a def binds are not uses
+    out = []
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        defined = set()
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        used = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+        out.append((defined, used))
+    return out
+
+
+# the program's own code and the benchmark; the tests do not count
+_PROGRAM = [
+    stmt
+    for folder in (ROOT / "src" / "bernsym", ROOT / "bench")
+    for path in sorted(folder.glob("*.py"))
+    for stmt in _statements(path)
+]
+
+
+@pytest.mark.parametrize(
+    "module", [f"bernsym.{m.name}" for m in pkgutil.iter_modules(bernsym.__path__)]
+)
+def test_every_listed_name_is_used_outside_the_tests(module):
+    # a public name is used by the program or the benchmark outside its own
+    # definition, or documented in the README; a helper that only tests
+    # call belongs in tests/oracles.py
+    readme = README.read_text(encoding="utf-8")
+    unused = [
+        name
+        for name in getattr(importlib.import_module(module), "__all__", ())
+        if not any(name in used and name not in defined for defined, used in _PROGRAM)
+        and not re.search(rf"\b{re.escape(name)}\b", readme)
+    ]
+    assert unused == []

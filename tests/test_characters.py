@@ -2,12 +2,11 @@ import dataclasses
 import pickle
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
 from bernsym.characters import (
-    char_value,
     enumerate_characters,
     primitive_characters,
     unit_group_structure,
@@ -53,7 +52,7 @@ def test_modulus_one_character():
     assert chi.values[0] == 1
     assert chi.conductor == 1
     assert chi.primitive
-    assert char_value(chi, 12345) == 1
+    assert chi.values[12345 % 1] == 1
 
 
 def test_mod4_character_table():
@@ -101,18 +100,18 @@ def test_multiplicativity():
             else:
                 pairs = [(rng.choice(units), rng.choice(units)) for _ in range(40)]
             for a, b in pairs:
-                assert char_value(chi, a) * char_value(chi, b) == char_value(chi, a * b)
+                assert chi.values[a] * chi.values[b] == chi.values[a * b % d]
 
 
 def test_values_at_one_and_order():
     for d in range(1, 25):
         for chi in enumerate_characters(d):
-            assert char_value(chi, 1) == 1
-            assert chi.units == tuple(a for a in range(d) if not chi.values[a].is_zero())
+            assert chi.values[1 % d] == 1
+            assert chi.units == tuple(a for a in range(d) if chi.values[a] != 0)
             for a in range(d):
                 v = chi.values[a]
-                if not v.is_zero():
-                    assert v**chi.order == 1
+                if v != 0:
+                    assert prod([v] * chi.order) == 1
 
 
 def test_orthogonality():
@@ -121,10 +120,10 @@ def test_orthogonality():
             total = CycloElement.zero(chi.order)
             for v in chi.values:
                 total = total + v
-            if chi.is_trivial:
+            if chi.order == 1:
                 assert total == euler_phi(d)
             else:
-                assert total.is_zero()
+                assert total == 0
 
 
 def test_value_tables_distinct():
@@ -147,17 +146,17 @@ def test_conductor_divides_and_induction():
             matches = [
                 base
                 for base in enumerate_characters(f)
-                if all(char_value(base, a) == char_value(chi, a) for a in units)
+                if all(base.values[a % f] == chi.values[a] for a in units)
             ]
             assert len(matches) == 1
 
 
 def test_periodic_extension():
     chi4 = enumerate_characters(4)[1]
-    assert char_value(chi4, 7) == -1
-    assert char_value(chi4, -1) == -1
-    assert char_value(chi4, 4) == 0
-    assert char_value(chi4, 10**9 + 1) == char_value(chi4, 1)
+    assert chi4.values[7 % 4] == -1
+    assert chi4.values[-1 % 4] == -1
+    assert chi4.values[4 % 4] == 0
+    assert chi4.values[(10**9 + 1) % 4] == chi4.values[1]
 
 
 def test_character_order_is_minimal():
@@ -168,7 +167,7 @@ def test_character_order_is_minimal():
                 if r % s:
                     continue
                 all_one = all(
-                    v.is_zero() or v**s == 1 for v in chi.values
+                    v == 0 or prod([v] * s) == 1 for v in chi.values
                 )
                 assert not (all_one and s < r)
 

@@ -82,7 +82,7 @@ def test_geometric_sums():
         total = CycloElement.zero(m)
         for k in range(m):
             total = total + zeta(m, k)
-        assert total.is_zero()
+        assert total == 0
 
 
 def test_scalar_operations():
@@ -90,7 +90,6 @@ def test_scalar_operations():
     assert z3.scale(Fraction(2, 3)) + z3.scale(Fraction(1, 3)) == z3
     assert 2 * z3 - z3 == z3
     assert zeta(4) * zeta(4) == -1
-    assert (zeta(4) ** 2) == -1
 
 
 def _random_element(m, rng):

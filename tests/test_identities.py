@@ -20,7 +20,6 @@ from bernsym.identities import (
     expansion_sum,
     lambda_series,
     lambda_series_from_integrals,
-    spec_for_label,
     sweep_verify,
     theorem_expressions,
     theorem_y_arity,
@@ -158,7 +157,8 @@ def test_expansion_sum_matches_series():
         (CHI12_IMPRIMITIVE, label, (2, 2, 3), ys) for label, ys in ys_folded.items()
     ]
     for chi, label, weights, ys in cases:
-        spec = spec_for_label(label, weights, ys)
+        route = identities._ROUTES[label]
+        spec = LambdaSpec(route.family, route.index, weights, ys)
         series = lambda_series(spec, chi, 10)
         for n in range(11):
             assert series.egf_coeff(n) == expansion_sum(
@@ -704,3 +704,13 @@ def test_pool_verifies_a_copy_of_a_character_and_not_its_key():
         assert (p.values, p.all_equal, p.first_mismatch, p.extras) == (
             s.values, s.all_equal, s.first_mismatch, s.extras
         )
+
+
+def test_pool_reports_hold_the_callers_instances():
+    # a copy of mod 5 char 3 crosses to the workers with its table and comes
+    # back as another copy; each report still holds the caller's instance
+    psi = dataclasses.replace(enumerate_characters(5)[3])
+    instances = [TheoremInstance("T7", psi, n, (1, 2, 3), (F(1, 2),)) for n in range(4)]
+    for jobs in (1, 2):
+        reports = sweep_verify(instances, jobs=jobs)
+        assert all(r.instance is inst for r, inst in zip(reports, instances)), jobs
