@@ -129,6 +129,10 @@ class SweepConfig:
     ys: tuple[Fraction, ...] | None = None
 
     def validate(self):
+        for key, ok in _FIELD_TYPES.items():
+            value = getattr(self, key)
+            if not ok(value):
+                raise ValueError(f"config field {key!r} has the wrong type: {value!r}")
         if not self.moduli or min(self.moduli) < 1:
             raise ValueError("moduli must be positive integers")
         if self.n_max < 0:
@@ -237,6 +241,25 @@ _CONFIG_FIELDS = {
     "allow_imprimitive": lambda v: _typed(v, bool, "true or false"),
     "char_labels": lambda v: None if v is None else _int_tuple(v),
     "ys": lambda v: None if v is None else _rational_tuple(v),
+}
+
+
+def _tuple_of(value, *kinds) -> bool:
+    return type(value) is tuple and all(type(item) in kinds for item in value)
+
+
+# The exact type of each SweepConfig field, which validate() checks, so a
+# config built in Python meets the rule the JSON reader applies: a bool is
+# not an int, a float is not a rational, and a y is an int or a Fraction.
+_FIELD_TYPES = {
+    "moduli": lambda v: _tuple_of(v, int),
+    "theorems": lambda v: _tuple_of(v, str),
+    "n_max": lambda v: type(v) is int,
+    "weights": lambda v: type(v) is tuple and all(_tuple_of(w, int) for w in v),
+    "ys_pool": lambda v: _tuple_of(v, int, Fraction),
+    "allow_imprimitive": lambda v: type(v) is bool,
+    "char_labels": lambda v: v is None or _tuple_of(v, int),
+    "ys": lambda v: v is None or _tuple_of(v, int, Fraction),
 }
 
 

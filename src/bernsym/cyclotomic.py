@@ -16,10 +16,11 @@ idempotent, so concurrent first use is harmless.  Only this module
 multiplies, lifts, conjugates and reduces integer rows of Z[zeta_m]
 (_dot, and _spread_row for both lift and sigma_k: zeta -> zeta^k):
 series.py stores a whole truncated series in the same layout, integer
-rows over one denominator, but multiplies and lifts them only through
-this kernel and takes the rows of elements from _common_rows.  No other
+rows over one denominator, but multiplies them only through _dot, lifts
+no row, and takes the rows of elements from _common_rows.  No other
 module reads the integer layout: sums of integer-weighted products go
-through linear_combination.
+through linear_combination.  A rational argument is an int or a
+Fraction; a bool or a float raises ValueError, or TypeError in operators.
 """
 
 from __future__ import annotations
@@ -195,6 +196,14 @@ def _order_mismatch(m1: int, m2: int) -> ValueError:
     return ValueError(f"order mismatch: {m1} vs {m2}; lift first")
 
 
+def _rational(value) -> Fraction:
+    # the type rule for a rational argument: an int or a Fraction, never a
+    # bool (an int subclass) or a float, whose binary value would be taken
+    if type(value) is not int and type(value) is not Fraction:
+        raise ValueError(f"expected an int or a Fraction, got {value!r}")
+    return Fraction(value)
+
+
 def _ratio_str(num: int, den: int) -> str:
     # num/den in lowest terms, written as str(Fraction(num, den)) would
     g = gcd(num, den)
@@ -236,13 +245,13 @@ class CycloElement:
 
     @classmethod
     def from_rational(cls, value, order: int = 1) -> CycloElement:
-        q = Fraction(value)
+        q = _rational(value)
         rest = (0,) * (euler_phi(order) - 1)
         return cls(order, (q.numerator,) + rest, q.denominator)
 
     @classmethod
     def from_coeffs(cls, order: int, coeffs) -> CycloElement:
-        vals = [Fraction(c) for c in coeffs]
+        vals = [_rational(c) for c in coeffs]
         deg = euler_phi(order)
         if len(vals) > deg:
             raise ValueError(f"expected at most {deg} coefficients for order {order}")
@@ -272,16 +281,21 @@ class CycloElement:
     # -- ring operations --------------------------------------------------
 
     def _coerce(self, other):
+        # the other operand in this field; NotImplemented for anything else,
+        # a bool or a float included
         if isinstance(other, CycloElement):
             if other.order != self.order:
                 raise _order_mismatch(self.order, other.order)
             return other
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or type(other) is Fraction:
             return CycloElement.from_rational(other, self.order)
-        return None
+        return NotImplemented
 
-    def _combine(self, rhs: CycloElement, sign: int) -> CycloElement:
-        # self + sign * rhs over the common denominator lcm(den, rhs.den)
+    def _combine(self, other, sign: int) -> CycloElement:
+        # self + sign * other over the common denominator of both
+        rhs = self._coerce(other)
+        if rhs is NotImplemented:
+            return rhs
         da, db = self.den, rhs.den
         g = gcd(da, db)
         fa, fb = db // g, sign * (da // g)
@@ -289,35 +303,25 @@ class CycloElement:
         return _reduced(self.order, nums, da * fa)
 
     def __add__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self._combine(rhs, 1)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self._combine(rhs, -1)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs - self
+        return (-self)._combine(other, 1)
 
     def __neg__(self):
         return CycloElement(self.order, tuple(-a for a in self.nums), self.den)
 
     def scale(self, q) -> CycloElement:
-        """Multiply by a rational scalar (no convolution needed)."""
+        """Multiply by a rational scalar, an int or a Fraction (no convolution needed)."""
         if type(q) is int:
             p, d = q, 1
         else:
-            if type(q) is not Fraction:
-                q = Fraction(q)
+            q = _rational(q)
             p, d = q.numerator, q.denominator
         if p == d:
             return self
@@ -325,7 +329,7 @@ class CycloElement:
 
     def __mul__(self, other):
         if not isinstance(other, CycloElement):
-            if isinstance(other, (int, Fraction)):
+            if type(other) is int or type(other) is Fraction:
                 return self.scale(other)
             return NotImplemented
         if other.order != self.order:

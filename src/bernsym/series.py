@@ -12,28 +12,27 @@ positive denominator den for the whole series, with gcd(den, every
 entry) == 1.  So the zero series is zero rows over 1, and equal series
 over one field have equal rows and den.  Every operation works on
 integers and ends with one gcd for the whole result; rows are multiplied
-and lifted only through cyclotomic.py's row kernel, and the inverse is a
+only through cyclotomic.py's row kernel _dot, and the inverse is a
 fraction-free recurrence.  coeff, egf_coeff and coeffs hand back
 normalized CycloElements.
 
-Sums and products take two series of the same truncation order; a
-different order raises ValueError, and a rational scalar goes through
-scale.  Operands with different coefficient fields are lifted to
-Q(zeta_l) with l the lcm of the two orders, except in one case: a
-rational factor of a product (rows of length 1) whose field order divides
-the other's scales the other's coordinates unlifted, with the same
-result.  All operations are pure and the values immutable, so series can
-be shared freely across workers.
+Sums, differences, products and == take two series of the same
+truncation order; a different order raises ValueError, and a rational
+scalar (an int or a Fraction) goes through scale.  Each operation works
+in one coefficient field, as CycloElement's ring operations do, with one
+exception: a rational factor of a product (rows of length 1) whose field
+order divides the other's scales the other's coordinates.  Any other pair
+of field orders raises ValueError; from_coeffs, with its field_order, is
+the one conversion into a larger field.  All operations are pure and the
+values immutable, so series can be shared freely across workers.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from math import factorial, gcd, lcm
-from operator import mul
 
-from .cyclotomic import CycloElement, _common_rows, _dot, _reduced, _spread_row, euler_phi
+from .cyclotomic import CycloElement, _common_rows, _dot, _rational, _reduced, euler_phi
 
 __all__ = ["TruncatedSeries", "exp_series"]
 
@@ -81,14 +80,7 @@ class TruncatedSeries:
         rows.extend([(0,) * euler_phi(m)] * (order + 1 - len(rows)))
         return _series(order, m, rows, den)
 
-    # -- helpers -----------------------------------------------------------
-
-    def _align(self, other: TruncatedSeries):
-        # (field order, rows of self, rows of other), both in the lcm
-        # field; the truncation orders must agree
-        _check_orders(self, other)
-        m = lcm(self.field_order, other.field_order)
-        return m, _lifted(self, m), _lifted(other, m)
+    # -- coefficients --------------------------------------------------------
 
     def coeff(self, n: int) -> CycloElement:
         """Ordinary coefficient of t^n."""
@@ -111,11 +103,12 @@ class TruncatedSeries:
         # self + sign * other over the common denominator lcm(den, other.den)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        m, a, b = self._align(other)
+        _check_orders(self, other)
+        m = _one_field(self, other)
         da, db = self.den, other.den
         g = gcd(da, db)
         fa, fb = db // g, sign * (da // g)
-        rows = [[x * fa + y * fb for x, y in zip(u, v)] for u, v in zip(a, b)]
+        rows = [[x * fa + y * fb for x, y in zip(u, v)] for u, v in zip(self.rows, other.rows)]
         return _series(self.order, m, rows, da * fa)
 
     def __add__(self, other):
@@ -129,8 +122,8 @@ class TruncatedSeries:
         return TruncatedSeries(self.order, self.field_order, rows, self.den)
 
     def scale(self, q) -> TruncatedSeries:
-        """Multiply every coefficient by a rational scalar."""
-        q = Fraction(q)
+        """Multiply every coefficient by a rational scalar, an int or a Fraction."""
+        q = _rational(q)
         p = q.numerator
         rows = [[p * x for x in row] for row in self.rows]
         return _series(self.order, self.field_order, rows, self.den * q.denominator)
@@ -138,16 +131,14 @@ class TruncatedSeries:
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
+        _check_orders(self, other)
         # a factor with rows of length 1 over a field order that divides the
-        # other's is rational: it goes first, unlifted, and _dot scales the
-        # other's coordinates with it
+        # other's is rational: it goes first, and _dot scales the other's
+        # coordinates with it; any other pair of factors shares one field
         a, b = (other, self) if _scales(other, self) else (self, other)
-        if _scales(a, b):
-            _check_orders(a, b)
-            m, x, y = b.field_order, a.rows, b.rows
-        else:
-            m, x, y = a._align(b)
-        n = self.order
+        if not _scales(a, b):
+            _one_field(a, b)
+        m, n, x, y = b.field_order, self.order, a.rows, b.rows
         rows = [_dot(m, x[: k + 1], y[k::-1]) for k in range(n + 1)]
         return _series(n, m, rows, self.den * other.den)
 
@@ -182,11 +173,9 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        if self.order != other.order or self.den != other.den:
-            return False
-        # lifting keeps gcd(den, entries) == 1, so the forms stay canonical
-        m = lcm(self.field_order, other.field_order)
-        return _lifted(self, m) == _lifted(other, m)
+        _one_field(self, other)
+        # the forms are canonical within one field
+        return self.order == other.order and self.den == other.den and self.rows == other.rows
 
     __hash__ = None
 
@@ -211,17 +200,17 @@ def _check_orders(a: TruncatedSeries, b: TruncatedSeries) -> None:
         raise ValueError(f"truncation order mismatch: {a.order} vs {b.order}")
 
 
+def _one_field(a: TruncatedSeries, b: TruncatedSeries) -> int:
+    # the one coefficient field order of an operation on a and b
+    if a.field_order != b.field_order:
+        raise ValueError(f"field order mismatch: {a.field_order} vs {b.field_order}")
+    return a.field_order
+
+
 def _scales(a: TruncatedSeries, b: TruncatedSeries) -> bool:
     # whether a is rational, rows of length 1, in a field order dividing
     # b's, so that a * b lies in b's field
     return len(a.rows[0]) == 1 and b.field_order % a.field_order == 0
-
-
-def _lifted(s: TruncatedSeries, m: int) -> tuple[tuple[int, ...], ...]:
-    # the rows under zeta_s -> zeta_m^(m/s)
-    if m == s.field_order:
-        return s.rows
-    return tuple(tuple(_spread_row(row, m // s.field_order, m)) for row in s.rows)
 
 
 def _factorial_weights(e: int, order: int) -> list[int]:
@@ -240,25 +229,9 @@ def _check_order(order) -> None:
 
 
 def exp_series(c, order: int) -> TruncatedSeries:
-    """exp(c*t) truncated at t^order.
-
-    c is an int, a Fraction or a CycloElement (not a bool or a float).
-    """
+    """exp(c*t) truncated at t^order; c is an int or a Fraction (not a bool or a float)."""
     _check_order(order)
-    if not isinstance(c, CycloElement):
-        if type(c) is not int and type(c) is not Fraction:
-            raise ValueError("c must be an int, a Fraction or a CycloElement")
-        c = CycloElement.from_rational(c)
-    m = c.order
-    (num,), e = _common_rows([c])
-    # with c = C/e, c^k/k! = C^k e^(order-k) (order!/k!) / (e^order order!)
-    weights = _factorial_weights(e, order)
-    rows = []
-    power = (1,) + (0,) * (len(num) - 1)
-    for w in weights:
-        rows.append([w * x for x in power])
-        power = _dot(m, [power], [num])
-    return _series(order, m, rows, weights[0])
+    return _exp_sum(1, [(1, CycloElement.one())], _rational(c), order)
 
 
 def _exp_sum(m: int, terms, scale, order: int) -> TruncatedSeries:
@@ -266,19 +239,15 @@ def _exp_sum(m: int, terms, scale, order: int) -> TruncatedSeries:
     # at t^order; callers pass only nonzero x.  With scale = p/q the
     # coefficient of t^k is sum (a p)^k x / (q^k k!), taken over
     # q^order order! lcm(x.den)
-    scale = Fraction(scale)
     p, q = scale.numerator, scale.denominator
-    terms = [(a * p, x.lift(m)) for a, x in terms]
-    bases = [a for a, _ in terms]
+    bases = [a * p for a, _ in terms]
     nums, common = _common_rows([x for _, x in terms])
-    # column i holds coordinate i of every term, over the common denominator
-    cols = list(zip(*nums))
     weights = _factorial_weights(q, order)
     rows = []
-    powers = [1] * len(bases)  # a^k, with 0^0 = 1
-    for w in weights:
-        rows.append([w * sum(map(mul, powers, col)) for col in cols])
-        powers = list(map(mul, powers, bases))
+    powers = [1] * len(bases)  # (a p)^k, with 0^0 = 1
+    for w in weights:  # the rational scalars w (a p)^k, one per term
+        rows.append(_dot(m, [(w * x,) for x in powers], nums))
+        powers = [x * a for x, a in zip(powers, bases)]
     return _series(order, m, rows, weights[0] * common)
 
 

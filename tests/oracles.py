@@ -5,9 +5,9 @@ sums, schoolbook polynomial arithmetic) without touching the library's
 series machinery, so agreement between the two is a real check.  Three
 exceptions: fold_direct takes its values from gen_bernoulli_poly (which
 tests/test_bernoulli.py checks against the oracles here) and checks only
-the order in which the folded routes sum them; lifted_product keeps the
-library's lift-then-multiply series product, the reference for the
-product that multiplies a rational factor in unlifted; and
+the order in which the folded routes sum them; lifted_product multiplies
+two series with the library's _dot after lifting both to one field, the
+reference for the product that multiplies a rational factor in unlifted; and
 power_sum_series builds the power sums' closed-form generating function
 from the library's series leaves, a route the library's power sums,
 read from moments, do not take.
@@ -19,7 +19,7 @@ from math import comb, lcm
 
 from bernsym.bernoulli import _t_over_exp_minus_one, char_exp_sum, gen_bernoulli_poly
 from bernsym.cyclotomic import CycloElement, _dot, cyclotomic_polynomial
-from bernsym.series import _check_orders, _exp_minus_one_over_t, _lifted, _series
+from bernsym.series import _check_orders, _exp_minus_one_over_t, _series
 
 
 def bernoulli_recurrence(n_max):
@@ -93,13 +93,16 @@ def cauchy_product(a_coeffs, b_coeffs, order):
 def lifted_product(a, b):
     """The series product a * b with both factors lifted to Q(zeta_lcm) first.
 
-    The library's product before rational factors were multiplied in
-    unlifted: each coefficient is one _dot over the lifted rows, reduced
-    modulo Phi_m, so the result is the same canonical series.
+    Each row is lifted by vec_lift (long division by Phi_m) and each
+    coefficient is one _dot over the lifted rows, reduced modulo Phi_m, so
+    the result is the canonical series that the library's product, which
+    lifts nothing, gives wherever one field order divides the other.
     """
     _check_orders(a, b)
     m = lcm(a.field_order, b.field_order)
-    x, y = _lifted(a, m), _lifted(b, m)
+    x, y = (
+        [[int(v) for v in vec_lift(row, s.field_order, m)] for row in s.rows] for s in (a, b)
+    )
     rows = [_dot(m, x[: k + 1], y[k::-1]) for k in range(a.order + 1)]
     return _series(a.order, m, rows, a.den * b.den)
 

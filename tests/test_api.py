@@ -96,3 +96,43 @@ def test_every_listed_name_is_used_outside_the_tests(module):
         and not re.search(rf"\b{re.escape(name)}\b", readme)
     ]
     assert unused == []
+
+
+
+_MATH_NAMES = {"comb", "factorial", "gcd", "lcm", "prod"}
+
+
+def _float_uses(source: str) -> list[str]:
+    # every float or complex literal or name, true division, and math import
+    # beyond the integer functions, with its line
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            what = [f"literal {node.value!r}"]
+        elif isinstance(node, ast.Name) and node.id in ("float", "complex"):
+            what = [f"name {node.id}"]
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            what = ["true division"]
+        elif isinstance(node, ast.Import):
+            what = [f"import {a.name}" for a in node.names if a.name == "math"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            what = [f"math.{a.name}" for a in node.names if a.name not in _MATH_NAMES]
+        else:
+            continue
+        found += [f"{w} at line {node.lineno}" for w in what]
+    return found
+
+
+def test_the_float_guard_sees_each_kind_of_use():
+    for source in ("x = 0.5", "x = 2j", "y = float(x)", "x = 1 / 2", "x /= 2",
+                   "import math", "from math import gcd, sqrt"):
+        assert len(_float_uses(source)) == 1, source
+    assert _float_uses("from math import comb, gcd\nx = 7 // 2\ny = Fraction(1, 2)") == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "bernsym").glob("*.py")), ids=lambda p: p.name
+)
+def test_no_float_enters_the_arithmetic(path):
+    # the README's "no floating point appears anywhere"
+    assert _float_uses(path.read_text(encoding="utf-8")) == []

@@ -21,6 +21,7 @@ from bernsym.bernoulli import (
     power_sum,
 )
 from bernsym.characters import enumerate_characters, primitive_characters
+from bernsym.cyclotomic import CycloElement, zeta
 from bernsym.identities import (
     LambdaSpec,
     TheoremInstance,
@@ -142,8 +143,6 @@ def test_gen_bernoulli_poly_binomial_matches_series_route():
 
 def test_shift_difference_law():
     # B_{n,chi}(x + w d) - B_{n,chi}(x) = n * sum_{a<wd} chi(a) (x+a)^(n-1)
-    from bernsym.cyclotomic import CycloElement
-
     xs = (Fraction(0), Fraction(1, 2), Fraction(2, 3))
     for d in range(1, 9):
         for chi in enumerate_characters(d):
@@ -351,8 +350,18 @@ def _exp_series(chi, c, order):
     return exp_series(c, order)
 
 
+def _no_char(fn):
+    # a constructor or method that takes no character, named for its row
+    def call(chi, *args):
+        return fn(*args)
+
+    call.__name__ = fn.__qualname__
+    return call
+
+
 # a float or a bool would be computed in place of the intended value, and
-# a string would be parsed; each raises instead
+# a string would be parsed; each raises instead, in the builders and in the
+# element and series constructors alike
 @pytest.mark.parametrize(
     "fn, args",
     [
@@ -374,6 +383,17 @@ def _exp_series(chi, c, order):
         (_exp_series, (True, 2)),
         (_exp_series, ("1/2", 2)),
         (_exp_series, (1, 2.0)),
+        (_exp_series, (zeta(4), 2)),
+        (_no_char(CycloElement.from_rational), (0.1,)),
+        (_no_char(CycloElement.from_rational), (True,)),
+        (_no_char(CycloElement.from_coeffs), (4, [0.1, True])),
+        (_no_char(CycloElement.from_coeffs), (4, [1, True])),
+        (_no_char(zeta(4).scale), (0.1,)),
+        (_no_char(zeta(4).scale), (True,)),
+        (_no_char(TruncatedSeries.from_coeffs), (2, [0.1])),
+        (_no_char(TruncatedSeries.from_coeffs), (2, [True])),
+        (_no_char(TruncatedSeries.one(2).scale), (True,)),
+        (_no_char(TruncatedSeries.one(2).scale), (0.1,)),
         (gen_bernoulli_series, (2.0,)),
         (gen_bernoulli_series, (True,)),
     ],

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -124,8 +125,6 @@ def test_lambda_routes_agree(capsys):
 
 
 def test_lambda_matches_library(capsys):
-    from fractions import Fraction
-
     from bernsym.characters import enumerate_characters
     from bernsym.identities import LambdaSpec, lambda_series
 
@@ -322,7 +321,40 @@ def test_sweep_dead_worker_is_usage_error(monkeypatch, capsys):
 def test_config_converters_cover_every_field():
     from dataclasses import fields
 
-    assert set(cli._CONFIG_FIELDS) == {f.name for f in fields(cli.SweepConfig)}
+    names = {f.name for f in fields(cli.SweepConfig)}
+    assert set(cli._CONFIG_FIELDS) == set(cli._FIELD_TYPES) == names
+
+
+# a config built in Python meets the JSON reader's type rule: a float or a
+# bool would be verified as its binary value or as 1 and echoed as a
+# config that reads back differently, so each raises instead
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("ys_pool", (0.1,)),
+        ("ys_pool", (Fraction(1, 2), True)),
+        ("ys_pool", ("1/2",)),
+        ("ys", (Fraction(1, 2), 0.5)),
+        ("moduli", (True,)),
+        ("moduli", (5.0,)),
+        ("moduli", [5]),
+        ("theorems", ["T7"]),
+        ("n_max", True),
+        ("n_max", 2.0),
+        ("weights", ((1, 2, 3.0),)),
+        ("weights", ((1, True, 3),)),
+        ("weights", [(1, 2, 3)]),
+        ("allow_imprimitive", 1),
+        ("char_labels", (True,)),
+    ],
+    ids=repr,
+)
+def test_python_config_meets_the_json_type_rule(field, value):
+    config = cli.SweepConfig(moduli=(1,), theorems=("T7",), n_max=0, weights=((1, 2, 3),))
+    assert len(cli.build_instances(config)) == 3  # one per pooled y
+    setattr(config, field, value)
+    with pytest.raises(ValueError, match=f"config field '{field}' has the wrong type"):
+        cli.build_instances(config)
 
 
 def _argv_with_config(tmp_path, argv, config):

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -90,6 +91,16 @@ def test_scalar_operations():
     assert z3.scale(Fraction(2, 3)) + z3.scale(Fraction(1, 3)) == z3
     assert 2 * z3 - z3 == z3
     assert zeta(4) * zeta(4) == -1
+
+
+def test_operators_take_no_bool_or_float():
+    # a bool is not taken as 0 or 1, nor a float as its binary value
+    for other in (True, False, 0.5):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(zeta(4), other)
+            with pytest.raises(TypeError):
+                op(other, zeta(4))
 
 
 def _random_element(m, rng):

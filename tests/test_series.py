@@ -2,12 +2,11 @@ import operator
 import random
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 import pytest
 
 import oracles
-from bernsym import series as series_module
 from bernsym.cyclotomic import CycloElement, euler_phi, zeta
 from bernsym.series import TruncatedSeries, _exp_minus_one_over_t, exp_series
 from oracles import (
@@ -25,10 +24,10 @@ def test_exp_series_examples():
     assert exp_series(0, 5) == TruncatedSeries.one(5)
     e = exp_series(1, 3)
     assert [c.as_rational() for c in e.coeffs] == [1, 1, Fraction(1, 2), Fraction(1, 6)]
-    ez = exp_series(zeta(4), 2)
-    assert ez.coeff(0) == 1
-    assert ez.coeff(1) == zeta(4)
-    assert ez.coeff(2) == Fraction(-1, 2)
+    # exp_series and char_exp_sum share one builder: the egf coefficients
+    # of exp(c t) are c^k in closed form
+    c = Fraction(-2, 3)
+    assert [exp_series(c, 8).egf_coeff(k) for k in range(9)] == [c**k for k in range(9)]
 
 
 def test_exp_series_homomorphism_example():
@@ -135,13 +134,32 @@ def test_egf_coeff():
         exp_series(1, 3).egf_coeff(4)
 
 
-def test_mixed_field_orders_lift():
-    a = exp_series(1, 5)  # order 1 coefficients
-    b = exp_series(zeta(4), 5)
-    prod = a * b
-    assert prod.field_order == 4
-    one_plus = zeta(4) + 1
-    assert prod == exp_series(one_plus, 5)
+def test_operations_across_two_fields_raise():
+    # each operation works in one field; from_coeffs is the one conversion
+    rational = exp_series(1, 5)
+    quartic = TruncatedSeries.from_coeffs(5, [zeta(4), 1], 4)
+    cubic = TruncatedSeries.from_coeffs(5, [zeta(3), 1], 3)
+    pairs = [
+        (operator.mul, quartic, cubic),
+        (operator.mul, cubic, quartic),
+        (operator.mul, TruncatedSeries.one(5, 2), cubic),
+        (operator.mul, quartic, TruncatedSeries.from_coeffs(5, [zeta(4)], 8)),
+        (operator.add, rational, quartic),
+        (operator.sub, quartic, rational),
+        (operator.add, quartic, cubic),
+        (operator.eq, rational, quartic),
+        (operator.eq, quartic, TruncatedSeries.from_coeffs(5, quartic.coeffs, 8)),
+    ]
+    for op, a, b in pairs:
+        with pytest.raises(ValueError, match=f"field order mismatch: {a.field_order} vs "):
+            op(a, b)
+    # the exception: a rational factor whose field order divides the other's
+    # (e^t (zeta_4 + t) has coefficients zeta_4/k! + 1/(k-1)!)
+    want = [zeta(4).scale(Fraction(1, factorial(k))) for k in range(6)]
+    want = [x + (Fraction(1, factorial(k - 1)) if k else 0) for k, x in enumerate(want)]
+    for prod in (rational * quartic, quartic * rational):
+        assert prod.field_order == 4
+        assert list(prod.coeffs) == want
 
 
 def test_scalar_arithmetic():
@@ -253,8 +271,6 @@ def test_integer_layout_matches_fraction_reference():
         a, b, c, p = _build(ra, m), _build(rb, m), _build(rc, m), _build(rp, m2)
         q = Fraction(rng.randint(-(10**12), 10**12), rng.randint(1, 10**12))
         zero_row = [Fraction(0)] * euler_phi(m)
-        la = [vec_lift(v, m, l) for v in ra]
-        lp = [vec_lift(v, m2, l) for v in rp]
         cases = [
             (a, ra),
             (a + b, [vec_add(x, y) for x, y in zip(ra, rb)]),
@@ -265,19 +281,31 @@ def test_integer_layout_matches_fraction_reference():
             (a.scale(q), [vec_scale(x, q) for x in ra]),
             (a.scale(0), [zero_row] * (order + 1)),
             (c.invert(), _ref_invert(rc, m)),
-            (a + p, [vec_add(x, y) for x, y in zip(la, lp)]),
-            (p - a, [vec_sub(y, x) for x, y in zip(la, lp)]),
-            (a * p, _ref_mul(la, lp, l)),
         ]
+        # across fields (m2 != m here) only a product with a rational
+        # factor whose field order divides the other's is defined
+        if (euler_phi(m2) == 1 and m % m2 == 0) or (euler_phi(m) == 1 and m2 % m == 0):
+            la = [vec_lift(v, m, l) for v in ra]
+            lp = [vec_lift(v, m2, l) for v in rp]
+            cases.append((a * p, _ref_mul(la, lp, l)))
+        else:
+            with pytest.raises(ValueError, match="field order mismatch"):
+                a * p
         for got, want in cases:
             assert _vectors(got) == want, (m, order)
-        # equality: canonical rows within one field, lifting across fields
+        # equality: canonical rows within one field
         assert a == _build(ra, m) and (a == b) == (ra == rb)
         assert (a == a + b) == (not any(map(any, rb)))
         assert (a == a.scale(Fraction(1, 7))) == (not any(map(any, ra)))  # other den
-        assert a == TruncatedSeries.from_coeffs(order, a.coeffs, 2 * m)
-        assert (a == p) == (la == lp)
         assert c * c.invert() == TruncatedSeries.one(order, m)
+        for op, x, y in (
+            (operator.add, a, p),
+            (operator.sub, p, a),
+            (operator.eq, a, p),
+            (operator.eq, a, TruncatedSeries.from_coeffs(order, a.coeffs, 2 * m)),
+        ):
+            with pytest.raises(ValueError, match="field order mismatch"):
+                op(x, y)
 
 
 # -- a rational factor multiplied in unlifted --------------------------------
@@ -293,15 +321,11 @@ def _rational_series(rng, order, m):
     return TruncatedSeries.from_coeffs(order, values, m)
 
 
-def test_rational_factor_product_equals_the_lifted_product(monkeypatch):
+def test_rational_factor_product_equals_the_lifted_product():
     # a rational factor (rows of length 1, field order 1 or 2) on either
-    # side; when one field order divides the other, nothing is lifted, and
-    # otherwise (2 against 3, 5, 7, 11) both factors lift to the lcm field
-    lifts = []
-    real_lifted = series_module._lifted
-    monkeypatch.setattr(
-        series_module, "_lifted", lambda s, m: lifts.append((s.field_order, m)) or real_lifted(s, m)
-    )
+    # side; when one field order divides the other, the product equals the
+    # product of both factors lifted to the larger field, and otherwise (2
+    # against 3, 5, 7, 11) it raises
     rng = random.Random(22)
     for m in (1, 2, 3, 4, 5, 7, 8, 11, 16):
         for m_rational in (1, 2):
@@ -310,12 +334,12 @@ def test_rational_factor_product_equals_the_lifted_product(monkeypatch):
                 r = _rational_series(rng, order, m_rational)
                 c = _build(_ref_series(rng, order, m), m)
                 for a, b in ((r, c), (c, r)):
+                    if l not in (m, m_rational):
+                        with pytest.raises(ValueError, match="field order mismatch"):
+                            a * b
+                        continue
                     want = oracles.lifted_product(a, b)
-                    lifts.clear()
                     got = a * b
-                    assert lifts == (
-                        [] if l in (m, m_rational) else [(a.field_order, l), (b.field_order, l)]
-                    ), (m, m_rational)
                     assert (got.field_order, got.rows, got.den) == (
                         want.field_order, want.rows, want.den
                     ), (m, m_rational, order)
