@@ -43,6 +43,14 @@ ALL_THEOREMS_PHI8 = [
     "sweep", "--format", "json", "--moduli", "17,19", "--n-max", "2", "--weights", "1,2,3",
 ]
 
+# Repeated and permuted weights mod 5 and 11: (1,1,1) makes every weight
+# permutation of a route the same call, (2,2,3) and its two rotations make
+# pairs of permutations equal, and each rotation is a degree run of its own.
+REPEATED_WEIGHTS = [
+    "sweep", "--format", "json", "--moduli", "5,11",
+    "--weights", "1,1,1;2,2,3;2,3,2;3,2,2", "--n-max", "4",
+]
+
 GOLDEN = {
     "sweep-imprimitive": (
         IMPRIMITIVE_SWEEP,
@@ -94,6 +102,16 @@ GOLDEN = {
         ALL_THEOREMS_PHI8,
         0,
         "16c7d4e452fd345a36f75eea80fc0ca7a89c70a60507c2aded09b011aecd035b",
+    ),
+    "sweep-repeated-weights": (
+        REPEATED_WEIGHTS,
+        0,
+        "ab3439180515a9f24d33008b782417d76cb2768281f1737d807b7041d9baf001",
+    ),
+    "sweep-repeated-weights-perturb": (
+        REPEATED_WEIGHTS + ["--perturb"],
+        1,
+        "5d45d24a216b676b9c908677a304e1c3f7396237946d4fd4ed7044e65cedd149",
     ),
     # the README lambda example
     "lambda-readme": (
