@@ -71,7 +71,11 @@ __all__ = [
 # max(n, 2 * len(entry)) and appends only the new indices, so a caller
 # that ascends in n rebuilds an entry O(log n) times.
 # identities.sweep_verify asks each leaf for its top index first, so a
-# sweep builds it once, at exactly that index.  _char_exp_sum,
+# sweep builds it once, at exactly that index.  _run_table holds the
+# routes of identities.py, one entry per (route, chi, weights, ys, bump)
+# mapping each permuted weight triple to its list of values by degree,
+# grown by the same rule; it is filled by identities.py, which this
+# module does not import.  _char_exp_sum,
 # _t_over_exp_minus_one and _char_integral hold one series each.  Each
 # table evicts its least recently used entries above this size, which
 # keeps long sweeps and long-lived processes at a flat memory profile.
@@ -276,11 +280,20 @@ def _moments(chi: DirichletChar, heads, n: int) -> list[CycloElement]:
     ]
 
 
+@lru_cache(maxsize=_CACHE_LIMIT)
+def _run_table(label: str, chi: DirichletChar, weights, ys, bump: int) -> dict:
+    # the runs of one route at one instance: {permuted weights: [its value at
+    # n = 0, 1, ...]}, filled by identities._run_values; one lookup serves
+    # every weight permutation of the instance
+    return {}
+
+
 # held here, so that clear_caches reaches them through a rebound name
 _CACHES = (
     _number_table,
     _power_table,
     _fold_table,
+    _run_table,
     _char_exp_sum,
     _t_over_exp_minus_one,
     _char_integral,

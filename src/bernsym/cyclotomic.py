@@ -343,8 +343,9 @@ class CycloElement:
 
     def __eq__(self, other):
         if not isinstance(other, CycloElement):
-            if isinstance(other, (int, Fraction)):
-                # both sides are in lowest terms
+            if type(other) is int or type(other) is Fraction:
+                # both sides are in lowest terms; a bool or a float is no
+                # rational here, as in _coerce
                 q = Fraction(other)
                 return (
                     self.is_rational()

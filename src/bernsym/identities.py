@@ -84,7 +84,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .bernoulli import _char_integral, _fold, _power_sums, _t_over_exp_minus_one, char_exp_sum
+from .bernoulli import (
+    _char_integral,
+    _fold,
+    _power_sums,
+    _run_table,
+    _t_over_exp_minus_one,
+    char_exp_sum,
+)
 from .characters import DirichletChar, _galois_orbits
 from .cyclotomic import CycloElement, _conjugate, linear_combination
 from .series import TruncatedSeries, _check_order, _exp_minus_one_over_t, exp_series
@@ -299,45 +306,70 @@ def _label_arity(label: str) -> int:
     return LambdaSpec.y_arity(route.family, route.index)
 
 
-def _evaluate(
-    route: _Route, n: int, chi: DirichletChar, weights, ys, bump: int
-) -> CycloElement:
-    # The route's sum at degree n.  Weight exponents are >= -1, so each
-    # power is kept times its own weight (an integer) and the sum is
-    # divided by w1 w2 w3 once; absorbed slots scale every term.
+def _evaluate_run(
+    route: _Route, N: int, chi: DirichletChar, weights, ys, bump: int
+) -> list[CycloElement]:
+    # The route's sums at every degree n <= N, in one pass.  In family L23
+    # slot j carries w_j^(N - i_j + e_j), so the inner sums are the same at
+    # every degree, and the sum at degree n is divided by (w1 w2 w3)^(N - n),
+    # the product of w_j^(N - n) over the three slots, absorbed ones included;
+    # in L12 the powers do not depend on n.  Weight exponents are >= -1, so
+    # each power is kept times its own weight (an integer) and every sum is
+    # divided by w1 w2 w3 once more; absorbed slots scale every term.
     complementary = route.family == "L23"
     scale, free = 1, []
-    degrees = range(n + 1)
+    degrees = range(N + 1)
     for j, slot in enumerate(route.slots):
         w = weights[j]
         e = bump if j in route.bump else 0
         if slot is None:
-            scale *= w ** ((n if complementary else 0) + e)
+            scale *= w ** ((N if complementary else 0) + e)
             continue
         if slot[0] == "S":
-            values = _power_sums(chi, weights[slot[1]] * chi.modulus - 1, n)
+            values = _power_sums(chi, weights[slot[1]] * chi.modulus - 1, N)
         else:
             e += 1
             pairs = tuple((weights[c], weights[f]) for c, f in slot[3])
-            values = _fold(chi, weights[slot[1]], ys[slot[2]], pairs, n)
-        powers = [w ** ((n - i if complementary else i) + e) for i in degrees]
+            values = _fold(chi, weights[slot[1]], ys[slot[2]], pairs, N)
+        powers = [w ** ((N - i if complementary else i) + e) for i in degrees]
         free.append((powers, values))
-    order, den = chi.order, weights[0] * weights[1] * weights[2]
+    order, big = chi.order, weights[0] * weights[1] * weights[2]
+    dens = [big ** ((N - n if complementary else 0) + 1) for n in degrees]
     p, v = free[0]
     if len(free) == 1:  # a fold that absorbs both other variables
-        return v[n].scale(Fraction(scale * p[n], den))
+        return [v[n].scale(Fraction(scale * p[n], dens[n])) for n in degrees]
     q, u = free[1]
-    if len(free) == 3:  # the last two slots summed first, for each degree they share
+    if len(free) == 3:  # the last two slots summed first, once for every degree
         r, s = free[2]
         inner = []
         for m in degrees:
             terms = [(comb(m, l) * q[l] * r[m - l], u[l], s[m - l]) for l in range(m + 1)]
             inner.append(linear_combination(order, terms))
-        q, u = [1] * (n + 1), inner
-    terms = []
-    for k in degrees:
-        terms.append((scale * comb(n, k) * p[k] * q[n - k], v[k], u[n - k]))
-    return linear_combination(order, terms, den)
+        q, u = [1] * (N + 1), inner
+    runs = []
+    for n in degrees:
+        terms = [(scale * comb(n, k) * p[k] * q[n - k], v[k], u[n - k]) for k in range(n + 1)]
+        runs.append(linear_combination(order, terms, dens[n]))
+    return runs
+
+
+def _run_values(
+    label: str, route: _Route, n: int, chi: DirichletChar, weights, ys, bump: int, perms
+) -> list[CycloElement]:
+    # The route's value at degree n at each weight permutation in turn, read
+    # from the runs that bernoulli._run_table keeps under label, with one
+    # lookup for all of them.  A run is keyed by its permuted weights, so
+    # equal ones share it; one shorter than n is rebuilt at
+    # max(n, 2 * its length), the growth rule of the leaves.
+    runs = _run_table(label, chi, weights, ys, bump)
+    values = []
+    for a, b, c in perms:
+        w = (weights[a - 1], weights[b - 1], weights[c - 1])
+        run = runs.get(w, ())
+        if len(run) <= n:
+            run = runs[w] = _evaluate_run(route, max(n, 2 * len(run)), chi, w, ys, bump)
+        values.append(run[n])
+    return values
 
 
 def expansion_sum(
@@ -365,7 +397,8 @@ def expansion_sum(
     if type(n) is not int or n < 0:
         raise ValueError("degree must be a nonnegative int")
     weights, ys = _checked_args(weights, ys, arity, f"label {label}")
-    return _evaluate(_ROUTES[label], n, chi, weights, ys, 1 if perturb else 0)
+    bump = 1 if perturb else 0
+    return _run_values(label, _ROUTES[label], n, chi, weights, ys, bump, ((1, 2, 3),))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -468,13 +501,11 @@ class VerificationReport:
 def _route_values(instance: TheoremInstance, perms, perturb: bool) -> list[CycloElement]:
     # the theorem's route evaluated at each weight permutation in turn; the
     # instance has checked its weights, ys and arity once for all of them
-    route = _ROUTES[_THEOREMS[instance.theorem].label]
-    n, chi, w, ys = instance.n, instance.chi, instance.weights, instance.ys
+    label = _THEOREMS[instance.theorem].label
     bump = 1 if perturb else 0
-    return [
-        _evaluate(route, n, chi, tuple(w[p - 1] for p in perm), ys, bump)
-        for perm in perms
-    ]
+    return _run_values(
+        label, _ROUTES[label], instance.n, instance.chi, instance.weights, instance.ys, bump, perms
+    )
 
 
 def theorem_expressions(
@@ -493,7 +524,10 @@ def verify_theorem(instance: TheoremInstance, perturb: bool = False) -> Verifica
     fifth-line variant with the off-pattern shift ratio is probed whenever
     w2 != w3.  Inequality is reported, never raised.
     """
-    values = theorem_expressions(instance, perturb=perturb)
+    spec = _THEOREMS[instance.theorem]
+    # the displayed expressions, then the collapsed variants, in one lookup
+    values = _route_values(instance, spec.perms + spec.collapsed, perturb)
+    values, collapsed_vals = values[: len(spec.perms)], values[len(spec.perms) :]
     all_equal = True
     first_mismatch = None
     for idx in range(1, len(values)):
@@ -502,23 +536,23 @@ def verify_theorem(instance: TheoremInstance, perturb: bool = False) -> Verifica
             first_mismatch = (0, idx)
             break
     extras: dict = {}
-    spec = _THEOREMS[instance.theorem]
     if spec.collapsed:
-        collapsed_vals = _route_values(instance, spec.collapsed, perturb)
         extras["collapsed_variants_equal"] = all(
             v == values[t] for v, t in zip(collapsed_vals, spec.collapsed_into)
         )
     if instance.theorem == "T3" and not perturb:
-        w1, w2, w3 = instance.weights
+        _, w2, w3 = w = instance.weights
         applies = w2 != w3
         extras["printed_line5_applies"] = applies
         if applies:
             # The printed fifth expression at the weights of its display
-            # position, where its shift ratio reads w1/w2 instead of
-            # w1/w3.  Evaluated verbatim so the discrepancy can be
-            # reported empirically instead of guessed at.
-            printed = _evaluate(
-                _T3_PRINTED_LINE5, instance.n, instance.chi, (w2, w1, w3), instance.ys, 0
+            # position, (w2, w1, w3), where its shift ratio reads w1/w2
+            # instead of w1/w3.  Evaluated verbatim, under a run label of
+            # its own, so the discrepancy can be reported empirically
+            # instead of guessed at.
+            (printed,) = _run_values(
+                "T3.line5", _T3_PRINTED_LINE5, instance.n, instance.chi, w, instance.ys, 0,
+                ((2, 1, 3),),
             )
             extras["printed_line5_matches"] = bool(printed == values[4])
     return VerificationReport(
@@ -551,6 +585,11 @@ def _verify_star(args):
             r.text = render(r)
             r.instance = r.values = None
     return reports
+
+
+def _verify_run(tasks):
+    # the tasks of one degree run, from its highest n down
+    return [_verify_star(task) for task in tasks]
 
 
 def _orbit_groups(instances) -> dict[int, list[tuple[int, int]]]:
@@ -587,9 +626,10 @@ def sweep_verify(
     The instances are verified degree run by degree run, each run from its
     highest n down.  A degree run is the instances that share (theorem,
     chi, weights, ys); the runs keep the order in which they first appear.
-    The folds of a run's routes are then asked for their top index first,
-    so each is built once, and every lower degree reads a prefix of its
-    memo entry.  Every value is exact, so the order changes no report.
+    The run's route sums and their folds are then asked for their top
+    index first, so each is built once, and every lower degree reads a
+    prefix of its memo entry.  Every value is exact, so the order changes
+    no report.
 
     Only one character per Galois orbit is verified.  The instances that
     share (theorem, n, weights, ys) are grouped by the orbits of their
@@ -604,9 +644,9 @@ def sweep_verify(
     mismatched character, and any whose representative is absent from
     its group, is verified directly.
 
-    With jobs > 1 the groups are checked in a process pool of at most
-    one worker per group, dealt in that order; each worker warms its
-    own memo tables.
+    With jobs > 1 the degree runs are dealt whole, in that order, to a
+    process pool of at most one worker per run, so no run is built in two
+    workers; each worker warms its own memo tables.
 
     render, if given, is a picklable callable from a report to its text.
     It is applied where the report was made, in the worker with jobs > 1,
@@ -616,27 +656,30 @@ def sweep_verify(
     """
     instances = list(instances)
     groups = _orbit_groups(instances)
-    runs: dict = {}  # the degree runs of the group heads, in input order
+    by_run: dict = {}  # the degree runs of the group heads, in input order
     for k in sorted(groups):
         inst = instances[k]
-        runs.setdefault((inst.theorem, inst.chi, inst.weights, inst.ys), []).append(k)
-    heads = [k for run in runs.values() for k in sorted(run, key=lambda i: -instances[i].n)]
+        by_run.setdefault((inst.theorem, inst.chi, inst.weights, inst.ys), []).append(k)
+    runs = [sorted(run, key=lambda i: -instances[i].n) for run in by_run.values()]
     tasks = [
-        (instances[k], [(instances[c], step) for c, step in groups[k]], perturb, render)
-        for k in heads
+        [(instances[k], [(instances[c], step) for c, step in groups[k]], perturb, render)
+         for k in run]
+        for run in runs
     ]
     if jobs <= 1 or len(tasks) <= 1:
-        done = map(_verify_star, tasks)
+        done = map(_verify_run, tasks)
     else:
+        # whole runs are dealt, so no run is built again in a second worker
         jobs = min(jobs, len(tasks))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunk = max(1, len(tasks) // (jobs * 4))
-            done = list(pool.map(_verify_star, tasks, chunksize=chunk))
+            done = list(pool.map(_verify_run, tasks, chunksize=chunk))
     reports = [None] * len(instances)
-    for k, task_reports in zip(heads, done):
-        for i, report in zip([k] + [c for c, _ in groups[k]], task_reports):
-            if report.instance is not None:
-                # the caller's own object, not the copy a worker unpickled
-                report.instance = instances[i]
-            reports[i] = report
+    for run, run_reports in zip(runs, done):
+        for k, task_reports in zip(run, run_reports):
+            for i, report in zip([k] + [c for c, _ in groups[k]], task_reports):
+                if report.instance is not None:
+                    # the caller's own object, not the copy a worker unpickled
+                    report.instance = instances[i]
+                reports[i] = report
     return reports

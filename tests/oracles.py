@@ -10,15 +10,24 @@ two series with the library's _dot after lifting both to one field, the
 reference for the product that multiplies a rational factor in unlifted; and
 power_sum_series builds the power sums' closed-form generating function
 from the library's series leaves, a route the library's power sums,
-read from moments, do not take.
+read from moments, do not take.  And route_at_degree, the per-degree
+evaluator of the route table that the library's one-pass run evaluator
+replaced, reads the library's leaves and checks only how the runs sum
+them over n.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import comb, lcm
 
-from bernsym.bernoulli import _t_over_exp_minus_one, char_exp_sum, gen_bernoulli_poly
-from bernsym.cyclotomic import CycloElement, _dot, cyclotomic_polynomial
+from bernsym.bernoulli import (
+    _fold,
+    _power_sums,
+    _t_over_exp_minus_one,
+    char_exp_sum,
+    gen_bernoulli_poly,
+)
+from bernsym.cyclotomic import CycloElement, _dot, cyclotomic_polynomial, linear_combination
 from bernsym.series import _check_orders, _exp_minus_one_over_t, _series
 
 
@@ -199,3 +208,45 @@ def fold_direct(chi, i, x, shifts):
         arg = Fraction(x) + sum(r * a for (r, _), a in zip(shifts, tup))
         acc = acc + v * gen_bernoulli_poly(chi, i, arg)
     return acc
+
+
+def route_at_degree(route, n, chi, weights, ys, bump):
+    """One row of identities._ROUTES at degree n alone, with n's own powers.
+
+    Slot j contributes w_j^(e_j + [slot is B or F]) with e_j = n - i_j in
+    family L23 and i_j in L12, raised by bump in the route's bump column;
+    each power is kept times its own weight, the inner sum over the last
+    two slots is rebuilt at every degree, and the sum is divided by
+    w1 w2 w3 once.
+    """
+    complementary = route.family == "L23"
+    scale, free = 1, []
+    degrees = range(n + 1)
+    for j, slot in enumerate(route.slots):
+        w = weights[j]
+        e = bump if j in route.bump else 0
+        if slot is None:
+            scale *= w ** ((n if complementary else 0) + e)
+            continue
+        if slot[0] == "S":
+            values = _power_sums(chi, weights[slot[1]] * chi.modulus - 1, n)
+        else:
+            e += 1
+            pairs = tuple((weights[c], weights[f]) for c, f in slot[3])
+            values = _fold(chi, weights[slot[1]], ys[slot[2]], pairs, n)
+        powers = [w ** ((n - i if complementary else i) + e) for i in degrees]
+        free.append((powers, values))
+    order, den = chi.order, weights[0] * weights[1] * weights[2]
+    p, v = free[0]
+    if len(free) == 1:
+        return v[n].scale(Fraction(scale * p[n], den))
+    q, u = free[1]
+    if len(free) == 3:
+        r, s = free[2]
+        inner = []
+        for m in degrees:
+            terms = [(comb(m, l) * q[l] * r[m - l], u[l], s[m - l]) for l in range(m + 1)]
+            inner.append(linear_combination(order, terms))
+        q, u = [1] * (n + 1), inner
+    terms = [(scale * comb(n, k) * p[k] * q[n - k], v[k], u[n - k]) for k in degrees]
+    return linear_combination(order, terms, den)

@@ -12,6 +12,7 @@ from bernsym.bernoulli import (
     _fold_table,
     _number_table,
     _power_table,
+    _run_table,
     _t_over_exp_minus_one,
     char_exp_sum,
     clear_caches,
@@ -325,6 +326,7 @@ def test_memo_tables_are_bounded_and_cleared():
     char_exp_sum(chi, 1, 6)
     _fold(chi, 2, Fraction(1, 2), ((3, 3),), 2)
     _char_integral(chi, 2, Fraction(1, 2), 6)
+    expansion_sum("L23.0", 2, chi, (1, 2, 3), (0, 0, 0))
     tables = (
         _number_table,
         _power_table,
@@ -332,10 +334,11 @@ def test_memo_tables_are_bounded_and_cleared():
         _t_over_exp_minus_one,
         _fold_table,
         _char_integral,
+        _run_table,
     )
     assert set(bernoulli._CACHES) == {
         _number_table, _power_table, bernoulli._char_exp_sum, _t_over_exp_minus_one,
-        _fold_table, _char_integral,
+        _fold_table, _char_integral, _run_table,
     }
     for table in tables:
         info = table.cache_info()

@@ -310,7 +310,7 @@ def test_sweep_dead_worker_is_usage_error(monkeypatch, capsys):
     monkeypatch.setattr(identities, "verify_theorem", die_in_worker)
     with pytest.raises(SystemExit) as exc:
         cli.main(["sweep", "--moduli", "1", "--theorems", "T8", "--n-max", "3",
-                  "--weights", "1,2,3", "--jobs", "2"])
+                  "--weights", "1,2,3;2,3,5", "--jobs", "2"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("bernsym: error: ")

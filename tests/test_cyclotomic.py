@@ -103,6 +103,17 @@ def test_operators_take_no_bool_or_float():
                 op(other, zeta(4))
 
 
+def test_equality_takes_no_bool_or_float():
+    # == follows the operators' type rule: a bool or a float is not a
+    # rational, so the comparison is left to the other side and is False
+    one, zero = CycloElement.one(), CycloElement.zero(4)
+    for element, other in ((one, True), (zero, False), (one, 1.0), (zero, 0.0)):
+        assert element.__eq__(other) is NotImplemented
+        assert not element == other and element != other
+        assert not other == element and other != element
+    assert one == 1 and one == Fraction(1) and zero == 0 and zero == Fraction(0)
+
+
 def _random_element(m, rng):
     coeffs = [
         Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(euler_phi(m))

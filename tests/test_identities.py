@@ -406,9 +406,10 @@ def test_sweep_verify_parallel_matches_serial():
     ]
 
 
-def test_sweep_verify_caps_workers_at_instance_count(monkeypatch):
+def test_sweep_verify_caps_workers_at_run_count(monkeypatch):
     # an in-process stand-in for the pool: records the requested worker
-    # count and maps serially, so no process is started
+    # count and maps serially, so no process is started; whole degree runs
+    # are dealt, so two runs take two workers and one run none
     requested = []
 
     class SerialPool:
@@ -426,9 +427,13 @@ def test_sweep_verify_caps_workers_at_instance_count(monkeypatch):
 
     monkeypatch.setattr(identities, "ProcessPoolExecutor", SerialPool)
     instances = [
-        TheoremInstance("T7", CHI3, n, (1, 2, 3), (F(1, 2),)) for n in range(2)
+        TheoremInstance("T7", CHI3, n, w, (F(1, 2),))
+        for w in ((1, 2, 3), (2, 3, 5))
+        for n in range(2)
     ]
     reports = sweep_verify(instances, jobs=64)
+    assert requested == [2]
+    assert [r.instance for r in sweep_verify(instances[:2], jobs=64)] == instances[:2]
     assert requested == [2]
     serial = [verify_theorem(inst) for inst in instances]
     assert [r.instance for r in reports] == instances
@@ -581,21 +586,106 @@ def test_folded_routes_match_term_by_term_folds(chi):
     # the folded routes and the printed T3 line 5 against their folds
     # summed one Bernoulli value per absorbed tuple; with chi mod 1 and
     # y = 0 the argument of the all-zero tuple is 0, so 0^0 = 1 is used
+    # the routes are read from runs of n = 0..8 built in one pass each, the
+    # printed line from its run at the top degree
     for w in ((1, 2, 3), (2, 2, 3)):
         for y in (F(0), F(-1, 2)):
+            ys = (F(1, 3), y)
+            printed = identities._evaluate_run(identities._T3_PRINTED_LINE5, 8, chi, w, ys, 0)
             for n in range(9):
                 for label in ("L23.1b", "L23.2b", "L23.2c"):
-                    ys = (F(1, 3), y) if label == "L23.1b" else (y,)
-                    expected = _folded_route_by_terms(label, n, chi, w, ys)
-                    value = expansion_sum(label, n, chi, w, ys)
+                    route_ys = ys if label == "L23.1b" else (y,)
+                    expected = _folded_route_by_terms(label, n, chi, w, route_ys)
+                    value = identities._evaluate_run(
+                        identities._ROUTES[label], 8, chi, w, route_ys, 0
+                    )[n]
                     assert value == expected, (label, n, w, y)
-                ys = (F(1, 3), y)
-                printed = identities._evaluate(
-                    identities._T3_PRINTED_LINE5, n, chi, w, ys, 0
-                )
                 ratio = F(w[1], w[0])
                 expected = _folded_route_by_terms("L23.1b", n, chi, w, ys, ratio)
-                assert printed == expected, ("printed line 5", n, w, y)
+                assert printed[n] == expected, ("printed line 5", n, w, y)
+
+
+# -- degree runs ---------------------------------------------------------------
+
+RUN_ROUTES = [(label, identities._ROUTES[label]) for label in EXPANSION_LABELS] + [
+    ("T3.line5", identities._T3_PRINTED_LINE5)
+]
+
+
+@pytest.mark.parametrize(
+    "chi",
+    [TRIVIAL, CHI12_IMPRIMITIVE, CHI11_ORDER10],
+    ids=["mod1", "mod12-imprimitive", "mod11-order10"],
+)
+def test_evaluate_run_matches_per_degree_reference(chi):
+    # each route's run of n = 0..10, built in one pass with the powers of
+    # the top degree, against the route summed at each degree on its own;
+    # a shorter run is the same prefix
+    for label, route in RUN_ROUTES:
+        arity = LambdaSpec.y_arity(route.family, route.index)
+        ys = (F(-1, 2), F(0), F(2, 3))[:arity]
+        for w in ((1, 1, 1), (2, 2, 3), (2, 3, 5)):
+            for bump in (0, 1):
+                run = identities._evaluate_run(route, 10, chi, w, ys, bump)
+                expected = [oracles.route_at_degree(route, n, chi, w, ys, bump) for n in range(11)]
+                assert run == expected, (label, w, bump)
+                assert identities._evaluate_run(route, 3, chi, w, ys, bump) == run[:4]
+
+
+def _counted_runs(monkeypatch):
+    # the (route, N, weights) of every run build, in turn
+    builds = []
+    evaluate_run = identities._evaluate_run
+
+    def counted(route, N, chi, weights, ys, bump):
+        builds.append((route, N, weights))
+        return evaluate_run(route, N, chi, weights, ys, bump)
+
+    monkeypatch.setattr(identities, "_evaluate_run", counted)
+    return builds
+
+
+@pytest.mark.parametrize("perturb", [False, True])
+def test_sweep_builds_each_run_once(monkeypatch, perturb):
+    # a sweep of one degree run per theorem and weight triple builds each
+    # route once per distinct permuted weight triple, at the run's top
+    # degree: once in all at (1,1,1), where every permutation is the same
+    # call; the printed T3 line is a run of its own wherever it applies
+    builds = _counted_runs(monkeypatch)
+    ys = (F(1, 2), F(-2, 3), F(0))
+    for w in ((1, 1, 1), (2, 2, 3), (2, 3, 5)):
+        instances = [
+            TheoremInstance(tid, CHI4, n, w, ys[: theorem_y_arity(tid)])
+            for tid in THEOREM_IDS
+            for n in range(5)
+        ]
+        clear_caches()
+        del builds[:]
+        sweep_verify(instances, perturb=perturb)
+        expected = []
+        for tid in THEOREM_IDS:
+            spec = identities._THEOREMS[tid]
+            route = identities._ROUTES[spec.label]
+            distinct = dict.fromkeys(_permute(w, p) for p in spec.perms + spec.collapsed)
+            expected += [(route, 4, pw) for pw in distinct]
+            if tid == "T3" and not perturb and w[1] != w[2]:
+                expected.append((identities._T3_PRINTED_LINE5, 4, (w[1], w[0], w[2])))
+        assert builds == expected, w
+        if w == (1, 1, 1):
+            assert len(builds) == len(THEOREM_IDS)
+
+
+def test_ascending_expansion_sum_builds_runs_geometrically(monkeypatch):
+    # asked for n = 0, 1, ..., 15 in turn, a route's run is rebuilt at
+    # max(n, 2 * its length), O(log n) times, and each value is the
+    # route's sum at its own degree
+    builds = _counted_runs(monkeypatch)
+    route, w, ys = identities._ROUTES["L23.1a"], (2, 3, 5), (F(1, 2), F(-2, 3))
+    clear_caches()
+    for n in range(16):
+        value = expansion_sum("L23.1a", n, CHI4, w, ys)
+        assert value == oracles.route_at_degree(route, n, CHI4, w, ys, 0), n
+    assert [N for _, N, _ in builds] == [0, 2, 6, 14, 30]
 
 
 # -- Galois orbits -------------------------------------------------------------
