@@ -36,12 +36,19 @@ rational/cyclotomic precision.
 Each route is one row of the table _ROUTES: its family and index, one
 slot per variable, and the slots that the perturb hook raises.  A slot
 is a Bernoulli value, a power sum, a character fold that absorbs one or
-two other variables, or absorbed.  One evaluator sums every row: over
-i1 + i2 + i3 = n, with the coefficient multinomial(n; i1, i2, i3) =
-n!/(i1! i2! i3!) = C(n, i1) C(n - i1, i2), slot j contributes its value
-times w_{j+1}^(e_j + [slot is B or F]), e_j = n - i_j in family L23 and
-i_j in L12, and the sum is one linear_combination over w1 w2 w3.
-Every slot reads one leaf of bernoulli.py, a list of values by index: a
+two other variables, or absorbed.  One evaluator, _evaluate_run, sums
+every row at every degree n <= N in one pass: over i1 + i2 + i3 = n,
+with the coefficient multinomial(n; i1, i2, i3) = n!/(i1! i2! i3!) =
+C(n, i1) C(n - i1, i2), slot j contributes its value times
+w_{j+1}^(e_j + [slot is B or F]), e_j = N - i_j in family L23 and i_j in
+L12.  In L23 the exponent N - i_j is the degree-n exponent n - i_j plus
+N - n, so the inner sum over the last two slots is the same at every
+degree, and the sum at degree n is one linear_combination over
+(w1 w2 w3)^(N - n + 1): the product of w_j^(N - n) over the three
+slots, absorbed ones included, times the w1 w2 w3 that keeps an exponent
+of -1 integral.  A run of N + 1 degrees thus costs 2(N + 1) linear
+combinations, where summing each degree on its own costs
+(N + 1)(N + 4)/2.  Every slot reads one leaf of bernoulli.py, a list of values by index: a
 fold's values, a Bernoulli value being a fold that absorbs no variable,
 or the power sums S_i(w_a d - 1, chi).  A leaf depends only on the
 character, w_a, y and the (w_c, w_e) pairs, not on the degree, the
@@ -53,16 +60,23 @@ integer P over one denominator D, M_j is the sum of chi(prod a_c) P^j
 for j = 0..n.  At index i the fold is then the binomial sum over j of
 C(i,j) D^(i-j) B_{i-j,chi} M_j over D^i, taken by bernoulli._expand: the
 same monomials as one B_{i,chi} value per tuple, summed in another
-order, with no Bernoulli value looked up per tuple.  The tables hold
-those leaf values only; every route, at every permutation, still sums
-its own.
+order, with no Bernoulli value looked up per tuple.  The runs are kept
+as well, in bernoulli._run_table: one entry per (route label, chi,
+weights, ys, bump), mapping each permuted weight triple to its values by
+degree, so an instance makes one lookup for all its permutations, and
+equal permuted weights (all six at (1,1,1), pairs at (2,2,3)) share one
+run.  Two expressions share a value only when route, character, permuted
+weights, ys and bump are all equal: no route reads another route's
+values, and the printed fifth line of T3 keeps its runs under a label
+of its own.
 
 Verification of distinct instances is embarrassingly parallel: every
 evaluation is pure given the per-process Bernoulli memo tables.
 sweep_verify verifies each degree run, the instances that share
-(theorem, chi, weights, ys), from its highest n down, so each leaf is
-built once, at its top index, and the lower degrees read a prefix of
-its entry; it returns the reports in input order for any worker count.
+(theorem, chi, weights, ys), from its highest n down, so each route run
+and each leaf is built once, at its top index, and the lower degrees
+read a prefix of its entry; a pool is dealt whole degree runs, and the
+reports come back in input order for any worker count.
 
 sweep_verify also verifies one character per Galois orbit.  Every value
 above is built from chi's values by rational operations, so for k prime
