@@ -74,8 +74,8 @@ __all__ = [
 # sweep builds it once, at exactly that index.  _run_table holds the
 # routes of identities.py, one entry per (route, chi, weights, ys, bump)
 # mapping each permuted weight triple to its list of values by degree,
-# grown by the same rule; it is filled by identities.py, which this
-# module does not import.  _char_exp_sum,
+# rebuilt whole at max(n, 2 * len(run)) when short; it is filled by
+# identities.py, which this module does not import.  _char_exp_sum,
 # _t_over_exp_minus_one and _char_integral hold one series each.  Each
 # table evicts its least recently used entries above this size, which
 # keeps long sweeps and long-lived processes at a flat memory profile.

@@ -48,7 +48,9 @@ degree, and the sum at degree n is one linear_combination over
 slots, absorbed ones included, times the w1 w2 w3 that keeps an exponent
 of -1 integral.  A run of N + 1 degrees thus costs 2(N + 1) linear
 combinations, where summing each degree on its own costs
-(N + 1)(N + 4)/2.  Every slot reads one leaf of bernoulli.py, a list of values by index: a
+(N + 1)(N + 4)/2.
+
+Every slot reads one leaf of bernoulli.py, a list of values by index: a
 fold's values, a Bernoulli value being a fold that absorbs no variable,
 or the power sums S_i(w_a d - 1, chi).  A leaf depends only on the
 character, w_a, y and the (w_c, w_e) pairs, not on the degree, the
@@ -323,13 +325,11 @@ def _label_arity(label: str) -> int:
 def _evaluate_run(
     route: _Route, N: int, chi: DirichletChar, weights, ys, bump: int
 ) -> list[CycloElement]:
-    # The route's sums at every degree n <= N, in one pass.  In family L23
-    # slot j carries w_j^(N - i_j + e_j), so the inner sums are the same at
-    # every degree, and the sum at degree n is divided by (w1 w2 w3)^(N - n),
-    # the product of w_j^(N - n) over the three slots, absorbed ones included;
-    # in L12 the powers do not depend on n.  Weight exponents are >= -1, so
-    # each power is kept times its own weight (an integer) and every sum is
-    # divided by w1 w2 w3 once more; absorbed slots scale every term.
+    # The route's sums at every degree n <= N, in one pass, with the powers
+    # of degree N (the module docstring gives the rescaling).  Weight
+    # exponents are >= -1, so each power is kept times its own weight (an
+    # integer) and every sum is divided by w1 w2 w3 once more; absorbed
+    # slots scale every term.
     complementary = route.family == "L23"
     scale, free = 1, []
     degrees = range(N + 1)
@@ -360,11 +360,11 @@ def _evaluate_run(
             terms = [(comb(m, l) * q[l] * r[m - l], u[l], s[m - l]) for l in range(m + 1)]
             inner.append(linear_combination(order, terms))
         q, u = [1] * (N + 1), inner
-    runs = []
+    sums = []
     for n in degrees:
         terms = [(scale * comb(n, k) * p[k] * q[n - k], v[k], u[n - k]) for k in range(n + 1)]
-        runs.append(linear_combination(order, terms, dens[n]))
-    return runs
+        sums.append(linear_combination(order, terms, dens[n]))
+    return sums
 
 
 def _run_values(
@@ -683,7 +683,6 @@ def sweep_verify(
     if jobs <= 1 or len(tasks) <= 1:
         done = map(_verify_run, tasks)
     else:
-        # whole runs are dealt, so no run is built again in a second worker
         jobs = min(jobs, len(tasks))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunk = max(1, len(tasks) // (jobs * 4))
