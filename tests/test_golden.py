@@ -43,6 +43,16 @@ ALL_THEOREMS_PHI8 = [
     "sweep", "--format", "json", "--moduli", "17,19", "--n-max", "2", "--weights", "1,2,3",
 ]
 
+# Every theorem on the largest fields CI sweeps in full, cut to n <= 2 and one
+# weight triple: mod 23 (orders up to 22, phi = 10) and mod 29 (orders up to
+# 28, phi = 12), then mod 25 (order 20, phi = 8) and mod 27 (order 18, phi = 6).
+ALL_THEOREMS_PHI12 = [
+    "sweep", "--format", "json", "--moduli", "23,29", "--n-max", "2", "--weights", "1,2,3",
+]
+ALL_THEOREMS_PRIME_POWERS = [
+    "sweep", "--format", "json", "--moduli", "25,27", "--n-max", "2", "--weights", "1,2,3",
+]
+
 # Repeated and permuted weights mod 5 and 11: (1,1,1) makes every weight
 # permutation of a route the same call, (2,2,3) and its two rotations make
 # pairs of permutations equal, and each rotation is a degree run of its own.
@@ -102,6 +112,16 @@ GOLDEN = {
         ALL_THEOREMS_PHI8,
         0,
         "16c7d4e452fd345a36f75eea80fc0ca7a89c70a60507c2aded09b011aecd035b",
+    ),
+    "sweep-all-theorems-phi12": (
+        ALL_THEOREMS_PHI12,
+        0,
+        "48f180078f29b08b5fec675ee6a74ecbde6a194393154503bacc0d5bf938a499",
+    ),
+    "sweep-all-theorems-prime-powers": (
+        ALL_THEOREMS_PRIME_POWERS,
+        0,
+        "693e0353ada52fe5cfbfdb65c66fc7a481ad9e71c7c3a0dcb6bb489405d25148",
     ),
     "sweep-repeated-weights": (
         REPEATED_WEIGHTS,
