@@ -17,7 +17,7 @@ import json
 import re
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -113,26 +113,43 @@ def _theorem_list(text: str) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _rule(kind: type, depth: int, default, omit_none: bool = False):
+    """A SweepConfig field whose elements are of type kind, nested depth tuples deep.
+
+    kind Fraction is a rational: an int or a Fraction.  The field may be
+    None exactly when its default is None; omit_none leaves a None value
+    out of the echo.
+    """
+    return field(default=default, metadata={"rule": (kind, depth), "omit_none": omit_none})
+
+
 @dataclass
 class SweepConfig:
-    moduli: tuple[int, ...] = (1, 3, 4, 5, 7, 8)
-    theorems: tuple[str, ...] = THEOREM_IDS
-    n_max: int = 10
-    weights: tuple[tuple[int, int, int], ...] = (
-        (1, 1, 1), (1, 2, 3), (2, 3, 5), (3, 4, 7)
+    # Each field's type rule serves the exact-type check, the JSON reader
+    # and the echo: a bool is not an int, and a float is not a rational.
+    moduli: tuple[int, ...] = _rule(int, 1, (1, 3, 4, 5, 7, 8))
+    theorems: tuple[str, ...] = _rule(str, 1, THEOREM_IDS)
+    n_max: int = _rule(int, 0, 10)
+    weights: tuple[tuple[int, int, int], ...] = _rule(
+        int, 2, ((1, 1, 1), (1, 2, 3), (2, 3, 5), (3, 4, 7))
     )
-    ys_pool: tuple[Fraction, ...] = (Fraction(0), Fraction(1, 2), Fraction(2, 3))
-    allow_imprimitive: bool = False
-    char_labels: tuple[int, ...] | None = None
+    ys_pool: tuple[Fraction, ...] = _rule(
+        Fraction, 1, (Fraction(0), Fraction(1, 2), Fraction(2, 3))
+    )
+    allow_imprimitive: bool = _rule(bool, 0, False)
+    char_labels: tuple[int, ...] | None = _rule(int, 1, None)
     # explicit y-arguments: when set, each theorem takes a zero-padded
-    # prefix of them instead of rotations of ys_pool
-    ys: tuple[Fraction, ...] | None = None
+    # prefix of them instead of rotations of ys_pool; echoed only when set
+    ys: tuple[Fraction, ...] | None = _rule(Fraction, 1, None, omit_none=True)
+
+    def _check_types(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (value is None and f.default is None or _conforms(value, *f.metadata["rule"])):
+                raise ValueError(f"config field {f.name!r} has the wrong type: {value!r}")
 
     def validate(self):
-        for key, ok in _FIELD_TYPES.items():
-            value = getattr(self, key)
-            if not ok(value):
-                raise ValueError(f"config field {key!r} has the wrong type: {value!r}")
+        self._check_types()
         if not self.moduli or min(self.moduli) < 1:
             raise ValueError("moduli must be positive integers")
         if self.n_max < 0:
@@ -171,96 +188,54 @@ class SweepConfig:
                 )
 
     def to_dict(self) -> dict:
-        data = {
-            "moduli": list(self.moduli),
-            "theorems": list(self.theorems),
-            "n_max": self.n_max,
-            "weights": [list(w) for w in self.weights],
-            "ys_pool": [str(y) for y in self.ys_pool],
-            "allow_imprimitive": self.allow_imprimitive,
-            "char_labels": list(self.char_labels) if self.char_labels is not None else None,
+        return {
+            f.name: _to_json(getattr(self, f.name), *f.metadata["rule"])
+            for f in fields(self)
+            if not (f.metadata["omit_none"] and getattr(self, f.name) is None)
         }
-        if self.ys is not None:
-            data["ys"] = [str(y) for y in self.ys]
-        return data
 
     @classmethod
     def from_dict(cls, data) -> SweepConfig:
-        """Read a config object decoded from JSON; malformed input raises ValueError."""
+        """Read a config object decoded from JSON; malformed input raises ValueError.
+
+        Absent fields keep their defaults.  The type check runs here, so a
+        wrongly typed field is refused even if a flag overrides it later.
+        """
         if not isinstance(data, dict):
             raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
-        for key in data:
-            if key not in _CONFIG_FIELDS:
-                raise ValueError(f"unknown config field {key!r}")
+        rules = {f.name: f.metadata["rule"] for f in fields(cls)}
         values = {}
-        for key, convert in _CONFIG_FIELDS.items():
-            if key in data:
-                try:
-                    values[key] = convert(data[key])
-                except (TypeError, ValueError, ArithmeticError) as exc:
-                    raise ValueError(f"config field {key!r}: {exc}") from None
-        return cls(**values)
+        for key, value in data.items():
+            if key not in rules:
+                raise ValueError(f"unknown config field {key!r}")
+            try:
+                values[key] = _from_json(value, *rules[key])
+            except (ValueError, ArithmeticError) as exc:
+                raise ValueError(f"config field {key!r}: {exc}") from None
+        config = cls(**values)
+        config._check_types()
+        return config
 
 
-def _typed(value, kind: type, expected: str):
-    # exact type match: JSON true/false must not pass as the integers 1/0
-    if type(value) is not kind:
-        raise TypeError(f"expected {expected}, got {value!r}")
-    return value
+def _conforms(value, kind: type, depth: int) -> bool:
+    if depth:
+        return type(value) is tuple and all(_conforms(v, kind, depth - 1) for v in value)
+    return type(value) is kind or kind is Fraction and type(value) is int
 
 
-def _json_list(value) -> list:
-    return _typed(value, list, "a list")
+def _from_json(value, kind: type, depth: int):
+    # shapes only: JSON lists as tuples and "p/q" strings as Fractions
+    if depth and type(value) is list:
+        return tuple(_from_json(v, kind, depth - 1) for v in value)
+    return Fraction(value) if kind is Fraction and type(value) is str else value
 
 
-def _typed_tuple(value, kind: type, expected: str) -> tuple:
-    return tuple(_typed(item, kind, expected) for item in _json_list(value))
-
-
-def _int_tuple(value) -> tuple[int, ...]:
-    return _typed_tuple(value, int, "integers")
-
-
-def _rational_tuple(value) -> tuple[Fraction, ...]:
-    # rationals are written as "p/q" strings or integers, never JSON floats
-    items = _json_list(value)
-    for item in items:
-        if type(item) not in (str, int):
-            raise TypeError(f"expected rationals written as \"p/q\", got {item!r}")
-    return tuple(Fraction(item) for item in items)
-
-
-# How each SweepConfig field is read from JSON; absent fields keep the
-# dataclass defaults.
-_CONFIG_FIELDS = {
-    "moduli": _int_tuple,
-    "theorems": lambda v: _typed_tuple(v, str, "strings"),
-    "n_max": lambda v: _typed(v, int, "an integer"),
-    "weights": lambda v: tuple(_int_tuple(w) for w in _json_list(v)),
-    "ys_pool": _rational_tuple,
-    "allow_imprimitive": lambda v: _typed(v, bool, "true or false"),
-    "char_labels": lambda v: None if v is None else _int_tuple(v),
-    "ys": lambda v: None if v is None else _rational_tuple(v),
-}
-
-
-def _tuple_of(value, *kinds) -> bool:
-    return type(value) is tuple and all(type(item) in kinds for item in value)
-
-
-# The exact type of each SweepConfig field, which validate() checks, so a
-# config built in Python meets the rule the JSON reader applies: a bool is
-# not an int, a float is not a rational, and a y is an int or a Fraction.
-_FIELD_TYPES = {
-    "moduli": lambda v: _tuple_of(v, int),
-    "theorems": lambda v: _tuple_of(v, str),
-    "n_max": lambda v: type(v) is int,
-    "weights": lambda v: type(v) is tuple and all(_tuple_of(w, int) for w in v),
-    "ys_pool": lambda v: _tuple_of(v, int, Fraction),
-    "allow_imprimitive": lambda v: type(v) is bool,
-    "char_labels": lambda v: v is None or _tuple_of(v, int),
-    "ys": lambda v: v is None or _tuple_of(v, int, Fraction),
-}
+def _to_json(value, kind: type, depth: int):
+    if value is None:
+        return None
+    if depth:
+        return [_to_json(v, kind, depth - 1) for v in value]
+    return str(value) if kind is Fraction else value
 
 
 def y_tuples(arity: int, pool) -> list[tuple[Fraction, ...]]:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -274,23 +275,36 @@ def test_version_flag(capsys):
 
 
 @pytest.mark.parametrize(
-    "content",
+    "content, flags",
     [
-        '{"moduli": "abc"}',
-        "[1, 2]",
-        '{"modulii": [4], "theorems": ["T7"], "n_max": 0}',
-        '{"moduli": [4], "theorems": ["T7"], "n_max": 0, "allow_imprimitive": "no"}',
-        '{"moduli": [4], "theorems": ["T7"], "n_max": 2.5}',
-        '{"moduli": [4], "theorems": ["T7"], "n_max": true}',
-        '{"moduli": [4], "theorems": ["T7"], "n_max": 0, "ys_pool": [0.5]}',
-        "[" * 2000 + "]" * 2000,
+        pytest.param(content, [], id=content)
+        for content in [
+            '{"moduli": "abc"}',
+            "[1, 2]",
+            '{"modulii": [4], "theorems": ["T7"], "n_max": 0}',
+            '{"moduli": [4], "theorems": ["T7"], "n_max": 0, "allow_imprimitive": "no"}',
+            '{"moduli": [4], "theorems": ["T7"], "n_max": 2.5}',
+            '{"moduli": [4], "theorems": ["T7"], "n_max": true}',
+            '{"moduli": [4], "theorems": ["T7"], "n_max": 0, "ys_pool": [0.5]}',
+            "[" * 2000 + "]" * 2000,
+            # only a field whose default is None may be null
+            '{"moduli": [4], "theorems": ["T7"], "n_max": null}',
+            '{"moduli": [4], "theorems": ["T7"], "n_max": 0, "ys_pool": ["1/0"]}',
+        ]
+    ]
+    + [
+        # a wrongly typed field is refused even though a flag overrides it
+        pytest.param(
+            '{"moduli": [4], "theorems": ["T7"], "n_max": 2.5}', ["--n-max", "3"],
+            id="n_max 2.5 overridden by --n-max 3",
+        ),
     ],
 )
-def test_sweep_malformed_config_is_usage_error(tmp_path, capsys, content):
+def test_sweep_malformed_config_is_usage_error(tmp_path, capsys, content, flags):
     path = tmp_path / "config.json"
     path.write_text(content, encoding="utf-8")
     with pytest.raises(SystemExit) as exc:
-        cli.main(["sweep", "--config", str(path)])
+        cli.main(["sweep", "--config", str(path), *flags])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("bernsym: error: ")
@@ -318,11 +332,34 @@ def test_sweep_dead_worker_is_usage_error(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-def test_config_converters_cover_every_field():
-    from dataclasses import fields
+_EVERY_FIELD_SET = cli.SweepConfig(
+    moduli=(5,),
+    theorems=("T1", "T7"),
+    n_max=3,
+    weights=((2, 3, 5), (1, 1, 2)),
+    ys_pool=(Fraction(-1, 2), Fraction(3)),
+    allow_imprimitive=True,
+    char_labels=(1, 2),
+    ys=(Fraction(1, 3), Fraction(2)),
+)
 
-    names = {f.name for f in fields(cli.SweepConfig)}
-    assert set(cli._CONFIG_FIELDS) == set(cli._FIELD_TYPES) == names
+
+@pytest.mark.parametrize(
+    "config",
+    [_EVERY_FIELD_SET, dataclasses.replace(_EVERY_FIELD_SET, ys=None)],
+    ids=["every field set", "ys None"],
+)
+def test_config_round_trips_through_its_echo(config):
+    for f in dataclasses.fields(config):
+        if f.name != "ys" or config.ys is not None:
+            assert getattr(config, f.name) != f.default, f.name
+    echo = json.loads(json.dumps(config.to_dict()))
+    # a None ys is left out of the echo, and a None char_labels is written
+    assert ("ys" in echo) == (config.ys is not None)
+    read = cli.SweepConfig.from_dict(echo)
+    assert read == config
+    assert repr(read) == repr(config)  # the same types, Fractions included
+    assert cli.SweepConfig.from_dict({"char_labels": None}).to_dict()["char_labels"] is None
 
 
 # a config built in Python meets the JSON reader's type rule: a float or a
@@ -346,6 +383,8 @@ def test_config_converters_cover_every_field():
         ("weights", [(1, 2, 3)]),
         ("allow_imprimitive", 1),
         ("char_labels", (True,)),
+        ("n_max", None),
+        ("moduli", None),
     ],
     ids=repr,
 )
