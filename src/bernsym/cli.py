@@ -291,6 +291,28 @@ def build_instances(config: SweepConfig) -> list[TheoremInstance]:
 
 _TOOL = {"name": "bernsym", "version": __version__}
 
+
+def _any_length(fn):
+    """fn writes computed values: let str() give ints of any length while it runs.
+
+    Python caps int-to-str conversion at 4300 digits by default, a guard for
+    outside input; argv and config files are still parsed under that cap.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # no cap before Python 3.10.7
+        return fn
+
+    @functools.wraps(fn)
+    def at_any_length(*args):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return fn(*args)
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    return at_any_length
+
+
 # the columns of a sweep record, in the order of its csv header
 _SWEEP_FIELDS = (
     "theorem", "modulus", "char", "char_order", "conductor", "n", "weights", "ys",
@@ -394,8 +416,13 @@ def _sweep_text(rec: dict) -> str:
     return lines
 
 
+@_any_length
 def _render_sweep_record(fmt: str, report: VerificationReport) -> str:
-    """One sweep record rendered as fmt, in the process that verified it."""
+    """One sweep record rendered as fmt, in the process that verified it.
+
+    It lifts the digit cap itself, since a pool worker need not inherit the
+    caller's setting.
+    """
     inst, chi = report.instance, report.instance.chi
     values = [str(v) for v in report.values]
     mismatch = None
@@ -485,6 +512,7 @@ def cmd_chars(args) -> int:
     return 0
 
 
+@_any_length
 def cmd_compute(args) -> int:
     (chi,) = _characters_for(args.modulus, True, (args.char,))
     if args.kind == "bernoulli-number":
@@ -515,6 +543,7 @@ def cmd_compute(args) -> int:
     return 0
 
 
+@_any_length
 def cmd_lambda(args) -> int:
     (chi,) = _characters_for(args.modulus, True, (args.char,))
     ys_needed = LambdaSpec.y_arity(args.family, args.index)
@@ -564,6 +593,7 @@ def cmd_lambda(args) -> int:
     return 0
 
 
+@_any_length
 def _run_verification(command: str, config: SweepConfig, jobs: int, perturb: bool, fmt: str) -> int:
     instances = build_instances(config)
     if not instances:

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from bernsym import cli, identities
+from bernsym.characters import enumerate_characters
 
 
 def run_cli(capsys, argv):
@@ -510,6 +512,63 @@ def test_negative_integer_is_rejected(capsys, flag):
         cli.main(["verify", "--theorem", "T2", "--modulus", "1", flag, "-1"])
     assert exc.value.code == 2
     assert f"argument {flag}: expected a" in capsys.readouterr().err
+
+
+# Python caps int-to-str conversion (4300 digits by default); exact values
+# past it are written whole, while argv and config files stay under the cap
+_CAP = sys.int_info.default_max_str_digits
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--theorem", "T7", "--modulus", "5", "--n-max", "10", "--ys", "1e1000",
+         "--jobs", "1"],
+        ["verify", "--theorem", "T7", "--modulus", "5", "--n-max", "10", "--ys", "1e1000",
+         "--jobs", "2"],
+        ["compute", "bernoulli-poly", "--modulus", "1", "-n", "10", "--x", "1e500"],
+        ["lambda", "--family", "L12", "--index", "0", "--modulus", "1", "--ys", "1e500",
+         "--order", "10"],
+    ],
+    ids=["verify-jobs1", "verify-jobs2", "compute", "lambda"],
+)
+def test_values_of_any_length_are_written(capsys, argv):
+    cap = sys.get_int_max_str_digits()
+    code, out = run_cli(capsys, argv + ["--format", "json"])
+    assert code == 0
+    assert max(len(run) for run in re.findall(r"[0-9]+", out)) > _CAP
+    assert sys.get_int_max_str_digits() == cap
+
+
+def test_a_worker_renders_values_of_any_length():
+    # a pool worker need not inherit the caller's setting, so the record
+    # renderer lifts the cap itself
+    chi = enumerate_characters(1)[0]
+    instance = identities.TheoremInstance("T7", chi, 10, (1, 2, 3), (Fraction(10**1000),))
+    report = identities.verify_theorem(instance)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(_CAP)
+    try:
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            str(report.values[0])
+        record = json.loads(cli._render_sweep_record("json", report))
+        assert sys.get_int_max_str_digits() == _CAP
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert record["all_equal"] is True
+    assert len(record["values"][0]) > _CAP
+
+
+def test_long_integers_in_input_are_refused(tmp_path, capsys):
+    digits = "1" + "0" * _CAP
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--n-max", digits])
+    assert exc.value.code == 2
+    assert "argument --n-max: expected a nonnegative integer" in capsys.readouterr().err
+    path = tmp_path / "config.json"
+    path.write_text(f'{{"n_max": {digits}}}', encoding="utf-8")
+    err = _usage_error(capsys, ["sweep", "--config", str(path)])
+    assert "Exceeds the limit" in err
 
 
 def _main_in_process(argv):
