@@ -13,7 +13,9 @@ from the library's series leaves, a route the library's power sums,
 read from moments, do not take.  And route_at_degree, the per-degree
 evaluator of the route table that the library's one-pass run evaluator
 replaced, reads the library's leaves and checks only how the runs sum
-them over n.
+them over n.  Last, induced_bernoulli_number takes the primitive character
+behind an imprimitive one from the library's enumeration and conductor;
+a wrong conductor or table finds no such character.
 """
 
 from fractions import Fraction
@@ -27,6 +29,7 @@ from bernsym.bernoulli import (
     char_exp_sum,
     gen_bernoulli_poly,
 )
+from bernsym.characters import enumerate_characters
 from bernsym.cyclotomic import CycloElement, _dot, cyclotomic_polynomial, linear_combination
 from bernsym.series import _check_orders, _exp_minus_one_over_t, _series
 
@@ -250,3 +253,28 @@ def route_at_degree(route, n, chi, weights, ys, bump):
         q, u = [1] * (n + 1), inner
     terms = [(scale * comb(n, k) * p[k] * q[n - k], v[k], u[n - k]) for k in degrees]
     return linear_combination(order, terms, den)
+
+
+def inducing_character(chi):
+    """The primitive character mod chi.conductor that agrees with chi on chi's units."""
+    f = chi.conductor
+    for prim in enumerate_characters(f):
+        if prim.primitive and all(chi.values[a] == prim.values[a % f] for a in chi.units):
+            return prim
+    raise ValueError(f"no primitive character mod {f} induces {chi!r}")
+
+
+def induced_bernoulli_number(chi, n):
+    """B_{n,chi} from the primitive character chi_f that induces chi.
+
+    B_{n,chi} = B_{n,chi_f} prod_p (1 - chi_f(p) p^(n-1)), p over the primes
+    that divide the modulus but not the conductor f (Washington, Introduction
+    to Cyclotomic Fields, ch. 4); B_{n,chi_f} is gen_bernoulli_number above.
+    """
+    prim = inducing_character(chi)
+    value = gen_bernoulli_number(prim, n)
+    for p in range(2, chi.modulus + 1):
+        is_prime = all(p % q for q in range(2, p))
+        if is_prime and chi.modulus % p == 0 and prim.modulus % p:
+            value = value - value * prim.values[p % prim.modulus].scale(Fraction(p) ** (n - 1))
+    return value

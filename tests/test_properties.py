@@ -2,11 +2,15 @@
 
 Weights up to 6, y-arguments with denominators up to 4, every character
 (imprimitive ones included) of each modulus up to 12, and degrees up to
-6.  hypothesis is a test-only dependency; these tests skip without it.
+6.  Also, each imprimitive character of modulus up to 30, at a random
+degree up to 7, has the Bernoulli number of the primitive character that
+induces it times the Euler factors of the primes it drops.  hypothesis is
+a test-only dependency; these tests skip without it.
 The runs are derandomized and keep no example database, so they are
 deterministic and write nothing to the working tree.
 """
 
+import functools
 import os
 import tempfile
 from fractions import Fraction
@@ -14,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from bernsym.bernoulli import gen_bernoulli_number
 from bernsym.characters import enumerate_characters
 from bernsym.identities import (
     THEOREM_IDS,
@@ -21,6 +26,7 @@ from bernsym.identities import (
     theorem_y_arity,
     verify_theorem,
 )
+from oracles import induced_bernoulli_number
 
 hypothesis = pytest.importorskip("hypothesis")
 import hypothesis.configuration
@@ -58,3 +64,17 @@ def test_theorem_holds_on_random_instances(theorem, data):
     report = verify_theorem(instance)
     assert report.all_equal, report.first_mismatch
     assert report.extras.get("collapsed_variants_equal", True)
+
+
+@functools.cache
+def _imprimitive_characters():
+    return [chi for d in range(1, 31) for chi in enumerate_characters(d) if not chi.primitive]
+
+
+@hypothesis.settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@hypothesis.given(data=st.data())
+def test_imprimitive_bernoulli_number_is_the_primitive_one_with_euler_factors(data):
+    # every imprimitive character of modulus <= 30, each at its own random n
+    for chi in _imprimitive_characters():
+        n = data.draw(st.integers(0, 7), label=f"n mod {chi.modulus} label {chi.label}")
+        assert gen_bernoulli_number(chi, n) == induced_bernoulli_number(chi, n), (chi, n)
