@@ -40,9 +40,18 @@ from .identities import (
 # ---------------------------------------------------------------------------
 
 
+def _rational(text: str) -> Fraction:
+    # outside input is held to Python's digit cap on int <-> str conversion;
+    # exponent notation (1e9999) passes it on parsing, so the value is
+    # checked too: str raises ValueError past the cap
+    value = Fraction(text)
+    str(value)
+    return value
+
+
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return _rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational p/q: {text!r}") from exc
 
@@ -227,7 +236,7 @@ def _from_json(value, kind: type, depth: int):
     # shapes only: JSON lists as tuples and "p/q" strings as Fractions
     if depth and type(value) is list:
         return tuple(_from_json(v, kind, depth - 1) for v in value)
-    return Fraction(value) if kind is Fraction and type(value) is str else value
+    return _rational(value) if kind is Fraction and type(value) is str else value
 
 
 def _to_json(value, kind: type, depth: int):

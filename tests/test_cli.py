@@ -559,14 +559,28 @@ def test_a_worker_renders_values_of_any_length():
     assert len(record["values"][0]) > _CAP
 
 
-def test_long_integers_in_input_are_refused(tmp_path, capsys):
-    digits = "1" + "0" * _CAP
+@pytest.mark.parametrize(
+    "flag, value, shown",
+    [
+        ("--n-max", "1" + "0" * _CAP, "argument --n-max: expected a nonnegative integer"),
+        # exponent notation passes the cap on parsing, so the value is checked
+        ("--ys", f"1e{_CAP}", "argument --ys: not a rational p/q"),
+    ],
+    ids=["digits", "exponent"],
+)
+def test_long_numbers_on_the_command_line_are_refused(capsys, flag, value, shown):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["sweep", "--n-max", digits])
+        cli.main(["sweep", flag, value])
     assert exc.value.code == 2
-    assert "argument --n-max: expected a nonnegative integer" in capsys.readouterr().err
+    assert shown in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field", [f'"n_max": 1{"0" * _CAP}', f'"ys_pool": ["1e{_CAP}"]'], ids=["digits", "exponent"]
+)
+def test_long_numbers_in_a_config_file_are_refused(tmp_path, capsys, field):
     path = tmp_path / "config.json"
-    path.write_text(f'{{"n_max": {digits}}}', encoding="utf-8")
+    path.write_text(f"{{{field}}}", encoding="utf-8")
     err = _usage_error(capsys, ["sweep", "--config", str(path)])
     assert "Exceeds the limit" in err
 
