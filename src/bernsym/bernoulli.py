@@ -75,7 +75,8 @@ __all__ = [
 # routes of identities.py, one entry per (route, chi, weights, ys, bump)
 # mapping each permuted weight triple to its list of values by degree,
 # rebuilt whole at max(n, 2 * len(run)) when short; it is filled by
-# identities.py, which this module does not import.  _char_exp_sum,
+# identities.py, which this module does not import, and a sweep empties
+# each degree run's entries when that run ends.  _char_exp_sum,
 # _t_over_exp_minus_one and _char_integral hold one series each.  Each
 # table evicts its least recently used entries above this size, which
 # keeps long sweeps and long-lived processes at a flat memory profile.
@@ -283,8 +284,9 @@ def _moments(chi: DirichletChar, heads, n: int) -> list[CycloElement]:
 @lru_cache(maxsize=_CACHE_LIMIT)
 def _run_table(label: str, chi: DirichletChar, weights, ys, bump: int) -> dict:
     # the runs of one route at one instance: {permuted weights: [its value at
-    # n = 0, 1, ...]}, filled by identities._run_values; one lookup serves
-    # every weight permutation of the instance
+    # n = 0, 1, ...]}, filled by identities._run_values and emptied by
+    # identities._verify_run when the sweep's degree run ends; one lookup
+    # serves every weight permutation of the instance
     return {}
 
 

@@ -433,7 +433,10 @@ def _render_sweep_record(fmt: str, report: VerificationReport) -> str:
     caller's setting.
     """
     inst, chi = report.instance, report.instance.chi
-    values = [str(v) for v in report.values]
+    if report.all_equal:  # equal values have equal text: one, repeated
+        values = [str(report.values[0])] * len(report.values)
+    else:
+        values = [str(v) for v in report.values]
     mismatch = None
     if report.first_mismatch is not None:
         i, j = report.first_mismatch

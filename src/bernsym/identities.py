@@ -62,12 +62,14 @@ integer P over one denominator D, M_j is the sum of chi(prod a_c) P^j
 for j = 0..n.  At index i the fold is then the binomial sum over j of
 C(i,j) D^(i-j) B_{i-j,chi} M_j over D^i, taken by bernoulli._expand: the
 same monomials as one B_{i,chi} value per tuple, summed in another
-order, with no Bernoulli value looked up per tuple.  The runs are kept
-as well, in bernoulli._run_table: one entry per (route label, chi,
-weights, ys, bump), mapping each permuted weight triple to its values by
-degree, so an instance makes one lookup for all its permutations, and
-equal permuted weights (all six at (1,1,1), pairs at (2,2,3)) share one
-run.  Two expressions share a value only when route, character, permuted
+order, with no Bernoulli value looked up per tuple.  The runs are
+memoized as well, in bernoulli._run_table: one entry per (route label,
+chi, weights, ys, bump), mapping each permuted weight triple to its
+values by degree, so an instance makes one lookup for all its
+permutations, and equal permuted weights (all six at (1,1,1), pairs at
+(2,2,3)) share one run.  Unlike the leaves, a run is read by one degree
+run of a sweep only, so sweep_verify empties its entries when that
+degree run ends; expansion_sum called on its own keeps them.  Two expressions share a value only when route, character, permuted
 weights, ys and bump are all equal: no route reads another route's
 values, and the printed fifth line of T3 keeps its runs under a label
 of its own.
@@ -90,7 +92,9 @@ Among the instances that differ only in their character, those whose
 characters form one orbit (characters._galois_orbits, by exact
 comparison of value tables) are verified once, at the smallest label
 present; each conjugate's report holds the sigma_k images of those
-values and the same verdict flags, equal to its direct evaluation.
+values and the same verdict flags, equal to its direct evaluation.  The
+values of a passing report are equal, so they have one image, taken once
+and repeated, and one text when rendered.
 """
 
 from __future__ import annotations
@@ -583,10 +587,17 @@ def _verify_star(args):
     # its conjugates (instance, k), whose values are the sigma_k images
     instance, conjugates, perturb, render = args
     report = verify_theorem(instance, perturb=perturb)
+    values = report.values
+
+    def images(k):
+        if report.all_equal:  # equal values have equal images: one, repeated
+            return [_conjugate(values[0], k)] * len(values)
+        return [_conjugate(v, k) for v in values]
+
     reports = [report] + [
         VerificationReport(
             conjugate,
-            [_conjugate(v, k) for v in report.values],
+            images(k),
             report.all_equal,
             report.first_mismatch,
             dict(report.extras),
@@ -602,8 +613,18 @@ def _verify_star(args):
 
 
 def _verify_run(tasks):
-    # the tasks of one degree run, from its highest n down
-    return [_verify_star(task) for task in tasks]
+    # the tasks of one degree run, from its highest n down; no other degree
+    # run reads its route runs, so their _run_table entries are emptied
+    # when it ends, in the process that built them
+    done = [_verify_star(task) for task in tasks]
+    instance, _, perturb, _ = tasks[0]
+    bump = 1 if perturb else 0
+    labels = [_THEOREMS[instance.theorem].label]
+    if done[0][0].extras.get("printed_line5_applies"):
+        labels.append("T3.line5")
+    for label in labels:
+        _run_table(label, instance.chi, instance.weights, instance.ys, bump).clear()
+    return done
 
 
 def _orbit_groups(instances) -> dict[int, list[tuple[int, int]]]:
@@ -643,7 +664,9 @@ def sweep_verify(
     The run's route sums and their folds are then asked for their top
     index first, so each is built once, and every lower degree reads a
     prefix of its memo entry.  Every value is exact, so the order changes
-    no report.
+    no report.  When a degree run ends, its route sums are dropped from
+    the memo, in the process that built them; the folds and other leaves
+    stay, since other degree runs read them.
 
     Only one character per Galois orbit is verified.  The instances that
     share (theorem, n, weights, ys) are grouped by the orbits of their

@@ -688,6 +688,34 @@ def test_ascending_expansion_sum_builds_runs_geometrically(monkeypatch):
     assert [N for _, N, _ in builds] == [0, 2, 6, 14, 30]
 
 
+@pytest.mark.parametrize("perturb", [False, True])
+def test_sweep_leaves_no_route_run_behind(perturb):
+    # each degree run empties its route runs when it ends: every entry the
+    # sweep made is still in the table (the lookup is a hit), and empty;
+    # the printed T3 line applies at both triples (w2 != w3) unless perturbed
+    ys = (F(1, 2), F(-2, 3), F(0))
+    instances = [
+        TheoremInstance(tid, chi, n, w, ys[: theorem_y_arity(tid)])
+        for tid in THEOREM_IDS
+        for chi in (CHI4, CHI11_ORDER10)
+        for w in ((2, 3, 5), (2, 2, 3))
+        for n in range(4)
+    ]
+    clear_caches()
+    sweep_verify(instances, perturb=perturb)
+    bump = 1 if perturb else 0
+    entries = []
+    for tid, chi, w, y in dict.fromkeys((i.theorem, i.chi, i.weights, i.ys) for i in instances):
+        entries.append((identities._THEOREMS[tid].label, chi, w, y, bump))
+        if tid == "T3" and not perturb and w[1] != w[2]:
+            entries.append(("T3.line5", chi, w, y, 0))
+    assert len(entries) == 8 * 2 * 2 + (0 if perturb else 4)
+    for key in entries:
+        misses = bernoulli._run_table.cache_info().misses
+        assert bernoulli._run_table(*key) == {}, key
+        assert bernoulli._run_table.cache_info().misses == misses, key
+
+
 # -- Galois orbits -------------------------------------------------------------
 
 GALOIS_YS = (F(-1, 2), F(2, 3), F(1, 3))
@@ -744,6 +772,39 @@ def test_derived_reports_equal_direct_evaluation(monkeypatch, d):
         for report, full in zip(swept, direct[order]):
             assert report.text == render(full)
             assert _flags(report) == _flags(full)
+
+
+@pytest.mark.parametrize(
+    "render", [None, functools.partial(cli._render_sweep_record, "json")], ids=["values", "json"]
+)
+def test_failing_representatives_keep_per_value_images(render):
+    # perturbed, a representative's values differ, so each derived report
+    # holds the sigma_k image of every value in turn, not one image
+    # repeated, and its record is the one rendered from its direct report
+    instances = [
+        TheoremInstance(t, chi, n, (2, 3, 5), GALOIS_YS[: theorem_y_arity(t)])
+        for d in (5, 7, 11, 13)
+        for t in THEOREM_IDS
+        for chi in enumerate_characters(d)
+        for n in (3, 4)  # below n = 3 these perturbed reports pass
+    ]
+    orbits = _galois_orbits([inst.chi for inst in instances])
+    swept = sweep_verify(instances, perturb=True, render=render)
+    failing = 0
+    for inst, report in zip(instances, swept):
+        rep, k = orbits[inst.chi]
+        if rep is inst.chi:
+            continue
+        source = verify_theorem(dataclasses.replace(inst, chi=rep), perturb=True)
+        direct = verify_theorem(inst, perturb=True)
+        assert direct.values == [_conjugate(v, k) for v in source.values]
+        if render is None:
+            assert report.values == direct.values
+        else:
+            assert report.text == render(direct)
+        assert _flags(report) == _flags(direct)
+        failing += not report.all_equal
+    assert failing > 0
 
 
 def test_conjugate_without_its_representative_is_verified_directly(monkeypatch):
