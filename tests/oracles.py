@@ -13,9 +13,10 @@ from the library's series leaves, a route the library's power sums,
 read from moments, do not take.  And route_at_degree, the per-degree
 evaluator of the route table that the library's one-pass run evaluator
 replaced, reads the library's leaves and checks only how the runs sum
-them over n.  Last, induced_bernoulli_number takes the primitive character
-behind an imprimitive one from the library's enumeration and conductor;
-a wrong conductor or table finds no such character.
+them over n.  Last, induced_bernoulli_number, induced_bernoulli_poly and
+induced_power_sum take the primitive character behind an imprimitive one
+from the library's enumeration and conductor; a wrong conductor or table
+finds no such character.
 """
 
 from fractions import Fraction
@@ -264,6 +265,23 @@ def inducing_character(chi):
     raise ValueError(f"no primitive character mod {f} induces {chi!r}")
 
 
+def _dropped_primes(chi, prim):
+    # the primes that divide chi's modulus but not prim's, the conductor
+    return [
+        p
+        for p in range(2, chi.modulus + 1)
+        if all(p % q for q in range(2, p)) and chi.modulus % p == 0 and prim.modulus % p
+    ]
+
+
+def _divisors_with_mobius(primes):
+    # (e, mu(e)) for every divisor e of the product of the given primes
+    out = [(1, 1)]
+    for p in primes:
+        out += [(e * p, -mu) for e, mu in out]
+    return out
+
+
 def induced_bernoulli_number(chi, n):
     """B_{n,chi} from the primitive character chi_f that induces chi.
 
@@ -273,8 +291,39 @@ def induced_bernoulli_number(chi, n):
     """
     prim = inducing_character(chi)
     value = gen_bernoulli_number(prim, n)
-    for p in range(2, chi.modulus + 1):
-        is_prime = all(p % q for q in range(2, p))
-        if is_prime and chi.modulus % p == 0 and prim.modulus % p:
-            value = value - value * prim.values[p % prim.modulus].scale(Fraction(p) ** (n - 1))
+    for p in _dropped_primes(chi, prim):
+        value = value - value * prim.values[p % prim.modulus].scale(Fraction(p) ** (n - 1))
     return value
+
+
+def induced_bernoulli_poly(chi, n, x):
+    """B_{n,chi}(x) from the primitive character chi_f that induces chi.
+
+    B_{n,chi}(x) = sum over e | P of mu(e) chi_f(e) e^(n-1) B_{n,chi_f}(x/e),
+    P the product of the primes that divide the modulus but not f; each
+    B_{n,chi_f}(y) is the binomial sum of gen_bernoulli_number above times
+    the powers of y.
+    """
+    prim = inducing_character(chi)
+    numbers = [gen_bernoulli_number(prim, k) for k in range(n + 1)]
+    acc = CycloElement.zero(prim.order)
+    for e, mu in _divisors_with_mobius(_dropped_primes(chi, prim)):
+        y = Fraction(x) / e
+        for k in range(n + 1):
+            c = mu * comb(n, k) * Fraction(e) ** (n - 1) * y ** (n - k)
+            acc = acc + (prim.values[e % prim.modulus] * numbers[k]).scale(c)
+    return acc
+
+
+def induced_power_sum(chi, k, m):
+    """S_k(m, chi) from the primitive character chi_f that induces chi.
+
+    S_k(m, chi) = sum over e | P of mu(e) chi_f(e) e^k S_k(floor(m/e), chi_f),
+    P as in induced_bernoulli_poly, each S_k summed by power_sum_direct.
+    """
+    prim = inducing_character(chi)
+    acc = CycloElement.zero(prim.order)
+    for e, mu in _divisors_with_mobius(_dropped_primes(chi, prim)):
+        term = prim.values[e % prim.modulus] * power_sum_direct(prim, k, m // e)
+        acc = acc + term.scale(mu * e**k)
+    return acc
