@@ -69,10 +69,10 @@ values by degree, so an instance makes one lookup for all its
 permutations, and equal permuted weights (all six at (1,1,1), pairs at
 (2,2,3)) share one run.  Unlike the leaves, a run is read by one degree
 run of a sweep only, so sweep_verify empties its entries when that
-degree run ends; expansion_sum called on its own keeps them.  Two expressions share a value only when route, character, permuted
-weights, ys and bump are all equal: no route reads another route's
-values, and the printed fifth line of T3 keeps its runs under a label
-of its own.
+degree run ends; expansion_sum called on its own keeps them.  Two
+expressions share a value only when route, character, permuted weights,
+ys and bump are all equal: no route reads another route's values, and
+the printed fifth line of T3 keeps its runs under a label of its own.
 
 Verification of distinct instances is embarrassingly parallel: every
 evaluation is pure given the per-process Bernoulli memo tables.

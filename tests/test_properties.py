@@ -6,8 +6,8 @@ Weights up to 6, y-arguments with denominators up to 4, every character
 degree up to 7, has the Bernoulli number of the primitive character that
 induces it times the Euler factors of the primes it drops, and its
 Bernoulli polynomial at a random x and power sum over a random range are
-the Mobius sums over those primes of the primitive character's.  hypothesis is
-a test-only dependency; these tests skip without it.
+the Mobius sums over those primes of the primitive character's.
+hypothesis is a test-only dependency; these tests skip without it.
 The runs are derandomized and keep no example database, so they are
 deterministic and write nothing to the working tree.
 """
