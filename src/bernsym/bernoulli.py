@@ -66,21 +66,30 @@ __all__ = [
 # characters.py).  The leaves read by index, _number_table (B_{k,chi} per
 # character), _power_table (S_k(m, chi) per range) and _fold_table (per
 # fold, a Bernoulli value included), hold one list of values by index
-# each, grown on demand by one rule: asked for an index n past its end,
-# the reader rebuilds the moments (the series, for the numbers) up to
-# max(n, 2 * len(entry)) and appends only the new indices, so a caller
-# that ascends in n rebuilds an entry O(log n) times.
-# identities.sweep_verify asks each leaf for its top index first, so a
-# sweep builds it once, at exactly that index.  _run_table holds the
-# routes of identities.py, one entry per (route, chi, weights, ys, bump)
-# mapping each permuted weight triple to its list of values by degree,
-# rebuilt whole at max(n, 2 * len(run)) when short; it is filled by
-# identities.py, which this module does not import, and a sweep empties
-# each degree run's entries when that run ends.  _char_exp_sum,
-# _t_over_exp_minus_one and _char_integral hold one series each.  Each
-# table evicts its least recently used entries above this size, which
-# keeps long sweeps and long-lived processes at a flat memory profile.
+# each, grown on demand by _grow, so a caller that ascends in n rebuilds
+# an entry O(log n) times.  identities.sweep_verify asks each leaf for its
+# top index first, so a sweep builds it once, at exactly that index.
+# _run_table holds the routes of identities.py, one entry per (route, chi,
+# weights, ys, bump) mapping each permuted weight triple to its list of
+# values by degree, grown by the same rule; it is filled by identities.py,
+# which this module does not import.  _char_exp_sum, _t_over_exp_minus_one
+# and _char_integral hold one series each.  Each table evicts its least
+# recently used entries above its size, two for _run_table (see there) and
+# this limit for every other, which keeps long sweeps and long-lived
+# processes at a flat memory profile.
 _CACHE_LIMIT = 200_000
+
+
+def _grow(entry: list, n: int, build) -> list:
+    # The one growth rule of the lists by index: asked for an index n past
+    # its end, build(start, top) gives the values at indices start =
+    # len(entry) up to top, n or twice the length if that is more, and
+    # they are appended.  Returns the entry, read, never changed, by the
+    # caller.
+    if len(entry) <= n:
+        start = len(entry)
+        entry.extend(build(start, max(n, 2 * start)))
+    return entry
 
 
 @lru_cache(maxsize=None)
@@ -143,15 +152,12 @@ def _number_table(chi: DirichletChar) -> list[CycloElement]:
 
 
 def _gen_numbers(chi: DirichletChar, n: int) -> list[CycloElement]:
-    # B_{k,chi} at every k <= n, read from the series when the entry is
-    # short; the list is the table's entry, read, never changed, by the
-    # caller
-    numbers = _number_table(chi)
-    if len(numbers) <= n:
-        top = max(n, 2 * len(numbers))
+    # B_{k,chi} at every k <= n, read from the series when the entry is short
+    def build(start, top):
         series = gen_bernoulli_series(chi, top)
-        numbers.extend(series.egf_coeff(k) for k in range(len(numbers), top + 1))
-    return numbers
+        return [series.egf_coeff(k) for k in range(start, top + 1)]
+
+    return _grow(_number_table(chi), n, build)
 
 
 def gen_bernoulli_number(chi: DirichletChar, n: int) -> CycloElement:
@@ -195,12 +201,12 @@ def _power_table(chi: DirichletChar, m: int) -> list[CycloElement]:
 
 def _power_sums(chi: DirichletChar, m: int, n: int) -> list[CycloElement]:
     # S_i(m, chi) at every index i <= n: the moments of the integers a <= m
-    # in a unit residue; the list is the table's entry, like _fold's
-    values = _power_table(chi, m)
-    if len(values) <= n:
+    # in a unit residue
+    def build(start, top):
         heads = [(a, r) for r in chi.units for a in range(r, m + 1, chi.modulus)]
-        values.extend(_moments(chi, heads, max(n, 2 * len(values)))[len(values) :])
-    return values
+        return _moments(chi, heads, top)[start:]
+
+    return _grow(_power_table(chi, m), n, build)
 
 
 @lru_cache(maxsize=_CACHE_LIMIT)
@@ -215,23 +221,21 @@ def _fold(chi: DirichletChar, w: int, y, over, n: int) -> list[CycloElement]:
     # The fold sum over a_c < w_c * d of chi(prod a_c) B_{i,chi}(w*y +
     # sum (w/w_e)*a_c), one pair (w_c, w_e) in over for each absorbed
     # variable, at every index i <= n; the list is the table's entry, so it
-    # may run past n and is read, never changed, by the caller.  With no
-    # absorbed variable the fold is the value B_{i,chi}(w*y), kept under
-    # w*y in lowest terms as (1, p, q), the key gen_bernoulli_poly uses.
+    # may run past n.  With no absorbed variable the fold is the value
+    # B_{i,chi}(w*y), kept under w*y in lowest terms as (1, p, q), the key
+    # gen_bernoulli_poly uses.
     p, q = y.numerator, y.denominator
     if not over:
         p *= w
         g = gcd(p, q)
         w, p, q = 1, p // g, q // g
-    values = _fold_table(chi, w, p, q, over)
-    if len(values) <= n:
-        top = max(n, 2 * len(values))
+
+    def build(start, top):
         numbers = _gen_numbers(chi, top)
         D, moments = _fold_moments(chi, w, Fraction(p, q), over, top)
-        values.extend(
-            _expand(chi, numbers, i, D, moments) for i in range(len(values), top + 1)
-        )
-    return values
+        return [_expand(chi, numbers, i, D, moments) for i in range(start, top + 1)]
+
+    return _grow(_fold_table(chi, w, p, q, over), n, build)
 
 
 def _expand(chi: DirichletChar, numbers, i: int, D: int, moments) -> CycloElement:
@@ -281,12 +285,14 @@ def _moments(chi: DirichletChar, heads, n: int) -> list[CycloElement]:
     ]
 
 
-@lru_cache(maxsize=_CACHE_LIMIT)
+@lru_cache(maxsize=2)
 def _run_table(label: str, chi: DirichletChar, weights, ys, bump: int) -> dict:
     # the runs of one route at one instance: {permuted weights: [its value at
-    # n = 0, 1, ...]}, filled by identities._run_values and emptied by
-    # identities._verify_run when the sweep's degree run ends; one lookup
-    # serves every weight permutation of the instance
+    # n = 0, 1, ...]}, filled by identities._run_values; one lookup serves
+    # every weight permutation of the instance.  One degree run of a sweep
+    # reads two entries at most, its theorem's route and, for T3, the
+    # printed fifth line, and no other degree run reads them, so the table
+    # keeps those two and drops each when a later degree run needs room
     return {}
 
 

@@ -605,7 +605,6 @@ def cmd_lambda(args) -> int:
     return 0
 
 
-@_any_length
 def _run_verification(command: str, config: SweepConfig, jobs: int, perturb: bool, fmt: str) -> int:
     instances = build_instances(config)
     if not instances:
@@ -646,14 +645,9 @@ def cmd_sweep(args) -> int:
         config = SweepConfig.from_dict(data)
     else:
         config = SweepConfig()
-    if args.moduli is not None:
-        config.moduli = args.moduli
-    if args.theorems is not None:
-        config.theorems = args.theorems
-    if args.n_max is not None:
-        config.n_max = args.n_max
-    if args.weights is not None:
-        config.weights = args.weights
+    for field in ("moduli", "theorems", "n_max", "weights"):
+        if (value := getattr(args, field)) is not None:
+            setattr(config, field, value)
     if args.ys is not None:
         config.ys_pool = args.ys
         config.ys = None
@@ -683,6 +677,14 @@ def build_parser() -> argparse.ArgumentParser:
             "--format", choices=("text", "json", "csv"), default="text",
             help="output format (default: text)",
         )
+
+    def add_run_options(p):
+        # the options that verify and sweep share, ahead of --format
+        p.add_argument("--allow-imprimitive", action="store_true")
+        p.add_argument("--jobs", type=_positive_int, default=1)
+        p.add_argument("--perturb", action="store_true",
+                       help="sensitivity hook: raise route weight exponents and expect failures")
+        add_format(p)
 
     p = sub.add_parser("chars", help="list the Dirichlet characters mod d")
     p.add_argument("--modulus", "-d", type=_positive_int, required=True)
@@ -730,11 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", type=_weights, default=(1, 2, 3))
     p.add_argument("--ys", type=_fraction_list, default=None,
                    help="per-slot y arguments; missing slots default to 0")
-    p.add_argument("--allow-imprimitive", action="store_true")
-    p.add_argument("--jobs", type=_positive_int, default=1)
-    p.add_argument("--perturb", action="store_true",
-                   help="sensitivity hook: raise route weight exponents and expect failures")
-    add_format(p)
+    add_run_options(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="verify theorems over a parameter grid")
@@ -749,11 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help='semicolon-separated tuples, e.g. "1,1,1;1,2,3"')
     p.add_argument("--ys", type=_fraction_list, default=None,
                    help="y-value pool from which per-theorem tuples are drawn")
-    p.add_argument("--allow-imprimitive", action="store_true")
-    p.add_argument("--jobs", type=_positive_int, default=1)
-    p.add_argument("--perturb", action="store_true",
-                   help="sensitivity hook: raise route weight exponents and expect failures")
-    add_format(p)
+    add_run_options(p)
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -68,11 +68,11 @@ chi, weights, ys, bump), mapping each permuted weight triple to its
 values by degree, so an instance makes one lookup for all its
 permutations, and equal permuted weights (all six at (1,1,1), pairs at
 (2,2,3)) share one run.  Unlike the leaves, a run is read by one degree
-run of a sweep only, so sweep_verify empties its entries when that
-degree run ends; expansion_sum called on its own keeps them.  Two
-expressions share a value only when route, character, permuted weights,
-ys and bump are all equal: no route reads another route's values, and
-the printed fifth line of T3 keeps its runs under a label of its own.
+run of a sweep only, and a degree run reads two entries at most, so the
+table keeps two.  Two expressions share a value only when route,
+character, permuted weights, ys and bump are all equal: no route reads
+another route's values, and the printed fifth line of T3 keeps its runs
+under a label of its own.
 
 Verification of distinct instances is embarrassingly parallel: every
 evaluation is pure given the per-process Bernoulli memo tables.
@@ -107,6 +107,7 @@ from math import comb
 from .bernoulli import (
     _char_integral,
     _fold,
+    _grow,
     _power_sums,
     _run_table,
     _t_over_exp_minus_one,
@@ -311,11 +312,15 @@ _ROUTES = {
     "L12.1": _Route("L12", 1, (("S", 1), ("S", 2), ("S", 0)), (0,)),
 }
 
-# The fifth displayed expression of T3 as printed: route L23.1b with the
-# fold's shift ratio w_2/w_1 in place of the orbit-consistent w_2/w_3.
-_T3_PRINTED_LINE5 = _Route("L23", 1, (("B", 0, 0, ()), ("F", 1, 1, ((2, 0),)), None), (2,))
-
 EXPANSION_LABELS = tuple(_ROUTES)
+
+# The route of each run label: the routes above, and the fifth displayed
+# expression of T3 as printed, route L23.1b with the fold's shift ratio
+# w_2/w_1 in place of the orbit-consistent w_2/w_3.
+_RUN_ROUTES = {
+    **_ROUTES,
+    "T3.line5": _Route("L23", 1, (("B", 0, 0, ()), ("F", 1, 1, ((2, 0),)), None), (2,)),
+}
 
 
 def _label_arity(label: str) -> int:
@@ -353,40 +358,40 @@ def _evaluate_run(
         free.append((powers, values))
     order, big = chi.order, weights[0] * weights[1] * weights[2]
     dens = [big ** ((N - n if complementary else 0) + 1) for n in degrees]
-    p, v = free[0]
-    if len(free) == 1:  # a fold that absorbs both other variables
-        return [v[n].scale(Fraction(scale * p[n], dens[n])) for n in degrees]
-    q, u = free[1]
-    if len(free) == 3:  # the last two slots summed first, once for every degree
-        r, s = free[2]
-        inner = []
-        for m in degrees:
-            terms = [(comb(m, l) * q[l] * r[m - l], u[l], s[m - l]) for l in range(m + 1)]
-            inner.append(linear_combination(order, terms))
-        q, u = [1] * (N + 1), inner
-    sums = []
-    for n in degrees:
-        terms = [(scale * comb(n, k) * p[k] * q[n - k], v[k], u[n - k]) for k in range(n + 1)]
-        sums.append(linear_combination(order, terms, dens[n]))
-    return sums
+    q, u = free.pop()
+    if not free:  # a fold that absorbs both other variables
+        return [u[n].scale(Fraction(scale * q[n], dens[n])) for n in degrees]
+    ones = [1] * (N + 1)
+    while free:
+        # each slot summed with the sum of the slots after it, once for
+        # every degree; the first slot takes the scale and the denominators
+        p, v = free.pop()
+        c, den = (1, ones) if free else (scale, dens)
+        sums = []
+        for n in degrees:
+            terms = [(c * comb(n, k) * p[k] * q[n - k], v[k], u[n - k]) for k in range(n + 1)]
+            sums.append(linear_combination(order, terms, den[n]))
+        q, u = ones, sums
+    return u
 
 
 def _run_values(
-    label: str, route: _Route, n: int, chi: DirichletChar, weights, ys, bump: int, perms
+    label: str, n: int, chi: DirichletChar, weights, ys, bump: int, perms
 ) -> list[CycloElement]:
-    # The route's value at degree n at each weight permutation in turn, read
-    # from the runs that bernoulli._run_table keeps under label, with one
-    # lookup for all of them.  A run is keyed by its permuted weights, so
-    # equal ones share it; one shorter than n is rebuilt at
-    # max(n, 2 * its length), the growth rule of the leaves.
-    runs = _run_table(label, chi, weights, ys, bump)
+    # The value at degree n of the route of a run label at each weight
+    # permutation in turn, read from the runs that bernoulli._run_table
+    # keeps under label, with one lookup for all of them.  A run is keyed by
+    # its permuted weights, so equal ones share it, and grows by the rule of
+    # the leaves, bernoulli._grow.
+    route, runs = _RUN_ROUTES[label], _run_table(label, chi, weights, ys, bump)
+
+    def build(start, top):  # the run at the permuted weights w of the loop below
+        return _evaluate_run(route, top, chi, w, ys, bump)[start:]
+
     values = []
     for a, b, c in perms:
         w = (weights[a - 1], weights[b - 1], weights[c - 1])
-        run = runs.get(w, ())
-        if len(run) <= n:
-            run = runs[w] = _evaluate_run(route, max(n, 2 * len(run)), chi, w, ys, bump)
-        values.append(run[n])
+        values.append(_grow(runs.setdefault(w, []), n, build)[n])
     return values
 
 
@@ -416,7 +421,7 @@ def expansion_sum(
         raise ValueError("degree must be a nonnegative int")
     weights, ys = _checked_args(weights, ys, arity, f"label {label}")
     bump = 1 if perturb else 0
-    return _run_values(label, _ROUTES[label], n, chi, weights, ys, bump, ((1, 2, 3),))[0]
+    return _run_values(label, n, chi, weights, ys, bump, ((1, 2, 3),))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -521,9 +526,7 @@ def _route_values(instance: TheoremInstance, perms, perturb: bool) -> list[Cyclo
     # instance has checked its weights, ys and arity once for all of them
     label = _THEOREMS[instance.theorem].label
     bump = 1 if perturb else 0
-    return _run_values(
-        label, _ROUTES[label], instance.n, instance.chi, instance.weights, instance.ys, bump, perms
-    )
+    return _run_values(label, instance.n, instance.chi, instance.weights, instance.ys, bump, perms)
 
 
 def theorem_expressions(
@@ -569,8 +572,7 @@ def verify_theorem(instance: TheoremInstance, perturb: bool = False) -> Verifica
             # its own, so the discrepancy can be reported empirically
             # instead of guessed at.
             (printed,) = _run_values(
-                "T3.line5", _T3_PRINTED_LINE5, instance.n, instance.chi, w, instance.ys, 0,
-                ((2, 1, 3),),
+                "T3.line5", instance.n, instance.chi, w, instance.ys, 0, ((2, 1, 3),)
             )
             extras["printed_line5_matches"] = bool(printed == values[4])
     return VerificationReport(
@@ -613,18 +615,8 @@ def _verify_star(args):
 
 
 def _verify_run(tasks):
-    # the tasks of one degree run, from its highest n down; no other degree
-    # run reads its route runs, so their _run_table entries are emptied
-    # when it ends, in the process that built them
-    done = [_verify_star(task) for task in tasks]
-    instance, _, perturb, _ = tasks[0]
-    bump = 1 if perturb else 0
-    labels = [_THEOREMS[instance.theorem].label]
-    if done[0][0].extras.get("printed_line5_applies"):
-        labels.append("T3.line5")
-    for label in labels:
-        _run_table(label, instance.chi, instance.weights, instance.ys, bump).clear()
-    return done
+    # the tasks of one degree run, from its highest n down
+    return [_verify_star(task) for task in tasks]
 
 
 def _orbit_groups(instances) -> dict[int, list[tuple[int, int]]]:
@@ -664,9 +656,9 @@ def sweep_verify(
     The run's route sums and their folds are then asked for their top
     index first, so each is built once, and every lower degree reads a
     prefix of its memo entry.  Every value is exact, so the order changes
-    no report.  When a degree run ends, its route sums are dropped from
-    the memo, in the process that built them; the folds and other leaves
-    stay, since other degree runs read them.
+    no report.  No other degree run reads its route sums, so the memo
+    keeps no more of them than one degree run reads; the folds and other
+    leaves stay, since other degree runs read them.
 
     Only one character per Galois orbit is verified.  The instances that
     share (theorem, n, weights, ys) are grouped by the orbits of their

@@ -342,7 +342,8 @@ def test_memo_tables_are_bounded_and_cleared():
     }
     for table in tables:
         info = table.cache_info()
-        assert info.maxsize == _CACHE_LIMIT
+        # the run table keeps the two entries that one degree run reads
+        assert info.maxsize == (2 if table is _run_table else _CACHE_LIMIT)
         assert info.currsize > 0
     clear_caches()
     assert [table.cache_info().currsize for table in tables] == [0] * len(tables)

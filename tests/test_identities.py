@@ -259,8 +259,8 @@ def test_route_table_shape():
         "L23.0", "L23.1a", "L23.1b", "L23.2a", "L23.2b", "L23.2c", "L23.3",
         "L12.0", "L12.1",
     )
-    routes = dict(identities._ROUTES, printed=identities._T3_PRINTED_LINE5)
-    for label, route in routes.items():
+    assert identities._RUN_ROUTES.keys() - identities._ROUTES.keys() == {"T3.line5"}
+    for label, route in identities._RUN_ROUTES.items():
         arity = LambdaSpec.y_arity(route.family, route.index)
         read, absorbed = [], []
         for slot in route.slots:
@@ -591,7 +591,8 @@ def test_folded_routes_match_term_by_term_folds(chi):
     for w in ((1, 2, 3), (2, 2, 3)):
         for y in (F(0), F(-1, 2)):
             ys = (F(1, 3), y)
-            printed = identities._evaluate_run(identities._T3_PRINTED_LINE5, 8, chi, w, ys, 0)
+            line5 = identities._RUN_ROUTES["T3.line5"]
+            printed = identities._evaluate_run(line5, 8, chi, w, ys, 0)
             for n in range(9):
                 for label in ("L23.1b", "L23.2b", "L23.2c"):
                     route_ys = ys if label == "L23.1b" else (y,)
@@ -607,11 +608,6 @@ def test_folded_routes_match_term_by_term_folds(chi):
 
 # -- degree runs ---------------------------------------------------------------
 
-RUN_ROUTES = [(label, identities._ROUTES[label]) for label in EXPANSION_LABELS] + [
-    ("T3.line5", identities._T3_PRINTED_LINE5)
-]
-
-
 @pytest.mark.parametrize(
     "chi",
     [TRIVIAL, CHI12_IMPRIMITIVE, CHI11_ORDER10],
@@ -621,7 +617,7 @@ def test_evaluate_run_matches_per_degree_reference(chi):
     # each route's run of n = 0..10, built in one pass with the powers of
     # the top degree, against the route summed at each degree on its own;
     # a shorter run is the same prefix
-    for label, route in RUN_ROUTES:
+    for label, route in identities._RUN_ROUTES.items():
         arity = LambdaSpec.y_arity(route.family, route.index)
         ys = (F(-1, 2), F(0), F(2, 3))[:arity]
         for w in ((1, 1, 1), (2, 2, 3), (2, 3, 5)):
@@ -669,7 +665,7 @@ def test_sweep_builds_each_run_once(monkeypatch, perturb):
             distinct = dict.fromkeys(_permute(w, p) for p in spec.perms + spec.collapsed)
             expected += [(route, 4, pw) for pw in distinct]
             if tid == "T3" and not perturb and w[1] != w[2]:
-                expected.append((identities._T3_PRINTED_LINE5, 4, (w[1], w[0], w[2])))
+                expected.append((identities._RUN_ROUTES["T3.line5"], 4, (w[1], w[0], w[2])))
         assert builds == expected, w
         if w == (1, 1, 1):
             assert len(builds) == len(THEOREM_IDS)
@@ -688,11 +684,35 @@ def test_ascending_expansion_sum_builds_runs_geometrically(monkeypatch):
     assert [N for _, N, _ in builds] == [0, 2, 6, 14, 30]
 
 
+def test_expansion_sum_reads_runs_past_their_eviction():
+    # three run keys asked for in turn, so the run table, bounded at the two
+    # entries one degree run reads, has evicted each before it is asked
+    # again: every lookup is a miss, and every value is the route's sum at
+    # its own degree
+    keys = [
+        ("L23.0", CHI4, (2, 3, 5), (F(1, 2), F(-2, 3), F(0)), False),
+        ("L23.2b", CHI11_ORDER10, (2, 2, 3), (F(1, 3),), True),
+        ("L12.1", CHI4, (1, 2, 3), (), False),
+    ]
+    assert bernoulli._run_table.cache_info().maxsize < len(keys)
+    clear_caches()
+    for n in range(5):
+        for label, chi, w, ys, perturb in keys:
+            misses = bernoulli._run_table.cache_info().misses
+            value = expansion_sum(label, n, chi, w, ys, perturb=perturb)
+            assert bernoulli._run_table.cache_info().misses == misses + 1
+            route = identities._ROUTES[label]
+            assert value == oracles.route_at_degree(route, n, chi, w, ys, int(perturb)), (label, n)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("perturb", [False, True])
-def test_sweep_leaves_no_route_run_behind(perturb):
-    # each degree run empties its route runs when it ends: every entry the
-    # sweep made is still in the table (the lookup is a hit), and empty;
-    # the printed T3 line applies at both triples (w2 != w3) unless perturbed
+def test_sweep_keeps_route_runs_within_the_table_bound(monkeypatch, perturb, jobs):
+    # at every run build the run table holds no more than its bound, the two
+    # entries of one degree run (its theorem's route and, for T3, the printed
+    # fifth line, which applies at both triples here unless perturbed); the
+    # bound loses no hit, so no run is built twice, in one process or
+    # through the pool's path, and the reports equal verify_theorem's
     ys = (F(1, 2), F(-2, 3), F(0))
     instances = [
         TheoremInstance(tid, chi, n, w, ys[: theorem_y_arity(tid)])
@@ -701,19 +721,23 @@ def test_sweep_leaves_no_route_run_behind(perturb):
         for w in ((2, 3, 5), (2, 2, 3))
         for n in range(4)
     ]
+    expected = [verify_theorem(inst, perturb=perturb) for inst in instances]
+    builds, sizes = [], []
+    evaluate_run = identities._evaluate_run
+
+    def measured(route, N, chi, weights, ys, bump):
+        builds.append((route, chi, weights, ys))
+        sizes.append(bernoulli._run_table.cache_info().currsize)
+        return evaluate_run(route, N, chi, weights, ys, bump)
+
+    monkeypatch.setattr(identities, "_evaluate_run", measured)
+    monkeypatch.setattr(identities, "ProcessPoolExecutor", _SerialPool)
     clear_caches()
-    sweep_verify(instances, perturb=perturb)
-    bump = 1 if perturb else 0
-    entries = []
-    for tid, chi, w, y in dict.fromkeys((i.theorem, i.chi, i.weights, i.ys) for i in instances):
-        entries.append((identities._THEOREMS[tid].label, chi, w, y, bump))
-        if tid == "T3" and not perturb and w[1] != w[2]:
-            entries.append(("T3.line5", chi, w, y, 0))
-    assert len(entries) == 8 * 2 * 2 + (0 if perturb else 4)
-    for key in entries:
-        misses = bernoulli._run_table.cache_info().misses
-        assert bernoulli._run_table(*key) == {}, key
-        assert bernoulli._run_table.cache_info().misses == misses, key
+    reports = sweep_verify(instances, jobs=jobs, perturb=perturb)
+    assert max(sizes) == bernoulli._run_table.cache_info().maxsize == 2
+    assert len(builds) == len(set(builds))
+    assert [_flags(r) for r in reports] == [_flags(r) for r in expected]
+    assert [r.values for r in reports] == [r.values for r in expected]
 
 
 # -- Galois orbits -------------------------------------------------------------
