@@ -61,6 +61,15 @@ REPEATED_WEIGHTS = [
     "--weights", "1,1,1;2,2,3;2,3,2;3,2,2", "--n-max", "4",
 ]
 
+# Every theorem on one character, mod 7 char 1 (order 6, phi = 2), through
+# verify: one representative character, so a pool of two deals each degree
+# run as a part of its own.
+VERIFY_ONE_CHARACTER = [
+    "verify", "--theorem", "T1,T2,T3,T4,T5,T6,T7,T8", "--modulus", "7", "--char", "1",
+    "--n-max", "6", "--ys", "1/2,-1/3,2/3", "--format", "json",
+]
+VERIFY_ONE_CHARACTER_DIGEST = "d3ad9d7144a5ef0e1a74c8ac3318cf2273bc3cbcc18c6920595d4a8fdf7373d7"
+
 GOLDEN = {
     "sweep-imprimitive": (
         IMPRIMITIVE_SWEEP,
@@ -132,6 +141,12 @@ GOLDEN = {
         REPEATED_WEIGHTS + ["--perturb"],
         1,
         "5d45d24a216b676b9c908677a304e1c3f7396237946d4fd4ed7044e65cedd149",
+    ),
+    "verify-one-character-jobs1": (
+        VERIFY_ONE_CHARACTER + ["--jobs", "1"], 0, VERIFY_ONE_CHARACTER_DIGEST
+    ),
+    "verify-one-character-jobs2": (
+        VERIFY_ONE_CHARACTER + ["--jobs", "2"], 0, VERIFY_ONE_CHARACTER_DIGEST
     ),
     # the README lambda example
     "lambda-readme": (
