@@ -79,8 +79,10 @@ evaluation is pure given the per-process Bernoulli memo tables.
 sweep_verify verifies each degree run, the instances that share
 (theorem, chi, weights, ys), from its highest n down, so each route run
 and each leaf is built once, at its top index, and the lower degrees
-read a prefix of its entry; a pool is dealt whole degree runs, and the
-reports come back in input order for any worker count.
+read a prefix of its entry.  A pool is dealt the degree runs of one
+verified character per task, so each leaf, keyed by its character, is
+built in one worker; the reports come back in input order for any worker
+count.
 
 sweep_verify also verifies one character per Galois orbit.  Every value
 above is built from chi's values by rational operations, so for k prime
@@ -619,6 +621,11 @@ def _verify_run(tasks):
     return [_verify_star(task) for task in tasks]
 
 
+def _verify_part(runs):
+    # the degree runs of one pool task, in turn
+    return [_verify_run(tasks) for tasks in runs]
+
+
 def _orbit_groups(instances) -> dict[int, list[tuple[int, int]]]:
     # {head: [(conjugate, k)]} over instance indices: the instances that
     # share (theorem, n, weights, ys), grouped by the Galois orbits of their
@@ -673,9 +680,14 @@ def sweep_verify(
     mismatched character, and any whose representative is absent from
     its group, is verified directly.
 
-    With jobs > 1 the degree runs are dealt whole, in that order, to a
-    process pool of at most one worker per run, so no run is built in two
-    workers; each worker warms its own memo tables.
+    With jobs > 1 a process pool of at most one worker per part is dealt
+    one part per task: the degree runs of one verified character, in that
+    order, with the conjugates derived from them.  The memo tables key a
+    leaf by its character, so each leaf is built in one worker, and the
+    workers together build no more leaves than one process.  A grid with
+    fewer verified characters than jobs is dealt one degree run per part,
+    so its workers still share the work, and may each build a character's
+    leaves.
 
     render, if given, is a picklable callable from a report to its text.
     It is applied where the report was made, in the worker with jobs > 1,
@@ -690,18 +702,24 @@ def sweep_verify(
         inst = instances[k]
         by_run.setdefault((inst.theorem, inst.chi, inst.weights, inst.ys), []).append(k)
     runs = [sorted(run, key=lambda i: -instances[i].n) for run in by_run.values()]
-    tasks = [
-        [(instances[k], [(instances[c], step) for c, step in groups[k]], perturb, render)
-         for k in run]
-        for run in runs
-    ]
-    if jobs <= 1 or len(tasks) <= 1:
-        done = map(_verify_run, tasks)
+
+    def tasks(run):
+        return [
+            (instances[k], [(instances[c], step) for c, step in groups[k]], perturb, render)
+            for k in run
+        ]
+
+    if jobs <= 1 or len(runs) <= 1:
+        done = (_verify_run(tasks(run)) for run in runs)
     else:
-        jobs = min(jobs, len(tasks))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, len(tasks) // (jobs * 4))
-            done = list(pool.map(_verify_run, tasks, chunksize=chunk))
+        by_chi: dict = {}  # the degree runs of each verified character
+        for run in runs:
+            by_chi.setdefault(instances[run[0]].chi, []).append(run)
+        parts = list(by_chi.values()) if len(by_chi) >= jobs else [[run] for run in runs]
+        runs = [run for part in parts for run in part]
+        with ProcessPoolExecutor(max_workers=min(jobs, len(parts))) as pool:
+            done_parts = pool.map(_verify_part, [[tasks(run) for run in part] for part in parts])
+            done = [run_reports for part in done_parts for run_reports in part]
     reports = [None] * len(instances)
     for run, run_reports in zip(runs, done):
         for k, task_reports in zip(run, run_reports):

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from math import comb
@@ -887,3 +888,131 @@ def test_pool_reports_hold_the_callers_instances():
     for jobs in (1, 2):
         reports = sweep_verify(instances, jobs=jobs)
         assert all(r.instance is inst for r, inst in zip(reports, instances)), jobs
+
+
+# -- dealing the pool ----------------------------------------------------------
+
+
+def _recording_pool(monkeypatch):
+    # an in-process stand-in for the pool that maps serially, so no process
+    # is started, and records each worker count it is asked for and each
+    # part it is dealt, with the reports verified from that part
+    dealt = {"workers": [], "parts": []}
+
+    class RecordingPool(_SerialPool):
+        def __init__(self, max_workers):
+            dealt["workers"].append(max_workers)
+
+        def map(self, fn, iterable):
+            done = []
+            for part in iterable:
+                done.append(fn(part))
+                dealt["parts"].append((part, done[-1]))
+            return done
+
+    monkeypatch.setattr(identities, "ProcessPoolExecutor", RecordingPool)
+    return dealt
+
+
+def test_pool_is_dealt_one_character_per_part(monkeypatch):
+    # several Galois orbits mod 5 and 7: each part holds the degree runs of
+    # one representative character, no character is in two parts, and every
+    # conjugate's report is made in its representative's part
+    instances = [
+        TheoremInstance(t, chi, n, w, GALOIS_YS[: theorem_y_arity(t)])
+        for t in ("T3", "T5", "T6")
+        for chi in enumerate_characters(5)[1:] + enumerate_characters(7)[1:]
+        for w in ((1, 2, 3), (2, 2, 3))
+        for n in range(3)
+    ]
+    orbits = _galois_orbits([inst.chi for inst in instances])
+    representatives = {rep for rep, _ in orbits.values()}
+    assert len(representatives) == 5
+    dealt = _recording_pool(monkeypatch)
+    reports = sweep_verify(instances, jobs=2)
+    assert dealt["workers"] == [2]
+    chars = [{task[0].chi for run in part for task in run} for part, _ in dealt["parts"]]
+    assert all(len(c) == 1 for c in chars)
+    assert len(chars) == len(representatives) == len(set().union(*chars))
+    assert set().union(*chars) == representatives
+    made_in = {}  # the representative of the part that made each report
+    for (_, done), (chi,) in zip(dealt["parts"], chars):
+        for run_reports in done:
+            for task_reports in run_reports:
+                made_in.update((id(r), chi) for r in task_reports)
+    for inst, report in zip(instances, reports):
+        assert made_in[id(report)] is orbits[inst.chi][0]
+    expected = [verify_theorem(inst) for inst in instances]
+    assert [_flags(r) for r in reports] == [_flags(r) for r in expected]
+    assert [r.values for r in reports] == [r.values for r in expected]
+
+
+@pytest.mark.parametrize("jobs", [2, 8])
+def test_pool_with_fewer_characters_than_workers_is_dealt_runs(monkeypatch, jobs):
+    # one character and three degree runs: each run is a part of its own,
+    # dealt to min(jobs, parts) workers, so the pool still runs in parallel
+    instances = [
+        TheoremInstance(t, CHI4, n, (2, 3, 5), GALOIS_YS[: theorem_y_arity(t)])
+        for t in ("T1", "T4", "T7")
+        for n in range(3)
+    ]
+    dealt = _recording_pool(monkeypatch)
+    reports = sweep_verify(instances, jobs=jobs)
+    assert dealt["workers"] == [min(jobs, 3)]
+    parts = [part for part, _ in dealt["parts"]]
+    assert [len(part) for part in parts] == [1, 1, 1]
+    assert [{task[0].theorem for task in part[0]} for part in parts] == [{"T1"}, {"T4"}, {"T7"}]
+    assert [r.values for r in reports] == [verify_theorem(inst).values for inst in instances]
+
+
+def _leaf_misses(report):
+    # a render callable: the process that made the report, and the entries
+    # its fold and Bernoulli-number tables have built so far
+    folds, numbers = bernoulli._fold_table.cache_info(), bernoulli._number_table.cache_info()
+    return os.getpid(), folds.misses, numbers.misses
+
+
+def _leaf_builds(instances, jobs):
+    # the fold and number-table entries built by a sweep from empty tables,
+    # summed over the processes that made its reports, with the count of
+    # those processes
+    clear_caches()
+    last = {}
+    for report in sweep_verify(instances, jobs=jobs, render=_leaf_misses):
+        pid, folds, numbers = report.text
+        last[pid] = max(last.get(pid, (0, 0)), (folds, numbers))
+    assert (os.getpid() in last) == (jobs <= 1)
+    return tuple(map(sum, zip(*last.values()))), len(last)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+def test_forked_pool_builds_each_leaf_in_one_worker(monkeypatch):
+    # forked workers start from the parent's (emptied) tables; dealt one
+    # character per part, the two workers together build each fold and each
+    # Bernoulli-number table once, as one process does: on the benchmark's
+    # grid shape, 630 folds and 10 number tables
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr(
+        identities, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=fork)
+    )
+    bench_grid = cli.SweepConfig(moduli=(1, 3, 4, 5, 7, 8), n_max=1, weights=((1, 2, 3), (2, 3, 5)))
+    folded = cli.SweepConfig(moduli=(5, 7), theorems=("T3", "T5", "T6"), n_max=4)
+    for config, builds in ((bench_grid, (630, 10)), (folded, (510, 5))):
+        instances = cli.build_instances(config)
+        assert _leaf_builds(instances, 1) == (builds, 1)
+        assert _leaf_builds(instances, 2)[0] == builds
+    # a copy of mod 5 char 3, not the enumerated object of its key, beside a
+    # second character: its runs cross to a worker in one part, as one
+    # object, so its Bernoulli numbers are built once
+    psi = dataclasses.replace(enumerate_characters(5)[3])
+    instances = [
+        TheoremInstance("T7", chi, n, (1, 2, 3), (y,))
+        for chi in (psi, CHI4)
+        for y in (F(1, 2), F(-1, 3))
+        for n in range(8)
+    ]
+    serial = _leaf_builds(instances, 1)
+    assert serial[0][1] == 2
+    assert _leaf_builds(instances, 2)[0] == serial[0]
