@@ -225,3 +225,17 @@ def test_rational_field_lambda_series_bytes_are_pinned(capsys):
     clear_caches()
     assert _lambda_digest(capsys, RATIONAL_LAMBDA_CHARS) == RATIONAL_LAMBDA_DIGEST
     assert _lambda_digest(capsys, RATIONAL_LAMBDA_CHARS) == RATIONAL_LAMBDA_DIGEST
+
+
+# The same twenty calls past phi = 4: mod 17 char 1 has order 16 (phi = 8)
+# and mod 29 char 1 has order 28 (phi = 12), the widest rows the series
+# products and both routes' comparison see.
+WIDE_LAMBDA_CHARS = ((17, 1), (29, 1))
+WIDE_LAMBDA_DIGEST = "b0e9f87b61add90ca756ece58c51b27c27198934ccf7be49c31ed1d15183e1f0"
+
+
+def test_wide_field_lambda_series_bytes_are_pinned(capsys):
+    # cold, then warm, as for the fields above
+    clear_caches()
+    assert _lambda_digest(capsys, WIDE_LAMBDA_CHARS) == WIDE_LAMBDA_DIGEST
+    assert _lambda_digest(capsys, WIDE_LAMBDA_CHARS) == WIDE_LAMBDA_DIGEST
