@@ -13,14 +13,17 @@ the constructors from rationals, as_rational, coeffs and rendering.
 All values are immutable after construction and safe to share across
 threads or processes.  The Phi_m table is memoized; recomputation is
 idempotent, so concurrent first use is harmless.  Only this module
-multiplies, lifts, conjugates and reduces integer rows of Z[zeta_m]
-(_dot, and _spread_row for both lift and sigma_k: zeta -> zeta^k):
-series.py stores a whole truncated series in the same layout, integer
-rows over one denominator, but multiplies them only through _dot, lifts
-no row, and takes the rows of elements from _common_rows.  No other
-module reads the integer layout: sums of integer-weighted products go
-through linear_combination.  A rational argument is an int or a
-Fraction; a bool or a float raises ValueError, or TypeError in operators.
+multiplies, lifts, conjugates and reduces integer rows of Z[zeta_m]:
+_dot sums products of rows, _convolve gives the rows of a whole
+truncated series product and _inverse those of a series inverse (both
+split rational rows into scalars once), and _spread_row serves both lift
+and sigma_k: zeta -> zeta^k.  series.py stores a whole truncated series
+in the same layout, integer rows over one denominator, but multiplies
+its rows only through these kernels, lifts no row, and takes the rows of
+elements from _common_rows.  No other module reads the integer layout:
+sums of integer-weighted products go through linear_combination.  A
+rational argument is an int or a Fraction; a bool or a float raises
+ValueError, or TypeError in operators.
 """
 
 from __future__ import annotations
@@ -154,6 +157,40 @@ def _dot(m: int, xs, ys) -> list[int]:
                 for t, v in enumerate(y):
                     conv[s + t] += u * v
     return _remainder(conv, m)
+
+
+def _convolve(m: int, xs, ys) -> list[list[int]]:
+    # the rows k = 0..n of the truncated Cauchy product of the row
+    # sequences xs and ys of Z[zeta_m], both of length n + 1: row k is
+    # sum_{j <= k} xs[j] ys[k-j].  Rational xs (rows of length 1) are
+    # split into scalars and ys into columns once, so each coordinate is
+    # one integer dot product; any other xs takes one _dot per row
+    if len(xs[0]) == 1:
+        scalars = [x for x, in xs]
+        cols = list(zip(*ys))
+        return [[sum(map(mul, scalars, col[k::-1])) for col in cols] for k in range(len(xs))]
+    return [_dot(m, xs[: k + 1], ys[k::-1]) for k in range(len(xs))]
+
+
+def _inverse(m: int, rows) -> list[list[int]]:
+    # the fraction-free inverse recurrence for rows A_0..A_n of Z[zeta_m]
+    # with a rational A_0 = (a0, 0, ..., 0), a0 != 0: C_0 = 1 and
+    # C_k = -sum_{j >= 1} A_j a0^(j-1) C_{k-j}, so that the inverse of
+    # sum A_j t^j is sum C_k t^k / a0^(k+1).  Rational rows run on
+    # scalars; any others take one _dot per row
+    head = rows[0]
+    a0 = head[0]
+    scaled = [[a0 ** (j - 1) * x for x in row] for j, row in enumerate(rows[1:], 1)]
+    if len(head) == 1:
+        scalars = [x for x, in scaled]
+        cs = [1]
+        for _ in scalars:
+            cs.append(-sum(map(mul, scalars, reversed(cs))))
+        return [[c] for c in cs]
+    cs = [[1] + [0] * (len(head) - 1)]
+    for k in range(1, len(rows)):
+        cs.append([-x for x in _dot(m, scaled[:k], cs[::-1])])
+    return cs
 
 
 def _spread_row(row, step: int, m: int) -> list[int]:

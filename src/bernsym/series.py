@@ -11,10 +11,12 @@ power-basis coordinates of the coefficients of t^0..t^N) over one
 positive denominator den for the whole series, with gcd(den, every
 entry) == 1.  So the zero series is zero rows over 1, and equal series
 over one field have equal rows and den.  Every operation works on
-integers and ends with one gcd for the whole result; rows are multiplied
-only through cyclotomic.py's row kernel _dot, and the inverse is a
-fraction-free recurrence.  coeff, egf_coeff and coeffs hand back
-normalized CycloElements.
+integers and ends with one gcd for the whole result.  Rows are
+multiplied only through cyclotomic.py's row kernels: a product is one
+_convolve call, an inverse one _inverse call (a fraction-free
+recurrence), and an exponential sum one _dot per coefficient.  coeff,
+egf_coeff and coeffs hand back normalized CycloElements, each reduced
+once.
 
 Sums, differences, products and == take two series of the same
 truncation order; a different order raises ValueError, and a rational
@@ -32,7 +34,16 @@ from __future__ import annotations
 from itertools import chain
 from math import factorial, gcd, lcm
 
-from .cyclotomic import CycloElement, _common_rows, _dot, _rational, _reduced, euler_phi
+from .cyclotomic import (
+    CycloElement,
+    _common_rows,
+    _convolve,
+    _dot,
+    _inverse,
+    _rational,
+    _reduced,
+    euler_phi,
+)
 
 __all__ = ["TruncatedSeries", "exp_series"]
 
@@ -84,13 +95,18 @@ class TruncatedSeries:
 
     def coeff(self, n: int) -> CycloElement:
         """Ordinary coefficient of t^n."""
-        if n > self.order:
-            raise ValueError(f"coefficient {n} beyond truncation order {self.order}")
-        return _reduced(self.field_order, self.rows[n], self.den)
+        return _reduced(self.field_order, self._row(n), self.den)
 
     def egf_coeff(self, n: int) -> CycloElement:
         """n! times the ordinary coefficient of t^n."""
-        return self.coeff(n).scale(factorial(n))
+        f = factorial(n)
+        return _reduced(self.field_order, [f * x for x in self._row(n)], self.den)
+
+    def _row(self, n: int) -> tuple[int, ...]:
+        # the numerators of the coefficient of t^n, over den
+        if n > self.order:
+            raise ValueError(f"coefficient {n} beyond truncation order {self.order}")
+        return self.rows[n]
 
     @property
     def coeffs(self) -> tuple[CycloElement, ...]:
@@ -133,14 +149,13 @@ class TruncatedSeries:
             return NotImplemented
         _check_orders(self, other)
         # a factor with rows of length 1 over a field order that divides the
-        # other's is rational: it goes first, and _dot scales the other's
+        # other's is rational: it goes first, and _convolve scales the other's
         # coordinates with it; any other pair of factors shares one field
         a, b = (other, self) if _scales(other, self) else (self, other)
         if not _scales(a, b):
             _one_field(a, b)
-        m, n, x, y = b.field_order, self.order, a.rows, b.rows
-        rows = [_dot(m, x[: k + 1], y[k::-1]) for k in range(n + 1)]
-        return _series(n, m, rows, self.den * other.den)
+        m, n = b.field_order, self.order
+        return _series(n, m, _convolve(m, a.rows, b.rows), self.den * other.den)
 
     def invert(self) -> TruncatedSeries:
         """Multiplicative inverse up to the truncation order.
@@ -156,13 +171,9 @@ class TruncatedSeries:
         a0 = head[0]
         if a0 == 0:
             raise ValueError("series with zero constant term is not invertible")
-        # With coefficients A_j / D, the fraction-free recurrence C_0 = 1,
-        # C_k = -sum_{j>=1} A_j C_{k-j} a0^(j-1) gives the inverse's
-        # coefficients D C_k / a0^(k+1), all over a0^(n+1).
-        scaled = [head] + [tuple(a0 ** (j - 1) * x for x in rows[j]) for j in range(1, n + 1)]
-        cs = [(1,) + head[1:]]
-        for k in range(1, n + 1):
-            cs.append([-x for x in _dot(m, scaled[1 : k + 1], cs[k - 1 :: -1])])
+        # With coefficients A_j / D, the fraction-free recurrence's C_k give
+        # the inverse's coefficients D C_k / a0^(k+1), all over a0^(n+1).
+        cs = _inverse(m, rows)
         den = a0 ** (n + 1)
         sign = -1 if den < 0 else 1
         out = [[sign * self.den * a0 ** (n - k) * x for x in c] for k, c in enumerate(cs)]

@@ -6,11 +6,14 @@ series machinery, so agreement between the two is a real check.  Three
 exceptions: fold_direct takes its values from gen_bernoulli_poly (which
 tests/test_bernoulli.py checks against the oracles here) and checks only
 the order in which the folded routes sum them; lifted_product multiplies
-two series with the library's _dot after lifting both to one field, the
-reference for the product that multiplies a rational factor in unlifted; and
-power_sum_series builds the power sums' closed-form generating function
-from the library's series leaves, a route the library's power sums,
-read from moments, do not take.  And route_at_degree, the per-degree
+two series with the library's _dot, one call per coefficient, after
+lifting both to one field.  It is the reference for the library's
+product, which multiplies a rational factor in unlifted and splits it
+into scalars in one _convolve call; it keeps the per-coefficient _dot so
+that it shares no code with that kernel.  And power_sum_series builds
+the power sums' closed-form generating function from the library's
+series leaves, a route the library's power sums, read from moments, do
+not take.  And route_at_degree, the per-degree
 evaluator of the route table that the library's one-pass run evaluator
 replaced, reads the library's leaves and checks only how the runs sum
 them over n.  Last, induced_bernoulli_number, induced_bernoulli_poly and

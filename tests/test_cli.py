@@ -145,6 +145,51 @@ def test_lambda_matches_library(capsys):
         assert rec["egf_coeff"] == str(series.egf_coeff(rec["n"]))
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_lambda_route_mismatch_is_flagged_at_its_n_only(monkeypatch, capsys, fmt):
+    # the integral route made to differ from the closed one at n = 5 only:
+    # the report flags that one record, keeps the closed route's values and
+    # exits 1
+    from bernsym.identities import LambdaSpec, lambda_series
+    from bernsym.series import TruncatedSeries
+
+    order, bad = 8, 5
+    real = cli.lambda_series_from_integrals
+
+    def skewed(spec, chi, n):
+        step = TruncatedSeries.from_coeffs(n, [0] * bad + [1], chi.order)
+        return real(spec, chi, n) + step
+
+    monkeypatch.setattr(cli, "lambda_series_from_integrals", skewed)
+    code, out = run_cli(
+        capsys,
+        [
+            "lambda", "--family", "L23", "--index", "1", "--modulus", "5",
+            "--char", "1", "--weights", "2,3,5", "--ys", "1/2,-2/3",
+            "--order", str(order), "--route", "both", "--format", fmt,
+        ],
+    )
+    assert code == 1
+    chi = enumerate_characters(5)[1]
+    spec = LambdaSpec("L23", 1, (2, 3, 5), (Fraction(1, 2), Fraction(-2, 3)))
+    closed = [str(lambda_series(spec, chi, order).egf_coeff(n)) for n in range(order + 1)]
+    if fmt == "json":
+        doc = json.loads(out)
+        assert doc["summary"]["routes_agree"] is False
+        assert [r["routes_agree"] for r in doc["records"]] == [n != bad for n in range(order + 1)]
+        assert [r["egf_coeff"] for r in doc["records"]] == closed
+    elif fmt == "csv":
+        lines = out.splitlines()
+        assert lines[0] == "n,egf_coeff,routes_agree"
+        flags = [line.rsplit(",", 1)[1] for line in lines[1:]]
+        assert flags == [str(n != bad) for n in range(order + 1)]
+    else:
+        lines = out.splitlines()[1:]
+        assert len(lines) == order + 1
+        assert out.count("[ROUTE MISMATCH]") == 1
+        assert lines[bad] == f"  n={bad}: {closed[bad]}  [ROUTE MISMATCH]"
+
+
 @pytest.mark.parametrize("family, index", [("L23", "5"), ("L12", "2")])
 def test_lambda_index_out_of_range_is_usage_error(capsys, family, index):
     with pytest.raises(SystemExit) as exc:

@@ -330,7 +330,7 @@ def test_rational_factor_product_equals_the_lifted_product():
     for m in (1, 2, 3, 4, 5, 7, 8, 11, 16):
         for m_rational in (1, 2):
             l = lcm(m, m_rational)
-            for order in (0, 3, 12):
+            for order in (0, 3, 12, 40):
                 r = _rational_series(rng, order, m_rational)
                 c = _build(_ref_series(rng, order, m), m)
                 for a, b in ((r, c), (c, r)):
