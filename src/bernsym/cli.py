@@ -568,17 +568,14 @@ def cmd_lambda(args) -> int:
         routes.append(lambda_series(spec, chi, args.order))
     if args.route in ("integrals", "both"):
         routes.append(lambda_series_from_integrals(spec, chi, args.order))
-    # both routes are built over Q(zeta_{chi.order}), where a series is
-    # canonical rows over one denominator: equal series agree at every n, so
-    # only the first route's coefficients are converted; otherwise each
-    # route's coefficient is converted and compared at each n
-    agree = len(routes) == 2 and routes[0] == routes[1]
-    converted = routes[:1] if agree else routes
+    # both routes are built over Q(zeta_{chi.order}); they agree at n
+    # exactly when row n of their difference, the power-basis numerators
+    # of its t^n coefficient, is zero.  Only the first route is converted
+    diff = routes[0] - routes[1] if len(routes) == 2 else None
     for n in range(args.order + 1):
-        coeffs = [s.egf_coeff(n) for s in converted]
-        rec = {"n": n, "egf_coeff": str(coeffs[0])}
-        if len(routes) == 2:
-            rec["routes_agree"] = agree or bool(coeffs[0] == coeffs[1])
+        rec = {"n": n, "egf_coeff": str(routes[0].egf_coeff(n))}
+        if diff is not None:
+            rec["routes_agree"] = not any(diff.rows[n])
         records.append(rec)
     summary = {"order": args.order}
     if len(routes) == 2:
