@@ -14,6 +14,7 @@ import csv
 import functools
 import io
 import json
+import operator
 import re
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -327,10 +328,24 @@ _SWEEP_FIELDS = (
     "theorem", "modulus", "char", "char_order", "conductor", "n", "weights", "ys",
     "values", "all_equal", "first_mismatch", "extras",
 )
+# a json sweep record as _json writes it two levels deep: its keys sorted,
+# each filled in with the json text of its column, given in csv order
+_SWEEP_ORDER = sorted(range(len(_SWEEP_FIELDS)), key=_SWEEP_FIELDS.__getitem__)
+_SWEEP_JSON = "{" + ",".join(f'\n      "{_SWEEP_FIELDS[i]}": %s' for i in _SWEEP_ORDER) + "\n    }"
+_sweep_json_order = operator.itemgetter(*_SWEEP_ORDER)
+
+
+def _sweep_list(texts: list) -> str:
+    # json texts as a list in a sweep record, _json(..., 3) of the values
+    return "[\n        " + ",\n        ".join(texts) + "\n      ]" if texts else "[]"
 
 
 def _json(value, level: int = 0) -> str:
-    """value as json.dumps(value, indent=2, sort_keys=True) writes it `level` deep."""
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it `level` deep.
+
+    It writes every json report but the records of sweep and verify, which
+    _render_sweep_record fills into _SWEEP_JSON.
+    """
     if type(value) is str:
         return _quote(value)
     if value is None:
@@ -429,7 +444,10 @@ def _sweep_text(rec: dict) -> str:
 def _render_sweep_record(fmt: str, report: VerificationReport) -> str:
     """One sweep record rendered as fmt, in the process that verified it.
 
-    It lifts the digit cap itself, since a pool worker need not inherit the
+    In json the record is _SWEEP_JSON filled in: the columns of fixed shape
+    are written here, and first_mismatch and extras by _json.  Its text
+    equals _json of the record's dict, which csv and text still build.  It
+    lifts the digit cap itself, since a pool worker need not inherit the
     caller's setting.
     """
     inst, chi = report.instance, report.instance.chi
@@ -441,6 +459,17 @@ def _render_sweep_record(fmt: str, report: VerificationReport) -> str:
     if report.first_mismatch is not None:
         i, j = report.first_mismatch
         mismatch = {"left_index": i, "right_index": j, "left": values[i], "right": values[j]}
+    if fmt == "json":
+        if report.all_equal:
+            quoted = [_quote(values[0])] * len(values)
+        else:
+            quoted = [_quote(v) for v in values]
+        return _SWEEP_JSON % _sweep_json_order((
+            _quote(inst.theorem), str(chi.modulus), str(chi.label), str(chi.order),
+            str(chi.conductor), str(inst.n), _sweep_list([str(w) for w in inst.weights]),
+            _sweep_list([_quote(str(y)) for y in inst.ys]), _sweep_list(quoted),
+            "true" if report.all_equal else "false", _json(mismatch, 3), _json(report.extras, 3),
+        ))
     rec = dict(zip(_SWEEP_FIELDS, (
         inst.theorem, chi.modulus, chi.label, chi.order, chi.conductor, inst.n,
         list(inst.weights), [str(y) for y in inst.ys], values, report.all_equal,
@@ -683,7 +712,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_run_options(p):
         # the options that verify and sweep share, ahead of --format
         p.add_argument("--allow-imprimitive", action="store_true")
-        p.add_argument("--jobs", type=_positive_int, default=1)
+        p.add_argument("--jobs", type=_positive_int, default=1,
+                       help="most worker processes to use (default 1); "
+                            "capped at the CPUs this process may use")
         p.add_argument("--perturb", action="store_true",
                        help="sensitivity hook: raise route weight exponents and expect failures")
         add_format(p)

@@ -101,6 +101,7 @@ and repeated, and one text when rendered.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -652,6 +653,13 @@ def _orbit_groups(instances) -> dict[int, list[tuple[int, int]]]:
     return groups
 
 
+def _usable_cpus() -> int:
+    # the CPUs this process may run on, where the platform says
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def sweep_verify(
     instances, jobs: int = 1, perturb: bool = False, render=None
 ) -> list[VerificationReport]:
@@ -680,6 +688,7 @@ def sweep_verify(
     mismatched character, and any whose representative is absent from
     its group, is verified directly.
 
+    jobs is an upper bound, first capped at the CPUs this process may use.
     With jobs > 1 a process pool of at most one worker per part is dealt
     one part per task: the degree runs of one verified character, in that
     order, with the conjugates derived from them.  The memo tables key a
@@ -709,6 +718,7 @@ def sweep_verify(
             for k in run
         ]
 
+    jobs = min(jobs, _usable_cpus())
     if jobs <= 1 or len(runs) <= 1:
         done = (_verify_run(tasks(run)) for run in runs)
     else:

@@ -427,6 +427,7 @@ def test_sweep_verify_caps_workers_at_run_count(monkeypatch):
             return map(fn, iterable)
 
     monkeypatch.setattr(identities, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(identities, "_usable_cpus", lambda: 64)  # the cap is the runs'
     instances = [
         TheoremInstance("T7", CHI3, n, w, (F(1, 2),))
         for w in ((1, 2, 3), (2, 3, 5))
@@ -893,11 +894,13 @@ def test_pool_reports_hold_the_callers_instances():
 # -- dealing the pool ----------------------------------------------------------
 
 
-def _recording_pool(monkeypatch):
+def _recording_pool(monkeypatch, cpus=8):
     # an in-process stand-in for the pool that maps serially, so no process
     # is started, and records each worker count it is asked for and each
-    # part it is dealt, with the reports verified from that part
+    # part it is dealt, with the reports verified from that part; the
+    # process may use cpus CPUs, whatever the machine has
     dealt = {"workers": [], "parts": []}
+    monkeypatch.setattr(identities, "_usable_cpus", lambda: cpus)
 
     class RecordingPool(_SerialPool):
         def __init__(self, max_workers):
@@ -965,6 +968,40 @@ def test_pool_with_fewer_characters_than_workers_is_dealt_runs(monkeypatch, jobs
     assert [r.values for r in reports] == [verify_theorem(inst).values for inst in instances]
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_pool_is_capped_at_the_usable_cpus(monkeypatch, cpus):
+    # --jobs 64 on a process that may use cpus CPUs: the cap comes before
+    # the parts are chosen, so five verified characters are dealt one per
+    # part once the cap is at most five, and one CPU verifies serially
+    instances = [
+        TheoremInstance(t, chi, n, (1, 2, 3), GALOIS_YS[: theorem_y_arity(t)])
+        for t in ("T3", "T7")
+        for chi in enumerate_characters(5)[1:] + enumerate_characters(7)[1:]
+        for n in range(2)
+    ]
+    dealt = _recording_pool(monkeypatch, cpus)
+    reports = sweep_verify(instances, jobs=64)
+    if cpus == 1:
+        assert dealt == {"workers": [], "parts": []}
+    else:
+        assert dealt["workers"] == [cpus]
+        chars = [{task[0].chi for run in part for task in run} for part, _ in dealt["parts"]]
+        assert [len(c) for c in chars] == [1] * 5
+    expected = [verify_theorem(inst) for inst in instances]
+    assert [_flags(r) for r in reports] == [_flags(r) for r in expected]
+    assert [r.values for r in reports] == [r.values for r in expected]
+
+
+def test_usable_cpus_reads_the_affinity_mask_or_else_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    assert identities._usable_cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert identities._usable_cpus() == 16
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undetermined
+    assert identities._usable_cpus() == 1
+
+
 def _leaf_misses(report):
     # a render callable: the process that made the report, and the entries
     # its fold and Bernoulli-number tables have built so far
@@ -997,6 +1034,7 @@ def test_forked_pool_builds_each_leaf_in_one_worker(monkeypatch):
     monkeypatch.setattr(
         identities, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=fork)
     )
+    monkeypatch.setattr(identities, "_usable_cpus", lambda: 2)  # two workers on any machine
     bench_grid = cli.SweepConfig(moduli=(1, 3, 4, 5, 7, 8), n_max=1, weights=((1, 2, 3), (2, 3, 5)))
     folded = cli.SweepConfig(moduli=(5, 7), theorems=("T3", "T5", "T6"), n_max=4)
     for config, builds in ((bench_grid, (630, 10)), (folded, (510, 5))):

@@ -173,18 +173,36 @@ def _shapes(perturb):
 
 
 def test_sweep_covers_every_record_shape():
+    # every branch of the json record template: the lists of every length
+    # it meets, the empty one included, each shape of extras, and passing
+    # and failing records with rational and non-rational values
     records = _shapes(False)["records"]
     perturbed = _shapes(True)["records"]
     extras = [r["extras"] for r in records]
     assert {e.get("printed_line5_applies") for e in extras} >= {True, False}
+    assert {e.get("printed_line5_matches") for e in extras} == {None, True, False}
     assert {r["theorem"] for r in records if "collapsed_variants_equal" in r["extras"]} == {
         "T4", "T8"
     }
-    assert any(r["ys"] == [] for r in records)
+    assert {tuple(e) for r in records + perturbed for e in [r["extras"]]} == {
+        (), ("collapsed_variants_equal",), ("printed_line5_applies",),
+        ("printed_line5_applies", "printed_line5_matches"),
+    }
+    assert {r["extras"].get("collapsed_variants_equal") for r in perturbed} == {None, True, False}
+    assert {len(r["ys"]) for r in records} == {0, 1, 2, 3}
+    assert {len(r["values"]) for r in records} == {2, 3, 6}
     assert any(r["first_mismatch"] is not None for r in perturbed)
     assert {"-1/2", "0"} <= {y for r in records for y in r["ys"]}
     assert any(r["conductor"] < r["modulus"] for r in records)
     assert any(r["values"][0].endswith("@ zeta(10)") for r in records)
+    assert all(r["all_equal"] for r in records)
+    failing = [r for r in perturbed if not r["all_equal"]]
+    for rational in (True, False):
+        assert any(
+            all(("@" not in v) == rational for v in r["values"]) and len(set(r["values"])) > 1
+            for r in failing
+        )
+    assert any(r["all_equal"] for r in perturbed)
 
 
 @pytest.mark.parametrize("perturb", [False, True])
