@@ -184,7 +184,7 @@ def test_sweep_covers_every_record_shape():
     assert {r["theorem"] for r in records if "collapsed_variants_equal" in r["extras"]} == {
         "T4", "T8"
     }
-    assert {tuple(e) for r in records + perturbed for e in [r["extras"]]} == {
+    assert {tuple(r["extras"]) for r in records + perturbed} == {
         (), ("collapsed_variants_equal",), ("printed_line5_applies",),
         ("printed_line5_applies", "printed_line5_matches"),
     }
