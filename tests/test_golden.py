@@ -12,6 +12,7 @@ import pytest
 
 from bernsym import cli
 from bernsym.bernoulli import clear_caches
+from bernsym.characters import primitive_characters
 
 IMPRIMITIVE_SWEEP = [
     "sweep", "--format", "json", "--moduli", "1,3,4,5,8",
@@ -239,3 +240,19 @@ def test_wide_field_lambda_series_bytes_are_pinned(capsys):
     clear_caches()
     assert _lambda_digest(capsys, WIDE_LAMBDA_CHARS) == WIDE_LAMBDA_DIGEST
     assert _lambda_digest(capsys, WIDE_LAMBDA_CHARS) == WIDE_LAMBDA_DIGEST
+
+
+# The same ten specs at every primitive character mod 5 (three, of orders
+# 4, 2 and 4) and mod 7 (five, of orders 6, 3, 2, 3 and 6), so that one
+# process builds each spec at several characters that share a modulus,
+# weights and ys, and differ in their character sums only.
+CROSS_LAMBDA_CHARS = tuple((d, chi.label) for d in (5, 7) for chi in primitive_characters(d))
+CROSS_LAMBDA_DIGEST = "e162dc71ce8e229a6c3d8a104ca8df51d24bd8cc89a19384dad52e28cbf671e9"
+
+
+def test_cross_character_lambda_series_bytes_are_pinned(capsys):
+    # cold, then warm, as for the fields above
+    assert CROSS_LAMBDA_CHARS == ((5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3), (7, 4), (7, 5))
+    clear_caches()
+    assert _lambda_digest(capsys, CROSS_LAMBDA_CHARS) == CROSS_LAMBDA_DIGEST
+    assert _lambda_digest(capsys, CROSS_LAMBDA_CHARS) == CROSS_LAMBDA_DIGEST
