@@ -30,13 +30,23 @@ to tests as an independent construction).  Generalized power sums
 are the same moments, M_k, of the integers a <= n, each at its residue
 a mod d, and one function, _moments, builds every list of moments.
 
-The leaves of every series built here and in identities.py, the
-character sum sum_a chi(a) e^(a s t), the kernel t/(e^(c t) - 1) and the
-per-variable factor of the integral route of lambda (_char_integral),
-are built once per process, like the numbers, the folds and the power
-sums.  Only the integral route reads the factors, and no other product,
-quotient or inverse is kept, so no series built by one lambda route is
-read by the other.
+Every series that a lambda route of identities.py reads is built once
+per process, like the numbers, the folds and the power sums.  A quotient
+of p-adic integrals is a rational factor in t, fixed by d, the weights
+and the y-shifts, times the character sums sum_a chi(a) e^(a s t), so a
+route built again at another character of the same modulus builds only
+its character products.  The character sums are the one leaf that both
+routes read; every other table serves one route:
+
+* the closed route: _closed_denominator, the inverted product of its
+  denominators; _closed_factor, the whole rational factor; and
+  _char_product, the product of its character sums;
+* the integral route: _t_over_exp_minus_one, the kernel t/(e^(c t) - 1),
+  which the Bernoulli numbers read too; _shifted_kernel, the kernel times
+  e^(s t); _char_integral, the factor of one variable; and
+  _plain_integral_inverse, the power of an inverted plain integral.
+
+So no series built by one lambda route is read by the other.
 
 All functions are pure given the memo tables below; workers in a
 process pool each hold their own tables.
@@ -50,7 +60,14 @@ from math import comb, gcd, lcm
 
 from .characters import DirichletChar
 from .cyclotomic import CycloElement, linear_combination
-from .series import TruncatedSeries, _check_order, _exp_minus_one_over_t, _exp_sum, exp_series
+from .series import (
+    TruncatedSeries,
+    _check_order,
+    _exp_minus_one_over_t,
+    _exp_sum,
+    _product,
+    exp_series,
+)
 
 __all__ = [
     "gen_bernoulli_series",
@@ -72,11 +89,13 @@ __all__ = [
 # _run_table holds the routes of identities.py, one entry per (route, chi,
 # weights, ys, bump) mapping each permuted weight triple to its list of
 # values by degree, grown by the same rule; it is filled by identities.py,
-# which this module does not import.  _char_exp_sum, _t_over_exp_minus_one
-# and _char_integral hold one series each.  Each table evicts its least
-# recently used entries above its size, two for _run_table (see there) and
-# this limit for every other, which keeps long sweeps and long-lived
-# processes at a flat memory profile.
+# which this module does not import.  _char_exp_sum and the tables of
+# the lambda routes (see the module docstring) hold one series each, and
+# _one the unit of one field.  Each table evicts its least recently used
+# entries above its size, two for _run_table (see there) and this limit
+# for every other, which keeps long sweeps and long-lived processes at a
+# flat memory profile.  Every table is registered in _CACHES, at the end
+# of this module, so that clear_caches reaches it.
 _CACHE_LIMIT = 200_000
 
 
@@ -92,7 +111,7 @@ def _grow(entry: list, n: int, build) -> list:
     return entry
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_LIMIT)
 def _one(order: int) -> CycloElement:
     # the unit of Q(zeta_order), the second factor of every weighted sum
     # below and of the fold moments; built once per field order
@@ -127,16 +146,62 @@ def _t_over_exp_minus_one(c: int, order: int) -> TruncatedSeries:
     return _exp_minus_one_over_t(c, order).invert()
 
 
+# The factors of the two lambda routes of identities.py: each table below
+# is read by one route only (the module docstring lists them).
+
+
+@lru_cache(maxsize=_CACHE_LIMIT)
+def _closed_factor(den_scales, num_scales, shift, prefactor, order: int) -> TruncatedSeries:
+    # The closed route's rational factor, its scales already times d:
+    # prefactor * e^(shift t) * prod over num_scales of (e^(c t) - 1)/t,
+    # divided by the product over den_scales of (e^(c t) - 1)/t; exp(0 t)
+    # = 1 is left out
+    num = [exp_series(shift, order)] if shift else []
+    num += [_exp_minus_one_over_t(c, order) for c in num_scales]
+    return _product(num + [_closed_denominator(den_scales, order)]).scale(prefactor)
+
+
+@lru_cache(maxsize=_CACHE_LIMIT)
+def _closed_denominator(den_scales, order: int) -> TruncatedSeries:
+    # the closed route's divisor: the product over den_scales of
+    # (e^(c t) - 1)/t, inverted as one series; it depends on d and the
+    # weights only, so every spec of a family at one modulus reads it
+    den = _product([_exp_minus_one_over_t(c, order) for c in den_scales])
+    return den.invert()
+
+
+@lru_cache(maxsize=_CACHE_LIMIT)
+def _char_product(chi: DirichletChar, scales, order: int) -> TruncatedSeries:
+    # the closed route's character factor: the character sums at scales
+    return _product([char_exp_sum(chi, s, order) for s in scales])
+
+
+@lru_cache(maxsize=_CACHE_LIMIT)
+def _shifted_kernel(c: int, shift, order: int) -> TruncatedSeries:
+    # the integral route's rational factor of one variable,
+    # t/(e^(c t) - 1) * e^(shift t)
+    result = _t_over_exp_minus_one(c, order)
+    if shift:
+        result = result * exp_series(shift, order)
+    return result
+
+
 @lru_cache(maxsize=_CACHE_LIMIT)
 def _char_integral(chi: DirichletChar, scale: int, shift, order: int) -> TruncatedSeries:
-    # The factor of one variable of the integral route of identities.py,
-    # the closed form of the character-weighted p-adic integral:
+    # The factor of one variable of the integral route, the closed form of
+    # the character-weighted p-adic integral:
     # scale * e^(scale*shift*t) * t/(e^(d*scale*t) - 1) * charsum(scale),
-    # its rational part multiplied first
-    result = _t_over_exp_minus_one(chi.modulus * scale, order)
-    if shift:
-        result = result * exp_series(scale * shift, order)
-    return (result * char_exp_sum(chi, scale, order)).scale(scale)
+    # its rational part read from _shifted_kernel
+    kernel = _shifted_kernel(chi.modulus * scale, scale * shift, order)
+    return (kernel * char_exp_sum(chi, scale, order)).scale(scale)
+
+
+@lru_cache(maxsize=_CACHE_LIMIT)
+def _plain_integral_inverse(c: int, power: int, order: int) -> TruncatedSeries:
+    # The integral route's divisor: the plain exponential integral
+    # c t/(e^(c t) - 1), inverted, to the given power
+    inverse = _t_over_exp_minus_one(c, order).scale(c).invert()
+    return _product([inverse] * power)
 
 
 def gen_bernoulli_series(chi: DirichletChar, order: int) -> TruncatedSeries:
@@ -298,13 +363,19 @@ def _run_table(label: str, chi: DirichletChar, weights, ys, bump: int) -> dict:
 
 # held here, so that clear_caches reaches them through a rebound name
 _CACHES = (
+    _one,
     _number_table,
     _power_table,
     _fold_table,
     _run_table,
     _char_exp_sum,
     _t_over_exp_minus_one,
+    _closed_factor,
+    _closed_denominator,
+    _char_product,
+    _shifted_kernel,
     _char_integral,
+    _plain_integral_inverse,
 )
 
 

@@ -109,16 +109,17 @@ from math import comb
 
 from .bernoulli import (
     _char_integral,
+    _char_product,
+    _closed_factor,
     _fold,
     _grow,
+    _plain_integral_inverse,
     _power_sums,
     _run_table,
-    _t_over_exp_minus_one,
-    char_exp_sum,
 )
 from .characters import DirichletChar, _galois_orbits
 from .cyclotomic import CycloElement, _conjugate, linear_combination
-from .series import TruncatedSeries, _check_order, _exp_minus_one_over_t, exp_series
+from .series import TruncatedSeries, _check_order, _product
 
 __all__ = [
     "LambdaSpec",
@@ -194,13 +195,6 @@ class LambdaSpec:
         return top - index
 
 
-def _product(series_list):
-    result = series_list[0]
-    for s in series_list[1:]:
-        result = result * s
-    return result
-
-
 def lambda_series(spec: LambdaSpec, chi: DirichletChar, order: int) -> TruncatedSeries:
     """Truncated series of the quotient's explicit closed form.
 
@@ -228,18 +222,17 @@ def lambda_series(spec: LambdaSpec, chi: DirichletChar, order: int) -> Truncated
         num_scales = (big,) * i
         shift = big * sum(spec.ys, Fraction(0))
         pref_power = (2 if spec.family == "L23" else 1) - i
-    # the rational factors first, leaving out exp(0 t) = 1, then the
-    # character sums
-    num = [exp_series(shift, order)] if shift else []
-    num += [_exp_minus_one_over_t(d * c, order) for c in num_scales]
-    den = _product([_exp_minus_one_over_t(d * s, order) for s in scales])
-    result = _product(num + [den.invert()] + [char_exp_sum(chi, s, order) for s in scales])
-    return result.scale(Fraction(big) ** pref_power)
-
-
-def _plain_integral(c: int, order: int) -> TruncatedSeries:
-    # Closed form of the plain exponential integral: c*t/(e^(c*t) - 1).
-    return _t_over_exp_minus_one(c, order).scale(c)
+    # the character-free factor, then the character sums; each is built
+    # once per process, so a spec built again at another character of the
+    # same modulus takes only its character sums
+    factor = _closed_factor(
+        tuple(d * s for s in scales),
+        tuple(d * c for c in num_scales),
+        shift,
+        Fraction(big) ** pref_power,
+        order,
+    )
+    return factor * _char_product(chi, scales, order)
 
 
 def lambda_series_from_integrals(
@@ -269,7 +262,7 @@ def lambda_series_from_integrals(
             factors.append(_char_integral(chi, s, shift, order))
         result = _product(factors)
         if i:
-            result = result * _product([_plain_integral(d * big, order).invert()] * i)
+            result = result * _plain_integral_inverse(d * big, i, order)
             result = result.scale(d**i)
         return result
     if i == 0:
@@ -278,7 +271,7 @@ def lambda_series_from_integrals(
             [_char_integral(chi, w, s, order) for w, s in zip(singles, shifts)]
         )
     factors = [_char_integral(chi, w, 0, order) for w in singles]
-    factors += [_plain_integral(d * p, order).invert() for p in pairs]
+    factors += [_plain_integral_inverse(d * p, 1, order) for p in pairs]
     return _product(factors).scale(d**3)
 
 

@@ -206,6 +206,14 @@ def _series(order: int, m: int, rows, den: int) -> TruncatedSeries:
     return TruncatedSeries(order, m, tuple(map(tuple, rows)), den)
 
 
+def _product(series_list) -> TruncatedSeries:
+    # the product of a nonempty list of series, taken left to right
+    result = series_list[0]
+    for s in series_list[1:]:
+        result = result * s
+    return result
+
+
 def _check_orders(a: TruncatedSeries, b: TruncatedSeries) -> None:
     if a.order != b.order:
         raise ValueError(f"truncation order mismatch: {a.order} vs {b.order}")

@@ -1,18 +1,26 @@
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 
+import bernsym
 import oracles
 from bernsym import bernoulli
 from bernsym.bernoulli import (
     _CACHE_LIMIT,
     _char_integral,
+    _char_product,
+    _closed_denominator,
+    _closed_factor,
     _fold,
     _fold_table,
     _number_table,
+    _plain_integral_inverse,
     _power_table,
     _run_table,
+    _shifted_kernel,
     _t_over_exp_minus_one,
     char_exp_sum,
     clear_caches,
@@ -296,26 +304,153 @@ def test_char_integral_is_keyed_by_its_exact_arguments():
         assert _char_integral(chi, scale, shift, order) is value
 
 
-def test_char_integral_table_is_read_by_the_integral_route_only():
-    # the closed route of lambda never reads the integral factors, so no
-    # series built by one route is read by the other
-    chi = enumerate_characters(7)[1]
+# the memo tables of each lambda route; the character sums are the one
+# leaf that both routes read
+CLOSED_ROUTE_TABLES = (_closed_factor, _closed_denominator, _char_product)
+INTEGRAL_ROUTE_TABLES = (
+    _t_over_exp_minus_one, _shifted_kernel, _char_integral, _plain_integral_inverse,
+)
+
+
+def _all_specs(weights=(2, 3, 5)):
     ys = (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4))
-    specs = [
-        LambdaSpec(family, index, (2, 3, 5), ys[: LambdaSpec.y_arity(family, index)])
+    return [
+        LambdaSpec(family, index, weights, ys[: LambdaSpec.y_arity(family, index)])
         for family, top in (("L23", 3), ("L13", 3), ("L12", 1))
         for index in range(top + 1)
     ]
+
+
+def test_char_integral_table_is_read_by_the_integral_route_only():
+    # each route of lambda reads no table of the other, so no series built
+    # by one route is read by the other, at any spec or character
+    chars = primitive_characters(7)[:2]
+    specs = _all_specs()
     clear_caches()
-    for spec in specs:
-        lambda_series(spec, chi, 8)
-    assert _char_integral.cache_info().currsize == 0
-    for spec in specs:
-        lambda_series_from_integrals(spec, chi, 8)
+    closed = [lambda_series(spec, chi, 8) for chi in chars for spec in specs]
+    assert [t.cache_info().currsize for t in INTEGRAL_ROUTE_TABLES] == [0] * 4
+    assert all(t.cache_info().currsize > 0 for t in CLOSED_ROUTE_TABLES)
+    clear_caches()
+    integrals = [lambda_series_from_integrals(spec, chi, 8) for chi in chars for spec in specs]
+    assert [t.cache_info().currsize for t in CLOSED_ROUTE_TABLES] == [0] * 3
+    assert all(t.cache_info().currsize > 0 for t in INTEGRAL_ROUTE_TABLES)
     info = _char_integral.cache_info()
     assert info.currsize == info.misses > 0 and info.hits > 0
+    assert closed == integrals
     clear_caches()
-    assert _char_integral.cache_info().currsize == 0
+    assert [t.cache_info().currsize for t in CLOSED_ROUTE_TABLES + INTEGRAL_ROUTE_TABLES] == [0] * 7
+
+
+def test_closed_route_factors_are_keyed_by_their_exact_arguments():
+    chi = enumerate_characters(5)[1]
+    clear_caches()
+    # d = 5 at weights (1, 2, 3): denominators at d * pairs, one numerator at d * big
+    den, num = (30, 15, 10), (30,)
+    factor = _closed_factor(den, num, 2, 4, 6)
+    assert _closed_factor(den, num, Fraction(2), Fraction(4), 6) is factor
+    unshifted = _closed_factor(den, num, 0, 4, 6)
+    assert _closed_factor(den, num, Fraction(0), 4, 6) is unshifted
+    longer = _closed_factor(den, num, 2, 4, 8)
+    assert _closed_factor.cache_info().currsize == 3
+    assert _closed_denominator(den, 6) is _closed_denominator((30, 15, 10), 6)
+    assert _closed_denominator(den, 8).order == 8
+    assert _closed_denominator.cache_info().currsize == 2  # one per order
+    for shift, order, value in ((2, 6, factor), (0, 6, unshifted), (2, 8, longer)):
+        # each inverse taken on its own, not of the product
+        want = exp_series(shift, order) * _exp_minus_one_over_t(30, order)
+        for c in den:
+            want = want * _exp_minus_one_over_t(c, order).invert()
+        assert value == want.scale(4)
+        assert _closed_factor(den, num, shift, 4, order) is value
+    product = _char_product(chi, (6, 3, 2), 6)
+    assert _char_product(chi, (Fraction(6), 3, 2), 6) is product
+    other = _char_product(enumerate_characters(5)[3], (6, 3, 2), 6)
+    longer = _char_product(chi, (6, 3, 2), 8)
+    assert _char_product.cache_info().currsize == 3
+    assert other != product and longer.order == 8
+    sums = [_geometric_sum(chi, s, 6) for s in (6, 3, 2)]
+    assert product == sums[0] * sums[1] * sums[2]
+
+
+def test_integral_route_factors_are_keyed_by_their_exact_arguments():
+    clear_caches()
+    kernel = _shifted_kernel(10, Fraction(2, 3), 6)
+    assert _shifted_kernel(Fraction(10), Fraction(2, 3), 6) is kernel
+    plain = _shifted_kernel(10, 0, 6)
+    assert _shifted_kernel(10, Fraction(0), 6) is plain
+    assert plain is _t_over_exp_minus_one(10, 6)  # no second copy of the unshifted kernel
+    longer = _shifted_kernel(10, Fraction(2, 3), 8)
+    assert _shifted_kernel.cache_info().currsize == 3
+    third = Fraction(2, 3)
+    for shift, order, value in ((third, 6, kernel), (0, 6, plain), (third, 8, longer)):
+        assert value == _exp_minus_one_over_t(10, order).invert() * exp_series(shift, order)
+    square = _plain_integral_inverse(10, 2, 6)
+    assert _plain_integral_inverse(Fraction(10), 2, 6) is square
+    single = _plain_integral_inverse(10, 1, 6)
+    longer = _plain_integral_inverse(10, 2, 8)
+    assert _plain_integral_inverse.cache_info().currsize == 3
+    for power, order, value in ((2, 6, square), (1, 6, single), (2, 8, longer)):
+        # (e^(10 t) - 1)/(10 t) to the power
+        base = _exp_minus_one_over_t(10, order).scale(Fraction(1, 10))
+        want = base
+        for _ in range(power - 1):
+            want = want * base
+        assert value == want
+
+
+def test_l13_and_l23_factors_at_equal_scales_never_collide():
+    # L13 at the pair weights (15, 10, 6) of (2, 3, 5) has the denominator
+    # and the character sums of L23 at (2, 3, 5), but another shift or
+    # prefactor at every index: each spec keeps a factor of its own
+    chi = primitive_characters(7)[0]
+    clear_caches()
+    for l23, l13 in zip(_all_specs()[:4], _all_specs((15, 10, 6))[4:8]):
+        assert l23.family == "L23" and l13.family == "L13" and l13.ys == l23.ys
+        for spec in (l23, l13):
+            assert lambda_series(spec, chi, 8) == lambda_series_from_integrals(spec, chi, 8)
+        assert lambda_series(l23, chi, 8) != lambda_series(l13, chi, 8)
+    assert _closed_factor.cache_info().currsize == 8
+    assert _closed_denominator.cache_info().currsize == 1
+    assert _char_product.cache_info().currsize == 1
+    # equal keys mean equal series: at ys/30 the index-0 L13 spec has the
+    # shift and the prefactor of L23, and so reads its factor
+    ys = _all_specs()[0].ys
+    reduced = LambdaSpec("L13", 0, (15, 10, 6), tuple(y / 30 for y in ys))
+    hits = _closed_factor.cache_info().hits
+    assert lambda_series(reduced, chi, 8) == lambda_series(_all_specs()[0], chi, 8)
+    assert _closed_factor.cache_info().hits == hits + 2
+    assert _closed_factor.cache_info().currsize == 8
+
+
+def test_every_memo_table_is_registered_and_bounded():
+    # clear_caches reaches a table only through _CACHES, so every lru_cache
+    # of bernoulli.py is registered there, and bounded
+    def memo_tables(module):
+        return {
+            name: value
+            for name, value in vars(module).items()
+            if hasattr(value, "cache_clear")
+            and getattr(value, "__module__", None) == module.__name__
+        }
+
+    tables = memo_tables(bernoulli)
+    assert set(tables.values()) == set(bernoulli._CACHES)
+    for name, table in tables.items():
+        assert table.cache_info().maxsize in (2, _CACHE_LIMIT), name
+    # the other modules hold pure caches only, each a function of its one
+    # argument that no test or long-lived process needs to empty:
+    # characters._characters is the registry of character objects, one per
+    # character and process, by whose identity every table above is keyed
+    others = {
+        f"{info.name}.{name}"
+        for info in pkgutil.iter_modules(bernsym.__path__)
+        if info.name != "bernoulli"
+        for name in memo_tables(importlib.import_module(f"bernsym.{info.name}"))
+    }
+    assert others == {
+        "characters._characters", "cli._parser", "cyclotomic.cyclotomic_polynomial",
+        "cyclotomic.euler_phi",
+    }
 
 
 def test_memo_tables_are_bounded_and_cleared():
@@ -325,20 +460,29 @@ def test_memo_tables_are_bounded_and_cleared():
     power_sum(chi, 2, 7)
     char_exp_sum(chi, 1, 6)
     _fold(chi, 2, Fraction(1, 2), ((3, 3),), 2)
-    _char_integral(chi, 2, Fraction(1, 2), 6)
     expansion_sum("L23.0", 2, chi, (1, 2, 3), (0, 0, 0))
+    spec = LambdaSpec("L23", 1, (1, 2, 3), (Fraction(1, 2), 0))
+    lambda_series(spec, chi, 6)
+    lambda_series_from_integrals(spec, chi, 6)
     tables = (
+        bernoulli._one,
         _number_table,
         _power_table,
         char_exp_sum,
         _t_over_exp_minus_one,
         _fold_table,
+        _closed_factor,
+        _closed_denominator,
+        _char_product,
+        _shifted_kernel,
         _char_integral,
+        _plain_integral_inverse,
         _run_table,
     )
     assert set(bernoulli._CACHES) == {
-        _number_table, _power_table, bernoulli._char_exp_sum, _t_over_exp_minus_one,
-        _fold_table, _char_integral, _run_table,
+        bernoulli._one, _number_table, _power_table, bernoulli._char_exp_sum,
+        _t_over_exp_minus_one, _fold_table, _closed_factor, _closed_denominator,
+        _char_product, _shifted_kernel, _char_integral, _plain_integral_inverse, _run_table,
     }
     for table in tables:
         info = table.cache_info()

@@ -145,6 +145,34 @@ def test_lambda_matches_library(capsys):
         assert rec["egf_coeff"] == str(series.egf_coeff(rec["n"]))
 
 
+def test_a_poisoned_closed_route_factor_fails_the_route_check(monkeypatch, capsys):
+    # One cached factor of the closed route built wrong, with e^((shift + 1)
+    # t) for e^(shift t).  The integral route reads no table of the closed
+    # route, so lambda --route both flags the difference and exits 1; from
+    # emptied tables the same call agrees again.
+    from bernsym import bernoulli
+    from bernsym.identities import LambdaSpec, lambda_series
+
+    argv = [
+        "lambda", "--family", "L23", "--index", "1", "--modulus", "5", "--char", "1",
+        "--weights", "2,3,5", "--ys", "1/2,-2/3", "--order", "8", "--route", "both",
+    ]
+    spec = LambdaSpec("L23", 1, (2, 3, 5), (Fraction(1, 2), Fraction(-2, 3)))
+    real = bernoulli.exp_series
+    bernoulli.clear_caches()
+    with monkeypatch.context() as patch:
+        patch.setattr(bernoulli, "exp_series", lambda c, order: real(c + 1, order))
+        lambda_series(spec, enumerate_characters(5)[1], 8)
+    assert bernoulli._closed_factor.cache_info().currsize == 1
+    code, doc = run_json(capsys, argv)
+    assert code == 1
+    assert doc["summary"]["routes_agree"] is False
+    bernoulli.clear_caches()
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    assert doc["summary"]["routes_agree"] is True
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_lambda_route_mismatch_is_flagged_at_its_n_only(monkeypatch, capsys, fmt):
     # the integral route made to differ from the closed one at n = 5 only:

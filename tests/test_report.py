@@ -156,6 +156,18 @@ SHAPES = dict(
 )
 
 
+def _same_text(got: str, want: str) -> None:
+    # As strict as assert got == want, since a text is the join of its lines
+    # kept with their endings, but a failure shows the first differing line
+    # only, where pytest would diff two reports of several hundred kB
+    got_lines, want_lines = got.splitlines(True), want.splitlines(True)
+    for k, (a, b) in enumerate(zip(got_lines, want_lines), 1):
+        if a != b:
+            pytest.fail(f"line {k} differs:\n got {a!r}\nwant {b!r}", pytrace=False)
+    if len(got_lines) != len(want_lines):
+        pytest.fail(f"{len(got_lines)} lines written, {len(want_lines)} expected", pytrace=False)
+
+
 def _written(capsys, command, config, perturb, fmt, jobs=1):
     code = cli._run_verification(command, config, jobs, perturb, fmt)
     return code, capsys.readouterr().out
@@ -211,7 +223,7 @@ def test_sweep_report_equals_the_whole_document(capsys, fmt, perturb):
     doc = _shapes(perturb)
     code, out = _written(capsys, "sweep", cli.SweepConfig(**SHAPES), perturb, fmt)
     assert code == (1 if perturb else 0)
-    assert out == {"json": _json, "csv": _csv, "text": _verify_text}[fmt](doc)
+    _same_text(out, {"json": _json, "csv": _csv, "text": _verify_text}[fmt](doc))
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
@@ -225,7 +237,7 @@ def test_verify_report_equals_the_whole_document(capsys, fmt):
     assert doc["config"]["ys"] == ["-3/4", "0"]
     code, out = _written(capsys, "verify", config, False, fmt)
     assert code == 0
-    assert out == {"json": _json, "csv": _csv, "text": _verify_text}[fmt](doc)
+    _same_text(out, {"json": _json, "csv": _csv, "text": _verify_text}[fmt](doc))
 
 
 # -- lambda, chars and compute -----------------------------------------------
@@ -234,6 +246,12 @@ def test_verify_report_equals_the_whole_document(capsys, fmt):
 def _run(capsys, argv):
     code = cli.main(argv)
     return code, capsys.readouterr().out
+
+
+def _check_run(capsys, argv, expected_code, expected):
+    code, out = _run(capsys, argv)
+    assert code == expected_code
+    _same_text(out, expected)
 
 
 @pytest.mark.parametrize("route", ["closed", "both"])
@@ -261,7 +279,7 @@ def test_lambda_report_equals_the_whole_document(capsys, route):
         f"  n={r['n']}: {r['egf_coeff']}\n" for r in records
     )
     for fmt, expected in (("json", _json(doc)), ("csv", _csv(doc)), ("text", text)):
-        assert _run(capsys, argv + ["--format", fmt]) == (0, expected)
+        _check_run(capsys, argv + ["--format", fmt], 0, expected)
 
 
 def test_lambda_without_ys_has_an_empty_list(capsys):
@@ -269,7 +287,7 @@ def test_lambda_without_ys_has_an_empty_list(capsys):
                               "--order", "2", "--format", "json"])
     assert code == 0
     assert '    "ys": []\n' in out
-    assert out == _json(json.loads(out))
+    _same_text(out, _json(json.loads(out)))
 
 
 @pytest.mark.parametrize("modulus, primitive_only", [(8, False), (9, True), (2, True)])
@@ -290,7 +308,7 @@ def test_chars_report_equals_the_whole_document(capsys, modulus, primitive_only)
     argv = ["chars", "--modulus", str(modulus)] + (["--primitive-only"] if primitive_only else [])
     for fmt, expected in (("json", _json(doc)), ("csv", _csv(doc)),
                           ("text", "\n".join(lines) + "\n")):
-        assert _run(capsys, argv + ["--format", fmt]) == (0, expected)
+        _check_run(capsys, argv + ["--format", fmt], 0, expected)
     if not records:  # mod 2 has no primitive character
         assert '"records": [],' in _json(doc)
 
@@ -302,8 +320,8 @@ def test_compute_report_equals_the_whole_document(capsys):
     doc = _doc("compute", {"n": 3, "x": "-1/2", "kind": "bernoulli-poly"}, [record], {})
     argv = ["compute", "bernoulli-poly", "--modulus", "5", "--char", "1", "-n", "3",
             "--x", "-1/2"]
-    assert _run(capsys, argv + ["--format", "json"]) == (0, _json(doc))
-    assert _run(capsys, argv + ["--format", "csv"]) == (0, _csv(doc))
+    _check_run(capsys, argv + ["--format", "json"], 0, _json(doc))
+    _check_run(capsys, argv + ["--format", "csv"], 0, _csv(doc))
 
 
 # -- records rendered in pool workers ----------------------------------------
@@ -323,9 +341,9 @@ def test_pool_report_matches_serial(monkeypatch, capsys, method):
         functools.partial(ProcessPoolExecutor, mp_context=context),
     )
     for fmt in ("json", "csv", "text"):
-        serial = _run(capsys, FOLDED + ["--format", fmt])
-        assert serial[0] == 1
-        assert _run(capsys, FOLDED + ["--format", fmt, "--jobs", "2"]) == serial
+        code, serial = _run(capsys, FOLDED + ["--format", fmt])
+        assert code == 1
+        _check_run(capsys, FOLDED + ["--format", fmt, "--jobs", "2"], 1, serial)
 
 
 class _Classes(pickle.Unpickler):
