@@ -9,15 +9,15 @@ and e^(x t) times the same series generates the polynomials B_{n,chi}(x).
 The modulus-1 character, enumerate_characters(1)[0], gives the ordinary
 B_n and B_n(x) of t/(e^t - 1), with B_1 = -1/2.
 The numbers are extracted exactly from a truncated series.  Every other
-value is read from power moments.  One kernel, _expand, applies the
-binomial expansion
+value is read from power moments.  A fold applies the binomial expansion
 
     B_{n,chi}(x) = sum_k C(n,k) B_{k,chi} x^(n-k)
 
 to the moments M_j = sum chi(r) P^j of a list of arguments P/D, each with
-a residue r: the one argument x of a polynomial value, or every argument
-of a character fold, the coefficient that the folded routes of
-identities.py sum,
+a residue r, through cyclotomic._binomial_sums, the kernel that also
+sums the routes of identities.py.  The arguments are the one argument x
+of a polynomial value, or every argument of a character fold, the
+coefficient that the folded routes of identities.py sum,
 
     sum over a_c < w_c d of chi(prod a_c) B_{i,chi}(w y + sum (w/w_e) a_c),
 
@@ -56,10 +56,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 from .characters import DirichletChar
-from .cyclotomic import CycloElement, linear_combination
+from .cyclotomic import CycloElement, _binomial_sums, linear_combination
 from .series import (
     TruncatedSeries,
     _check_order,
@@ -141,8 +141,8 @@ char_exp_sum.cache_info = _char_exp_sum.cache_info
 
 
 @lru_cache(maxsize=_CACHE_LIMIT)
-def _t_over_exp_minus_one(c: int, order: int) -> TruncatedSeries:
-    # t/(e^(c t) - 1), truncated at t^order, for an integer c != 0
+def _t_over_exp_minus_one(c, order: int) -> TruncatedSeries:
+    # t/(e^(c t) - 1), truncated at t^order, for a rational c != 0
     return _exp_minus_one_over_t(c, order).invert()
 
 
@@ -298,21 +298,15 @@ def _fold(chi: DirichletChar, w: int, y, over, n: int) -> list[CycloElement]:
     def build(start, top):
         numbers = _gen_numbers(chi, top)
         D, moments = _fold_moments(chi, w, Fraction(p, q), over, top)
-        return [_expand(chi, numbers, i, D, moments) for i in range(start, top + 1)]
+        # at index i, the sum over k of C(i,k) M_k D^(i-k) B_{i-k,chi} over D^i
+        powers = [D**j for j in range(top + 1)]
+        return _binomial_sums(chi.order, [1] * (top + 1), moments, powers, numbers, powers, start)
 
     return _grow(_fold_table(chi, w, p, q, over), n, build)
 
 
-def _expand(chi: DirichletChar, numbers, i: int, D: int, moments) -> CycloElement:
-    # the sum over j <= i of C(i,j) D^(i-j) B_{i-j,chi} M_j over D^i: the
-    # binomial expansion of B_{i,chi} summed over the arguments P/D whose
-    # power moments are M_0, M_1, ...
-    terms = [(comb(i, j) * D ** (i - j), numbers[i - j], moments[j]) for j in range(i + 1)]
-    return linear_combination(chi.order, terms, D**i)
-
-
 def _fold_moments(chi: DirichletChar, w: int, y, over, n: int):
-    # The fold as (D, [M_0, ..., M_n]), the arguments of _expand: P/D, not
+    # The fold as (D, [M_0, ..., M_n]), expanded by _fold: P/D, not
     # reduced, is the Bernoulli argument w*y + sum (w/w_e)*a_c of each tuple
     # over one denominator, and only tuples of units a_c < w_c * d are
     # visited, since chi of the product vanishes otherwise.  The first head

@@ -21,7 +21,8 @@ and sigma_k: zeta -> zeta^k.  series.py stores a whole truncated series
 in the same layout, integer rows over one denominator, but multiplies
 its rows only through these kernels, lifts no row, and takes the rows of
 elements from _common_rows.  No other module reads the integer layout:
-sums of integer-weighted products go through linear_combination.  A
+sums of integer-weighted products go through linear_combination, and
+the binomial sums of folds and routes through _binomial_sums.  A
 rational argument is an int or a Fraction; a bool or a float raises
 ValueError, or TypeError in operators.
 """
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import mul
 
 __all__ = [
@@ -449,3 +450,14 @@ def linear_combination(order: int, terms, den: int = 1) -> CycloElement:
     if not xs:
         return CycloElement.zero(order)
     return _reduced(order, _dot(order, xs, ys), common * den)
+
+
+def _binomial_sums(order: int, p, v, q, u, dens, start: int = 0) -> list[CycloElement]:
+    # sum_k C(n,k) p[k] q[n-k] v[k] u[n-k] / dens[n], with int weights p, q
+    # and values v, u, for n = start .. len(dens) - 1, one linear_combination
+    # per n: the coefficients of a product of exponential generating functions
+    sums = []
+    for n in range(start, len(dens)):
+        terms = [(comb(n, k) * p[k] * q[n - k], v[k], u[n - k]) for k in range(n + 1)]
+        sums.append(linear_combination(order, terms, dens[n]))
+    return sums

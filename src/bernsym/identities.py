@@ -60,12 +60,13 @@ moments: with the Bernoulli argument of each tuple of absorbed a_c
 (drawn from the unit residues that the character carries) written as an
 integer P over one denominator D, M_j is the sum of chi(prod a_c) P^j
 for j = 0..n.  At index i the fold is then the binomial sum over j of
-C(i,j) D^(i-j) B_{i-j,chi} M_j over D^i, taken by bernoulli._expand: the
-same monomials as one B_{i,chi} value per tuple, summed in another
-order, with no Bernoulli value looked up per tuple.  The runs are
-memoized as well, in bernoulli._run_table: one entry per (route label,
-chi, weights, ys, bump), mapping each permuted weight triple to its
-values by degree, so an instance makes one lookup for all its
+C(i,j) M_j D^(i-j) B_{i-j,chi} over D^i: the same monomials as one
+B_{i,chi} value per tuple, summed in another order, with no Bernoulli
+value looked up per tuple.  This sum and each level of _evaluate_run
+are binomial sums, taken by one kernel, cyclotomic._binomial_sums.  The
+runs are memoized as well, in bernoulli._run_table: one entry per (route
+label, chi, weights, ys, bump), mapping each permuted weight triple to
+its values by degree, so an instance makes one lookup for all its
 permutations, and equal permuted weights (all six at (1,1,1), pairs at
 (2,2,3)) share one run.  Unlike the leaves, a run is read by one degree
 run of a sweep only, and a degree run reads two entries at most, so the
@@ -79,10 +80,10 @@ evaluation is pure given the per-process Bernoulli memo tables.
 sweep_verify verifies each degree run, the instances that share
 (theorem, chi, weights, ys), from its highest n down, so each route run
 and each leaf is built once, at its top index, and the lower degrees
-read a prefix of its entry.  A pool is dealt the degree runs of one
-verified character per task, so each leaf, keyed by its character, is
-built in one worker; the reports come back in input order for any worker
-count.
+read a prefix of its entry.  One function verifies each part, a degree
+run or, in a pool with enough characters, one verified character's
+runs, so that each leaf, keyed by its character, is built in one
+worker.  The reports come back in input order for any worker count.
 
 sweep_verify also verifies one character per Galois orbit.  Every value
 above is built from chi's values by rational operations, so for k prime
@@ -105,7 +106,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .bernoulli import (
     _char_integral,
@@ -118,7 +118,7 @@ from .bernoulli import (
     _run_table,
 )
 from .characters import DirichletChar, _galois_orbits
-from .cyclotomic import CycloElement, _conjugate, linear_combination
+from .cyclotomic import CycloElement, _binomial_sums, _conjugate
 from .series import TruncatedSeries, _check_order, _product
 
 __all__ = [
@@ -355,19 +355,16 @@ def _evaluate_run(
     order, big = chi.order, weights[0] * weights[1] * weights[2]
     dens = [big ** ((N - n if complementary else 0) + 1) for n in degrees]
     q, u = free.pop()
+    q = [scale * x for x in q]  # the sums are bilinear: the scale is taken once
     if not free:  # a fold that absorbs both other variables
-        return [u[n].scale(Fraction(scale * q[n], dens[n])) for n in degrees]
+        return [u[n].scale(Fraction(q[n], dens[n])) for n in degrees]
     ones = [1] * (N + 1)
     while free:
         # each slot summed with the sum of the slots after it, once for
-        # every degree; the first slot takes the scale and the denominators
+        # every degree; the first slot takes the denominators
         p, v = free.pop()
-        c, den = (1, ones) if free else (scale, dens)
-        sums = []
-        for n in degrees:
-            terms = [(c * comb(n, k) * p[k] * q[n - k], v[k], u[n - k]) for k in range(n + 1)]
-            sums.append(linear_combination(order, terms, den[n]))
-        q, u = ones, sums
+        u = _binomial_sums(order, p, v, q, u, ones if free else dens)
+        q = ones
     return u
 
 
@@ -610,14 +607,9 @@ def _verify_star(args):
     return reports
 
 
-def _verify_run(tasks):
-    # the tasks of one degree run, from its highest n down
+def _verify_part(tasks):
+    # the tasks of one part, in turn: each degree run from its highest n down
     return [_verify_star(task) for task in tasks]
-
-
-def _verify_part(runs):
-    # the degree runs of one pool task, in turn
-    return [_verify_run(tasks) for tasks in runs]
 
 
 def _orbit_groups(instances) -> dict[int, list[tuple[int, int]]]:
@@ -682,14 +674,13 @@ def sweep_verify(
     its group, is verified directly.
 
     jobs is an upper bound, first capped at the CPUs this process may use.
-    With jobs > 1 a process pool of at most one worker per part is dealt
-    one part per task: the degree runs of one verified character, in that
-    order, with the conjugates derived from them.  The memo tables key a
-    leaf by its character, so each leaf is built in one worker, and the
-    workers together build no more leaves than one process.  A grid with
-    fewer verified characters than jobs is dealt one degree run per part,
-    so its workers still share the work, and may each build a character's
-    leaves.
+    A part is one degree run, or, with jobs > 1 and at least jobs verified
+    characters, the degree runs of one verified character, in order.  The
+    parts are verified in turn, or, with jobs > 1 and several parts, by a
+    pool of at most one worker per part, one part per task.  The memo tables
+    key a leaf by its character, so each leaf is built in one worker when
+    the parts are characters, and may be built in each worker when they
+    are degree runs; then the workers still share the work.
 
     render, if given, is a picklable callable from a report to its text.
     It is applied where the report was made, in the worker with jobs > 1,
@@ -699,33 +690,30 @@ def sweep_verify(
     """
     instances = list(instances)
     groups = _orbit_groups(instances)
-    by_run: dict = {}  # the degree runs of the group heads, in input order
+    jobs = min(jobs, _usable_cpus())
+    by_chi = 1 < jobs <= len({instances[k].chi for k in groups})
+    runs: dict = {}  # the degree runs of the group heads, in input order
     for k in sorted(groups):
         inst = instances[k]
-        by_run.setdefault((inst.theorem, inst.chi, inst.weights, inst.ys), []).append(k)
-    runs = [sorted(run, key=lambda i: -instances[i].n) for run in by_run.values()]
-
-    def tasks(run):
-        return [
-            (instances[k], [(instances[c], step) for c, step in groups[k]], perturb, render)
-            for k in run
-        ]
-
-    jobs = min(jobs, _usable_cpus())
-    if jobs <= 1 or len(runs) <= 1:
-        done = (_verify_run(tasks(run)) for run in runs)
+        runs.setdefault((inst.theorem, inst.chi, inst.weights, inst.ys), []).append(k)
+    parts: dict = {}  # one degree run per part, or one verified character's runs
+    for key, run in runs.items():
+        run.sort(key=lambda i: -instances[i].n)
+        parts.setdefault(key[1] if by_chi else key, []).extend(run)
+    parts = list(parts.values())
+    tasks = (  # built part by part, as the parts are verified
+        [(instances[k], [(instances[c], step) for c, step in groups[k]], perturb, render)
+         for k in part]
+        for part in parts
+    )
+    if jobs <= 1 or len(parts) <= 1:
+        done = map(_verify_part, tasks)
     else:
-        by_chi: dict = {}  # the degree runs of each verified character
-        for run in runs:
-            by_chi.setdefault(instances[run[0]].chi, []).append(run)
-        parts = list(by_chi.values()) if len(by_chi) >= jobs else [[run] for run in runs]
-        runs = [run for part in parts for run in part]
         with ProcessPoolExecutor(max_workers=min(jobs, len(parts))) as pool:
-            done_parts = pool.map(_verify_part, [[tasks(run) for run in part] for part in parts])
-            done = [run_reports for part in done_parts for run_reports in part]
+            done = list(pool.map(_verify_part, tasks))
     reports = [None] * len(instances)
-    for run, run_reports in zip(runs, done):
-        for k, task_reports in zip(run, run_reports):
+    for part, part_reports in zip(parts, done):
+        for k, task_reports in zip(part, part_reports):
             for i, report in zip([k] + [c for c, _ in groups[k]], task_reports):
                 if report.instance is not None:
                     # the caller's own object, not the copy a worker unpickled

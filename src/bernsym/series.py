@@ -270,9 +270,12 @@ def _exp_sum(m: int, terms, scale, order: int) -> TruncatedSeries:
     return _series(order, m, rows, weights[0] * common)
 
 
-def _exp_minus_one_over_t(c: int, order: int) -> TruncatedSeries:
-    # (e^(c t) - 1)/t, an invertible series with constant term c: the
-    # coefficient of t^k is c^(k+1)/(k+1)!, taken over (order+1)!
-    weights = _factorial_weights(1, order + 1)
-    rows = [(c**k * weights[k],) for k in range(1, order + 2)]
+def _exp_minus_one_over_t(c, order: int) -> TruncatedSeries:
+    # (e^(c t) - 1)/t, an invertible series with constant term c, an int
+    # or a Fraction p/q: the coefficient of t^k is c^(k+1)/(k+1)!, taken
+    # over q^(order+1) (order+1)!
+    if type(c) is not int:
+        c = _rational(c)
+    weights = _factorial_weights(c.denominator, order + 1)
+    rows = [(c.numerator**k * weights[k],) for k in range(1, order + 2)]
     return _series(order, 1, rows, weights[0])

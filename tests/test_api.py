@@ -136,3 +136,36 @@ def test_the_float_guard_sees_each_kind_of_use():
 def test_no_float_enters_the_arithmetic(path):
     # the README's "no floating point appears anywhere"
     assert _float_uses(path.read_text(encoding="utf-8")) == []
+
+
+def _unused_imports(source: str) -> list[str]:
+    # the names a module imports and never loads; a name listed in __all__
+    # is a use, since the module imports it to export it
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+        ):
+            used.update(ast.literal_eval(stmt.value))
+    return sorted(imported - used)
+
+
+def test_the_import_guard_sees_an_unused_name():
+    assert _unused_imports("from math import comb, gcd\nx = gcd(4, 6)") == ["comb"]
+    assert _unused_imports("import os.path\nimport re as regex\nregex.compile('')") == ["os"]
+    assert _unused_imports("from .a import f\n__all__ = ['f']") == []
+    assert _unused_imports("from __future__ import annotations") == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "bernsym").glob("*.py")), ids=lambda p: p.name
+)
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []

@@ -128,6 +128,7 @@ def test_gen_bernoulli_poly_matches_fraction_binomial_sum():
         Fraction(123456789, 987654321), Fraction(1, 2**40), Fraction(-(3**30), 7**11),
     ]
     chars = [chi for d in (1, 3, 4, 5, 7, 8, 12) for chi in enumerate_characters(d)]
+    chars += [enumerate_characters(17)[1], enumerate_characters(29)[1]]  # phi = 8 and 12
     for chi in chars:
         numbers = [gen_bernoulli_number(chi, k).coeffs for k in range(9)]
         for n in range(9):
@@ -302,6 +303,28 @@ def test_char_integral_is_keyed_by_its_exact_arguments():
         closed = exp_series(scale * shift, order) * kernel * _geometric_sum(chi, scale, order)
         assert value == closed.scale(scale)
         assert _char_integral(chi, scale, shift, order) is value
+
+
+def test_series_tables_answer_a_fraction_scale_from_empty_tables():
+    # an integral scale given as a Fraction builds, from empty tables, the
+    # series the int builds, so the answer does not depend on what the
+    # tables already hold
+    chi = enumerate_characters(5)[1]
+    F = Fraction
+    calls = (  # (table, its arguments with int scales, the same with Fractions)
+        (_t_over_exp_minus_one, (10, 6), (F(10), 6)),
+        (_shifted_kernel, (10, F(2, 3), 6), (F(10), F(2, 3), 6)),
+        (_char_integral, (chi, 2, F(1, 3), 6), (chi, F(2), F(1, 3), 6)),
+        (_closed_denominator, ((30, 15, 10), 6), ((F(30), F(15), F(10)), 6)),
+        (_closed_factor, ((10,), (), 0, F(1), 4), ((F(10),), (), 0, F(1), 4)),
+        (_closed_factor, ((30, 15, 10), (30,), 2, 4, 6), ((30, 15, 10), (F(30),), 2, 4, 6)),
+        (_plain_integral_inverse, (10, 2, 6), (F(10), 2, 6)),
+    )
+    for table, ints, fractions in calls:
+        clear_caches()
+        value = table(*fractions)
+        clear_caches()
+        assert value == table(*ints), table.__name__
 
 
 # the memo tables of each lambda route; the character sums are the one
@@ -623,14 +646,16 @@ def test_leaves_asked_for_in_ascending_n_grow_geometrically(monkeypatch):
     # ascends in n rebuilds it a logarithmic number of times, and every
     # value equals a cold build at its index
     builds = {"_fold_moments": 0, "_moments": 0, "gen_bernoulli_series": 0,
-              "linear_combination": 0}
+              "linear_combination": 0, "_binomial_sums": 0}
 
     def counted(name):
         fn = getattr(bernoulli, name)
 
         def wrapper(*args):
-            builds[name] += 1
-            return fn(*args)
+            result = fn(*args)
+            # the kernel counts each sum it returns, one per index
+            builds[name] += len(result) if name == "_binomial_sums" else 1
+            return result
 
         monkeypatch.setattr(bernoulli, name, wrapper)
 
@@ -650,7 +675,8 @@ def test_leaves_asked_for_in_ascending_n_grow_geometrically(monkeypatch):
         ascending = [leaf(n) for n in range(top + 1)]
         assert builds[name] <= 6
         if name == "_fold_moments":
-            assert builds["linear_combination"] <= 90
+            # the moments' sums and the expansion's
+            assert builds["linear_combination"] + builds["_binomial_sums"] <= 90
         for n, value in enumerate(ascending):
             clear_caches()
             assert leaf(n) == value

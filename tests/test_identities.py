@@ -34,6 +34,8 @@ CHI3 = enumerate_characters(3)[1]
 TRIVIAL = enumerate_characters(1)[0]
 CHI12_IMPRIMITIVE = enumerate_characters(12)[1]  # induced from mod 3
 CHI11_ORDER10 = enumerate_characters(11)[1]  # phi = 4
+CHI17_ORDER16 = enumerate_characters(17)[1]  # phi = 8
+CHI29_ORDER28 = enumerate_characters(29)[1]  # phi = 12
 
 ALL_SPECS = [("L23", i) for i in range(4)] + [("L13", i) for i in range(4)] + [
     ("L12", 0),
@@ -612,8 +614,8 @@ def test_folded_routes_match_term_by_term_folds(chi):
 
 @pytest.mark.parametrize(
     "chi",
-    [TRIVIAL, CHI12_IMPRIMITIVE, CHI11_ORDER10],
-    ids=["mod1", "mod12-imprimitive", "mod11-order10"],
+    [TRIVIAL, CHI12_IMPRIMITIVE, CHI11_ORDER10, CHI17_ORDER16, CHI29_ORDER28],
+    ids=["mod1", "mod12-imprimitive", "mod11-order10", "mod17-order16", "mod29-order28"],
 )
 def test_evaluate_run_matches_per_degree_reference(chi):
     # each route's run of n = 0..10, built in one pass with the powers of
@@ -934,15 +936,14 @@ def test_pool_is_dealt_one_character_per_part(monkeypatch):
     dealt = _recording_pool(monkeypatch)
     reports = sweep_verify(instances, jobs=2)
     assert dealt["workers"] == [2]
-    chars = [{task[0].chi for run in part for task in run} for part, _ in dealt["parts"]]
+    chars = [{task[0].chi for task in part} for part, _ in dealt["parts"]]
     assert all(len(c) == 1 for c in chars)
     assert len(chars) == len(representatives) == len(set().union(*chars))
     assert set().union(*chars) == representatives
     made_in = {}  # the representative of the part that made each report
     for (_, done), (chi,) in zip(dealt["parts"], chars):
-        for run_reports in done:
-            for task_reports in run_reports:
-                made_in.update((id(r), chi) for r in task_reports)
+        for task_reports in done:
+            made_in.update((id(r), chi) for r in task_reports)
     for inst, report in zip(instances, reports):
         assert made_in[id(report)] is orbits[inst.chi][0]
     expected = [verify_theorem(inst) for inst in instances]
@@ -963,8 +964,9 @@ def test_pool_with_fewer_characters_than_workers_is_dealt_runs(monkeypatch, jobs
     reports = sweep_verify(instances, jobs=jobs)
     assert dealt["workers"] == [min(jobs, 3)]
     parts = [part for part, _ in dealt["parts"]]
-    assert [len(part) for part in parts] == [1, 1, 1]
-    assert [{task[0].theorem for task in part[0]} for part in parts] == [{"T1"}, {"T4"}, {"T7"}]
+    assert [[(task[0].theorem, task[0].n) for task in part] for part in parts] == [
+        [(t, 2), (t, 1), (t, 0)] for t in ("T1", "T4", "T7")
+    ]
     assert [r.values for r in reports] == [verify_theorem(inst).values for inst in instances]
 
 
@@ -985,7 +987,7 @@ def test_pool_is_capped_at_the_usable_cpus(monkeypatch, cpus):
         assert dealt == {"workers": [], "parts": []}
     else:
         assert dealt["workers"] == [cpus]
-        chars = [{task[0].chi for run in part for task in run} for part, _ in dealt["parts"]]
+        chars = [{task[0].chi for task in part} for part, _ in dealt["parts"]]
         assert [len(c) for c in chars] == [1] * 5
     expected = [verify_theorem(inst) for inst in instances]
     assert [_flags(r) for r in reports] == [_flags(r) for r in expected]
