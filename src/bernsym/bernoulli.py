@@ -90,12 +90,12 @@ __all__ = [
 # weights, ys, bump) mapping each permuted weight triple to its list of
 # values by degree, grown by the same rule; it is filled by identities.py,
 # which this module does not import.  _char_exp_sum and the tables of
-# the lambda routes (see the module docstring) hold one series each, and
-# _one the unit of one field.  Each table evicts its least recently used
-# entries above its size, two for _run_table (see there) and this limit
-# for every other, which keeps long sweeps and long-lived processes at a
-# flat memory profile.  Every table is registered in _CACHES, at the end
-# of this module, so that clear_caches reaches it.
+# the lambda routes (see the module docstring) hold one series each.
+# Each table evicts its least recently used entries above its size, two
+# for _run_table (see there) and this limit for every other, which keeps
+# long sweeps and long-lived processes at a flat memory profile.  Every
+# table is registered in _CACHES, at the end of this module, so that
+# clear_caches reaches it.
 _CACHE_LIMIT = 200_000
 
 
@@ -109,13 +109,6 @@ def _grow(entry: list, n: int, build) -> list:
         start = len(entry)
         entry.extend(build(start, max(n, 2 * start)))
     return entry
-
-
-@lru_cache(maxsize=_CACHE_LIMIT)
-def _one(order: int) -> CycloElement:
-    # the unit of Q(zeta_order), the second factor of every weighted sum
-    # below and of the fold moments; built once per field order
-    return CycloElement.one(order)
 
 
 def char_exp_sum(chi: DirichletChar, scale, order: int) -> TruncatedSeries:
@@ -337,9 +330,11 @@ def _moments(chi: DirichletChar, heads, n: int) -> list[CycloElement]:
                 powers = [u * v for u, v in zip(powers, ps)]
             row.append(sum(powers))
         sums.append((chi.values[r], row))
-    one = _one(chi.order)
+    # chi(1) = 1 in chi's own field; as the first factor, its zero
+    # coordinates are skipped
+    unit = chi.values[1 % chi.modulus]
     return [
-        linear_combination(chi.order, [(row[j], v, one) for v, row in sums])
+        linear_combination(chi.order, [(row[j], unit, v) for v, row in sums])
         for j in range(n + 1)
     ]
 
@@ -357,7 +352,6 @@ def _run_table(label: str, chi: DirichletChar, weights, ys, bump: int) -> dict:
 
 # held here, so that clear_caches reaches them through a rebound name
 _CACHES = (
-    _one,
     _number_table,
     _power_table,
     _fold_table,

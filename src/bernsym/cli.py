@@ -14,7 +14,6 @@ import csv
 import functools
 import io
 import json
-import operator
 import re
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -57,24 +56,22 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational p/q: {text!r}") from exc
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(least: int, kind: str):
+    # the parser of a flag that takes an integer >= least, a kind integer
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+        return value
+
+    return parse
 
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
+_positive_int = _int_at_least(1, "positive")
+_nonneg_int = _int_at_least(0, "nonnegative")
 
 
 def _int_list(text: str, expected: str) -> tuple[int, ...]:
@@ -329,10 +326,8 @@ _SWEEP_FIELDS = (
     "values", "all_equal", "first_mismatch", "extras",
 )
 # a json sweep record as _json writes it two levels deep: its keys sorted,
-# each filled in with the json text of its column, given in csv order
-_SWEEP_ORDER = sorted(range(len(_SWEEP_FIELDS)), key=_SWEEP_FIELDS.__getitem__)
-_SWEEP_JSON = "{" + ",".join(f'\n      "{_SWEEP_FIELDS[i]}": %s' for i in _SWEEP_ORDER) + "\n    }"
-_sweep_json_order = operator.itemgetter(*_SWEEP_ORDER)
+# each filled in with the json text of its column, given in key order
+_SWEEP_JSON = "{" + ",".join(f'\n      "{k}": %s' for k in sorted(_SWEEP_FIELDS)) + "\n    }"
 
 
 def _sweep_list(texts: list) -> str:
@@ -464,12 +459,15 @@ def _render_sweep_record(fmt: str, report: VerificationReport) -> str:
             quoted = [_quote(values[0])] * len(values)
         else:
             quoted = [_quote(v) for v in values]
-        return _SWEEP_JSON % _sweep_json_order((
-            _quote(inst.theorem), str(chi.modulus), str(chi.label), str(chi.order),
-            str(chi.conductor), str(inst.n), _sweep_list([str(w) for w in inst.weights]),
-            _sweep_list([_quote(str(y)) for y in inst.ys]), _sweep_list(quoted),
-            "true" if report.all_equal else "false", _json(mismatch, 3), _json(report.extras, 3),
-        ))
+        # all_equal, char, char_order, conductor, extras, first_mismatch,
+        # modulus, n, theorem, values, weights, ys
+        return _SWEEP_JSON % (
+            "true" if report.all_equal else "false", str(chi.label), str(chi.order),
+            str(chi.conductor), _json(report.extras, 3), _json(mismatch, 3), str(chi.modulus),
+            str(inst.n), _quote(inst.theorem), _sweep_list(quoted),
+            _sweep_list([str(w) for w in inst.weights]),
+            _sweep_list([_quote(str(y)) for y in inst.ys]),
+        )
     rec = dict(zip(_SWEEP_FIELDS, (
         inst.theorem, chi.modulus, chi.label, chi.order, chi.conductor, inst.n,
         list(inst.weights), [str(y) for y in inst.ys], values, report.all_equal,

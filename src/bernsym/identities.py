@@ -514,19 +514,15 @@ class VerificationReport:
     text: str | None = None
 
 
-def _route_values(instance: TheoremInstance, perms, perturb: bool) -> list[CycloElement]:
-    # the theorem's route evaluated at each weight permutation in turn; the
-    # instance has checked its weights, ys and arity once for all of them
-    label = _THEOREMS[instance.theorem].label
-    bump = 1 if perturb else 0
-    return _run_values(label, instance.n, instance.chi, instance.weights, instance.ys, bump, perms)
-
-
 def theorem_expressions(
     instance: TheoremInstance, perturb: bool = False
 ) -> list[CycloElement]:
     """The theorem's expressions in display order, each evaluated exactly."""
-    return _route_values(instance, _THEOREMS[instance.theorem].perms, perturb)
+    spec = _THEOREMS[instance.theorem]
+    return _run_values(
+        spec.label, instance.n, instance.chi, instance.weights, instance.ys,
+        1 if perturb else 0, spec.perms,
+    )
 
 
 def verify_theorem(instance: TheoremInstance, perturb: bool = False) -> VerificationReport:
@@ -539,8 +535,12 @@ def verify_theorem(instance: TheoremInstance, perturb: bool = False) -> Verifica
     w2 != w3.  Inequality is reported, never raised.
     """
     spec = _THEOREMS[instance.theorem]
-    # the displayed expressions, then the collapsed variants, in one lookup
-    values = _route_values(instance, spec.perms + spec.collapsed, perturb)
+    # the displayed expressions, then the collapsed variants, in one lookup;
+    # the instance has checked its weights, ys and arity once for all of them
+    values = _run_values(
+        spec.label, instance.n, instance.chi, instance.weights, instance.ys,
+        1 if perturb else 0, spec.perms + spec.collapsed,
+    )
     values, collapsed_vals = values[: len(spec.perms)], values[len(spec.perms) :]
     all_equal = True
     first_mismatch = None

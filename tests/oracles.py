@@ -13,10 +13,11 @@ into scalars in one _convolve call; it keeps the per-coefficient _dot so
 that it shares no code with that kernel.  And power_sum_series builds
 the power sums' closed-form generating function from the library's
 series leaves, a route the library's power sums, read from moments, do
-not take.  And route_at_degree, the per-degree
-evaluator of the route table that the library's one-pass run evaluator
-replaced, reads the library's leaves and checks only how the runs sum
-them over n.  Last, induced_bernoulli_number, induced_bernoulli_poly and
+not take.  And route_at_degree, the per-degree evaluator of the route
+table that the library's one-pass run evaluator replaced, reads the
+library's leaves; it sums them over n in its own integer arithmetic,
+poly_mul_int and one vec_reduce, not through the library's binomial-sum
+kernel.  Last, induced_bernoulli_number, induced_bernoulli_poly and
 induced_power_sum take the primitive character behind an imprimitive one
 from the library's enumeration and conductor; a wrong conductor or table
 finds no such character.
@@ -34,7 +35,7 @@ from bernsym.bernoulli import (
     gen_bernoulli_poly,
 )
 from bernsym.characters import enumerate_characters
-from bernsym.cyclotomic import CycloElement, _dot, cyclotomic_polynomial, linear_combination
+from bernsym.cyclotomic import CycloElement, _dot, cyclotomic_polynomial
 from bernsym.series import _check_orders, _exp_minus_one_over_t, _series
 
 
@@ -217,6 +218,25 @@ def fold_direct(chi, i, x, shifts):
     return acc
 
 
+def _int_rows(values):
+    # the numerator rows of elements over their common denominator, and that
+    # denominator
+    den = lcm(*(x.den for x in values))
+    return [[v * (den // x.den) for v in x.nums] for x in values], den
+
+
+def _weighted_products(terms):
+    # sum c * poly_mul_int(x, y) over (c, x, y), an integer polynomial with
+    # no reduction modulo Phi_m
+    acc = []
+    for c, x, y in terms:
+        prod = poly_mul_int(x, y)
+        acc += [0] * (len(prod) - len(acc))
+        for i, t in enumerate(prod):
+            acc[i] += c * t
+    return acc
+
+
 def route_at_degree(route, n, chi, weights, ys, bump):
     """One row of identities._ROUTES at degree n alone, with n's own powers.
 
@@ -224,7 +244,8 @@ def route_at_degree(route, n, chi, weights, ys, bump):
     family L23 and i_j in L12, raised by bump in the route's bump column;
     each power is kept times its own weight, the inner sum over the last
     two slots is rebuilt at every degree, and the sum is divided by
-    w1 w2 w3 once.
+    w1 w2 w3 once.  The products are integer polynomials over one common
+    denominator, reduced modulo Phi_m by one vec_reduce at the end.
     """
     complementary = route.family == "L23"
     scale, free = 1, []
@@ -242,21 +263,25 @@ def route_at_degree(route, n, chi, weights, ys, bump):
             pairs = tuple((weights[c], weights[f]) for c, f in slot[3])
             values = _fold(chi, weights[slot[1]], ys[slot[2]], pairs, n)
         powers = [w ** ((n - i if complementary else i) + e) for i in degrees]
-        free.append((powers, values))
-    order, den = chi.order, weights[0] * weights[1] * weights[2]
+        free.append((powers, values[: n + 1]))
+    den = weights[0] * weights[1] * weights[2]
     p, v = free[0]
     if len(free) == 1:
         return v[n].scale(Fraction(scale * p[n], den))
+    v, dv = _int_rows(v)
     q, u = free[1]
+    u, du = _int_rows(u)
     if len(free) == 3:
         r, s = free[2]
-        inner = []
-        for m in degrees:
-            terms = [(comb(m, l) * q[l] * r[m - l], u[l], s[m - l]) for l in range(m + 1)]
-            inner.append(linear_combination(order, terms))
-        q, u = [1] * (n + 1), inner
-    terms = [(scale * comb(n, k) * p[k] * q[n - k], v[k], u[n - k]) for k in degrees]
-    return linear_combination(order, terms, den)
+        s, ds = _int_rows(s)
+        inner = [
+            _weighted_products((comb(m, l) * q[l] * r[m - l], u[l], s[m - l]) for l in range(m + 1))
+            for m in degrees
+        ]
+        q, u, du = [1] * (n + 1), inner, du * ds
+    acc = _weighted_products((scale * comb(n, k) * p[k] * q[n - k], v[k], u[n - k]) for k in degrees)
+    coeffs = vec_reduce([Fraction(t, dv * du * den) for t in acc], chi.order)
+    return CycloElement.from_coeffs(chi.order, coeffs)
 
 
 def inducing_character(chi):

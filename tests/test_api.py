@@ -48,12 +48,12 @@ def test_every_listed_name_resolves(module):
     assert missing == []
 
 
-def _statements(path: Path):
+def _statements(source: str):
     # (names defined, names used) per top-level statement of a module: a
     # use is a loaded name, an attribute read or an imported name, so the
     # strings of __all__ and the name a def binds are not uses
     out = []
-    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+    for stmt in ast.parse(source).body:
         defined = set()
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             defined.add(stmt.name)
@@ -77,7 +77,7 @@ _PROGRAM = [
     stmt
     for folder in (ROOT / "src" / "bernsym", ROOT / "bench")
     for path in sorted(folder.glob("*.py"))
-    for stmt in _statements(path)
+    for stmt in _statements(path.read_text(encoding="utf-8"))
 ]
 
 
@@ -97,6 +97,40 @@ def test_every_listed_name_is_used_outside_the_tests(module):
     ]
     assert unused == []
 
+
+def _unread_private_names(statements, program) -> list[str]:
+    # the _names that the statements define at top level and that no
+    # statement of program reads outside its own
+    return sorted(
+        name
+        for defined, _ in statements
+        for name in defined
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in used and name not in own for own, used in program)
+    )
+
+
+def test_the_private_name_guard_sees_an_unread_helper():
+    source = (
+        "def _f():\n    return 1\n"
+        "def _g():\n    return _f()\n"
+        "def _h():\n    return _h()\n"
+        "_K = 2\n__all__ = ['f']\ndef f():\n    return mod._K\n"
+    )
+    statements = _statements(source)
+    # _g is never read, and _h only by itself; _f is called, _K read as an attribute
+    assert _unread_private_names(statements, statements) == ["_g", "_h"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "bernsym").glob("*.py")), ids=lambda p: p.name
+)
+def test_every_private_name_is_read_by_the_program(path):
+    # a private helper, table or constant is read by the program or the
+    # benchmark outside its own statement, so a wrapper kept after its last
+    # caller went away fails here; the tests do not count
+    statements = _statements(path.read_text(encoding="utf-8"))
+    assert _unread_private_names(statements, _PROGRAM) == []
 
 
 _MATH_NAMES = {"comb", "factorial", "gcd", "lcm", "prod"}

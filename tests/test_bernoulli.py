@@ -486,7 +486,6 @@ def test_memo_tables_are_bounded_and_cleared():
     lambda_series(spec, chi, 6)
     lambda_series_from_integrals(spec, chi, 6)
     tables = (
-        bernoulli._one,
         _number_table,
         _power_table,
         char_exp_sum,
@@ -501,9 +500,9 @@ def test_memo_tables_are_bounded_and_cleared():
         _run_table,
     )
     assert set(bernoulli._CACHES) == {
-        bernoulli._one, _number_table, _power_table, bernoulli._char_exp_sum,
-        _t_over_exp_minus_one, _fold_table, _closed_factor, _closed_denominator,
-        _char_product, _shifted_kernel, _char_integral, _plain_integral_inverse, _run_table,
+        _number_table, _power_table, bernoulli._char_exp_sum, _t_over_exp_minus_one,
+        _fold_table, _closed_factor, _closed_denominator, _char_product, _shifted_kernel,
+        _char_integral, _plain_integral_inverse, _run_table,
     }
     for table in tables:
         info = table.cache_info()
