@@ -16,7 +16,6 @@ import io
 import json
 import re
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -806,6 +805,13 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _pool_errors() -> tuple:
+    # read only when an exception reaches main: a broken pool is an error
+    # too, and only a sweep that started a pool has loaded its module
+    pool = sys.modules.get("concurrent.futures.process")
+    return (pool.BrokenProcessPool,) if pool else ()
+
+
 def main(argv=None) -> int:
     parser = _parser()
     if argv is None:
@@ -813,7 +819,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_negative_values(argv))
     try:
         return args.func(args)
-    except (ValueError, OSError, BrokenProcessPool) as exc:
+    except (ValueError, OSError, *_pool_errors()) as exc:
         parser.exit(2, f"bernsym: error: {exc}\n")
 
 

@@ -103,7 +103,6 @@ and repeated, and one text when rendered.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -709,6 +708,9 @@ def sweep_verify(
     if jobs <= 1 or len(parts) <= 1:
         done = map(_verify_part, tasks)
     else:
+        # imported here: it loads multiprocessing, which no serial run needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(parts))) as pool:
             done = list(pool.map(_verify_part, tasks))
     reports = [None] * len(instances)

@@ -387,6 +387,11 @@ def test_sweep_malformed_config_is_usage_error(tmp_path, capsys, content, flags)
     assert "Traceback" not in err
 
 
+# two degree runs of one character at --jobs 2: a pool of two workers
+POOLED_SWEEP = ["sweep", "--moduli", "1", "--theorems", "T8", "--n-max", "3",
+                "--weights", "1,2,3;2,3,5", "--jobs", "2"]
+
+
 def test_sweep_dead_worker_is_usage_error(monkeypatch, capsys):
     parent = os.getpid()
     verify = identities.verify_theorem
@@ -397,14 +402,52 @@ def test_sweep_dead_worker_is_usage_error(monkeypatch, capsys):
         return verify(*args, **kwargs)
 
     monkeypatch.setattr(identities, "verify_theorem", die_in_worker)
+    monkeypatch.setattr(identities, "_usable_cpus", lambda: 2)  # a pool on any machine
     with pytest.raises(SystemExit) as exc:
-        cli.main(["sweep", "--moduli", "1", "--theorems", "T8", "--n-max", "3",
-                  "--weights", "1,2,3;2,3,5", "--jobs", "2"])
+        cli.main(POOLED_SWEEP)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("bernsym: error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# main with the CPUs pinned at 2, then the pool modules it left loaded, on stderr
+_LOADED_POOL_MODULES = """
+import sys
+from bernsym import cli, identities
+identities._usable_cpus = lambda: 2
+try:
+    cli.main(sys.argv[1:])
+finally:
+    print(*(m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules),
+          file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["sweep", "--moduli", "4", "--theorems", "T7", "--n-max", "1", "--jobs", "1"], ""),
+        (["verify", "--theorem", "T1", "--modulus", "5", "--n-max", "1"], ""),
+        (["lambda", "--family", "L23", "--index", "1", "--modulus", "5", "--char", "1",
+          "--weights", "2,3,5", "--ys", "1/2,-2/3", "--order", "6", "--route", "both"], ""),
+        (["compute", "bernoulli-number", "--modulus", "4", "--char", "1", "-n", "3"], ""),
+        (["chars", "--modulus", "5"], ""),
+        (POOLED_SWEEP, "concurrent.futures multiprocessing"),
+    ],
+    ids=["sweep --jobs 1", "verify", "lambda --route both", "compute", "chars", "sweep --jobs 2"],
+)
+def test_only_a_started_pool_loads_the_pool_modules(argv, loaded):
+    # a fresh interpreter, since this one has loaded them; the pooled sweep
+    # shows that the check sees them
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    run = subprocess.run(
+        [sys.executable, "-c", _LOADED_POOL_MODULES, *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), check=False,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == loaded + "\n"
 
 
 _EVERY_FIELD_SET = cli.SweepConfig(

@@ -428,7 +428,7 @@ def test_sweep_verify_caps_workers_at_run_count(monkeypatch):
         def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
-    monkeypatch.setattr(identities, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(identities, "_usable_cpus", lambda: 64)  # the cap is the runs'
     instances = [
         TheoremInstance("T7", CHI3, n, w, (F(1, 2),))
@@ -508,7 +508,7 @@ def test_sweep_verify_returns_reports_in_input_order(monkeypatch):
     ]
     instances = [inst for pair in zip(down, mixed) for inst in pair] + [mixed[0]]
     expected = [verify_theorem(inst) for inst in instances]
-    monkeypatch.setattr(identities, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
     for jobs in (1, 2):
         for given in (instances, (inst for inst in instances)):
             reports = sweep_verify(given, jobs=jobs)
@@ -524,7 +524,7 @@ def test_sweep_verify_spawned_pool_matches_serial(monkeypatch):
     # reports must carry the serial values and the parent's characters
     spawn = multiprocessing.get_context("spawn")
     pool = functools.partial(ProcessPoolExecutor, mp_context=spawn)
-    monkeypatch.setattr(identities, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", pool)
     chars = (enumerate_characters(5)[1], CHI11_ORDER10)
     instances = [
         TheoremInstance(theorem, chi, n, (1, 2, 3), ys)
@@ -735,7 +735,7 @@ def test_sweep_keeps_route_runs_within_the_table_bound(monkeypatch, perturb, job
         return evaluate_run(route, N, chi, weights, ys, bump)
 
     monkeypatch.setattr(identities, "_evaluate_run", measured)
-    monkeypatch.setattr(identities, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
     clear_caches()
     reports = sweep_verify(instances, jobs=jobs, perturb=perturb)
     assert max(sizes) == bernoulli._run_table.cache_info().maxsize == 2
@@ -915,7 +915,7 @@ def _recording_pool(monkeypatch, cpus=8):
                 dealt["parts"].append((part, done[-1]))
             return done
 
-    monkeypatch.setattr(identities, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     return dealt
 
 
@@ -1034,7 +1034,8 @@ def test_forked_pool_builds_each_leaf_in_one_worker(monkeypatch):
     # grid shape, 630 folds and 10 number tables
     fork = multiprocessing.get_context("fork")
     monkeypatch.setattr(
-        identities, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=fork)
+        "concurrent.futures.ProcessPoolExecutor",
+        functools.partial(ProcessPoolExecutor, mp_context=fork),
     )
     monkeypatch.setattr(identities, "_usable_cpus", lambda: 2)  # two workers on any machine
     bench_grid = cli.SweepConfig(moduli=(1, 3, 4, 5, 7, 8), n_max=1, weights=((1, 2, 3), (2, 3, 5)))

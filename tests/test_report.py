@@ -337,7 +337,7 @@ def test_pool_report_matches_serial(monkeypatch, capsys, method):
         pytest.skip(f"no {method} start method on this platform")
     context = multiprocessing.get_context(method)
     monkeypatch.setattr(
-        identities, "ProcessPoolExecutor",
+        "concurrent.futures.ProcessPoolExecutor",
         functools.partial(ProcessPoolExecutor, mp_context=context),
     )
     for fmt in ("json", "csv", "text"):
