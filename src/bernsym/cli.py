@@ -805,13 +805,6 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _pool_errors() -> tuple:
-    # read only when an exception reaches main: a broken pool is an error
-    # too, and only a sweep that started a pool has loaded its module
-    pool = sys.modules.get("concurrent.futures.process")
-    return (pool.BrokenProcessPool,) if pool else ()
-
-
 def main(argv=None) -> int:
     parser = _parser()
     if argv is None:
@@ -819,8 +812,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_negative_values(argv))
     try:
         return args.func(args)
-    except (ValueError, OSError, *_pool_errors()) as exc:
+    except MemoryError:
+        pass  # reported below, once its traceback has let go of the work's memory
+    except (ValueError, OSError) as exc:
         parser.exit(2, f"bernsym: error: {exc}\n")
+    parser.exit(2, "bernsym: error: out of memory\n")
 
 
 if __name__ == "__main__":

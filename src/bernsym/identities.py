@@ -606,11 +606,6 @@ def _verify_star(args):
     return reports
 
 
-def _verify_part(tasks):
-    # the tasks of one part, in turn: each degree run from its highest n down
-    return [_verify_star(task) for task in tasks]
-
-
 def _orbit_groups(instances) -> dict[int, list[tuple[int, int]]]:
     # {head: [(conjugate, k)]} over instance indices: the instances that
     # share (theorem, n, weights, ys), grouped by the Galois orbits of their
@@ -672,24 +667,28 @@ def sweep_verify(
     mismatched character, and any whose representative is absent from
     its group, is verified directly.
 
-    jobs is an upper bound, first capped at the CPUs this process may use.
-    A part is one degree run, or, with jobs > 1 and at least jobs verified
-    characters, the degree runs of one verified character, in order.  The
-    parts are verified in turn, or, with jobs > 1 and several parts, by a
-    pool of at most one worker per part, one part per task.  The memo tables
-    key a leaf by its character, so each leaf is built in one worker when
-    the parts are characters, and may be built in each worker when they
-    are degree runs; then the workers still share the work.
+    jobs is an upper bound, first capped at the CPUs this process may use,
+    and at 1 where the platform cannot fork.  A part is one degree run, or,
+    with jobs > 1 and at least jobs verified characters, the degree runs of
+    one verified character, in order.  The parts are verified in turn, or,
+    with jobs > 1 and several parts, by at most one forked worker per part,
+    each dealt its next part when it sends back the reports of its last.
+    A worker inherits the parts, so only a part's index is sent to it and
+    only its pickled reports come back.  The memo tables key a leaf by its
+    character, so each leaf is built in one worker when the parts are
+    characters, and may be built in each worker when they are degree runs;
+    then the workers still share the work.  An exception raised in a worker
+    is raised again here, and a worker that dies raises ChildProcessError.
 
-    render, if given, is a picklable callable from a report to its text.
-    It is applied where the report was made, in the worker with jobs > 1,
+    render, if given, is a callable from a report to its text.  It is
+    applied where the report was made, in the worker with jobs > 1,
     derived reports included, and each report then keeps that text and
     its verdict flags only.  Without render, each report holds the
     caller's own instance object, with jobs > 1 too.
     """
     instances = list(instances)
     groups = _orbit_groups(instances)
-    jobs = min(jobs, _usable_cpus())
+    jobs = min(jobs, _usable_cpus()) if hasattr(os, "fork") else 1
     by_chi = 1 < jobs <= len({instances[k].chi for k in groups})
     runs: dict = {}  # the degree runs of the group heads, in input order
     for k in sorted(groups):
@@ -700,19 +699,22 @@ def sweep_verify(
         run.sort(key=lambda i: -instances[i].n)
         parts.setdefault(key[1] if by_chi else key, []).extend(run)
     parts = list(parts.values())
-    tasks = (  # built part by part, as the parts are verified
-        [(instances[k], [(instances[c], step) for c, step in groups[k]], perturb, render)
-         for k in part]
-        for part in parts
-    )
-    if jobs <= 1 or len(parts) <= 1:
-        done = map(_verify_part, tasks)
-    else:
-        # imported here: it loads multiprocessing, which no serial run needs
-        from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(parts))) as pool:
-            done = list(pool.map(_verify_part, tasks))
+    def verify(p):
+        # the tasks of one part, in turn: each degree run from its highest n down
+        return [
+            _verify_star(
+                (instances[k], [(instances[c], step) for c, step in groups[k]], perturb, render)
+            )
+            for k in parts[p]
+        ]
+
+    if jobs <= 1 or len(parts) <= 1:
+        done = map(verify, range(len(parts)))
+    else:
+        from . import _pool  # loaded only where a pool starts
+
+        done = _pool.run(verify, len(parts), jobs)
     reports = [None] * len(instances)
     for part, part_reports in zip(parts, done):
         for k, task_reports in zip(part, part_reports):

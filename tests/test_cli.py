@@ -4,6 +4,8 @@ import io
 import json
 import os
 import re
+import resource
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -392,16 +394,24 @@ POOLED_SWEEP = ["sweep", "--moduli", "1", "--theorems", "T8", "--n-max", "3",
                 "--weights", "1,2,3;2,3,5", "--jobs", "2"]
 
 
-def test_sweep_dead_worker_is_usage_error(monkeypatch, capsys):
+def _no_child_left():
+    # every process this one forked has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fail_in_workers(monkeypatch, capsys, fail):
+    # POOLED_SWEEP with verify_theorem calling fail() in every worker: the
+    # one stderr line it exits 2 with, once no worker is left
     parent = os.getpid()
     verify = identities.verify_theorem
 
-    def die_in_worker(*args, **kwargs):
+    def fail_in_worker(*args, **kwargs):
         if os.getpid() != parent:
-            os._exit(1)
+            fail()
         return verify(*args, **kwargs)
 
-    monkeypatch.setattr(identities, "verify_theorem", die_in_worker)
+    monkeypatch.setattr(identities, "verify_theorem", fail_in_worker)
     monkeypatch.setattr(identities, "_usable_cpus", lambda: 2)  # a pool on any machine
     with pytest.raises(SystemExit) as exc:
         cli.main(POOLED_SWEEP)
@@ -410,6 +420,55 @@ def test_sweep_dead_worker_is_usage_error(monkeypatch, capsys):
     assert err.startswith("bernsym: error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+    _no_child_left()
+    return err
+
+
+def test_sweep_dead_worker_is_usage_error(monkeypatch, capsys):
+    err = _fail_in_workers(monkeypatch, capsys, lambda: os._exit(1))
+    assert err == "bernsym: error: a worker process exited with status 1\n"
+
+
+def _raise(exc):
+    raise exc
+
+
+@pytest.mark.parametrize(
+    "fail, err",
+    [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL),
+         "a worker process was killed by signal 9 (SIGKILL)"),
+        (lambda: _raise(ValueError("raised in a worker")), "raised in a worker"),
+        (lambda: _raise(MemoryError()), "out of memory"),
+    ],
+    ids=["SIGKILL", "ValueError", "MemoryError"],
+)
+def test_sweep_failing_worker_is_one_error_line(monkeypatch, capsys, fail, err):
+    assert _fail_in_workers(monkeypatch, capsys, fail) == f"bernsym: error: {err}\n"
+
+
+def test_passing_pooled_sweep_leaves_no_child(monkeypatch, capsys):
+    monkeypatch.setattr(identities, "_usable_cpus", lambda: 2)  # a pool on any machine
+    serial = run_cli(capsys, [*POOLED_SWEEP[:-1], "1"])
+    assert serial[0] == 0
+    assert run_cli(capsys, POOLED_SWEEP) == serial
+    _no_child_left()
+
+
+def test_out_of_memory_is_usage_error():
+    # a grid too large for a child capped at 200 MB of address space: the
+    # cap is set in that child alone, between its fork and its exec
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    run = subprocess.run(
+        [sys.executable, "-m", "bernsym.cli", "sweep", "--moduli", "1", "--theorems", "T8",
+         "--n-max", "30000000"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=cap, check=False,
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (2, "", "bernsym: error: out of memory\n")
 
 
 # main with the CPUs pinned at 2, then the pool modules it left loaded, on stderr
@@ -420,8 +479,8 @@ identities._usable_cpus = lambda: 2
 try:
     cli.main(sys.argv[1:])
 finally:
-    print(*(m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules),
-          file=sys.stderr)
+    pool = ("concurrent.futures", "multiprocessing", "bernsym._pool")
+    print(*(m for m in pool if m in sys.modules), file=sys.stderr)
 """
 
 
@@ -434,13 +493,14 @@ finally:
           "--weights", "2,3,5", "--ys", "1/2,-2/3", "--order", "6", "--route", "both"], ""),
         (["compute", "bernoulli-number", "--modulus", "4", "--char", "1", "-n", "3"], ""),
         (["chars", "--modulus", "5"], ""),
-        (POOLED_SWEEP, "concurrent.futures multiprocessing"),
+        (POOLED_SWEEP, "bernsym._pool"),
     ],
     ids=["sweep --jobs 1", "verify", "lambda --route both", "compute", "chars", "sweep --jobs 2"],
 )
 def test_only_a_started_pool_loads_the_pool_modules(argv, loaded):
-    # a fresh interpreter, since this one has loaded them; the pooled sweep
-    # shows that the check sees them
+    # a fresh interpreter, since this one has loaded the pool; no command
+    # loads concurrent.futures or multiprocessing, and the pooled sweep,
+    # which loads bernsym._pool, shows that the check sees a loaded module
     src = os.path.dirname(os.path.dirname(cli.__file__))
     run = subprocess.run(
         [sys.executable, "-c", _LOADED_POOL_MODULES, *argv],

@@ -1,15 +1,13 @@
 import dataclasses
 import functools
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from math import comb
 
 import oracles
 import pytest
 
-from bernsym import bernoulli, cli, identities
+from bernsym import _pool, bernoulli, cli, identities
 from bernsym.bernoulli import clear_caches, gen_bernoulli_poly
 from bernsym.characters import _galois_orbits, enumerate_characters, primitive_characters
 from bernsym.cyclotomic import CycloElement, _conjugate
@@ -415,20 +413,11 @@ def test_sweep_verify_caps_workers_at_run_count(monkeypatch):
     # are dealt, so two runs take two workers and one run none
     requested = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
+    def serial_run(fn, count, workers):
+        requested.append(min(workers, count))
+        return _serial_run(fn, count, workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(_pool, "run", serial_run)
     monkeypatch.setattr(identities, "_usable_cpus", lambda: 64)  # the cap is the runs'
     instances = [
         TheoremInstance("T7", CHI3, n, w, (F(1, 2),))
@@ -483,20 +472,10 @@ def test_sweep_verify_builds_each_fold_once(monkeypatch):
     assert builds == {"moments": keys, "series": 1}
 
 
-class _SerialPool:
+def _serial_run(fn, count, workers):
     # an in-process stand-in for the pool that maps serially, so no
     # process is started
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, iterable, chunksize=1):
-        return map(fn, iterable)
+    return [fn(i) for i in range(count)]
 
 
 def test_sweep_verify_returns_reports_in_input_order(monkeypatch):
@@ -508,7 +487,7 @@ def test_sweep_verify_returns_reports_in_input_order(monkeypatch):
     ]
     instances = [inst for pair in zip(down, mixed) for inst in pair] + [mixed[0]]
     expected = [verify_theorem(inst) for inst in instances]
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_pool, "run", _serial_run)
     for jobs in (1, 2):
         for given in (instances, (inst for inst in instances)):
             reports = sweep_verify(given, jobs=jobs)
@@ -518,13 +497,18 @@ def test_sweep_verify_returns_reports_in_input_order(monkeypatch):
             assert [r.values for r in reports] == [r.values for r in expected]
 
 
-def test_sweep_verify_spawned_pool_matches_serial(monkeypatch):
-    # spawned workers (the start method of macOS and Windows) import bernsym
-    # afresh and unpickle each character as the one they enumerate; the
-    # reports must carry the serial values and the parent's characters
-    spawn = multiprocessing.get_context("spawn")
-    pool = functools.partial(ProcessPoolExecutor, mp_context=spawn)
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", pool)
+def _no_child_left():
+    # every process this one forked has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_sweep_verify_forked_pool_matches_serial(monkeypatch):
+    # forked workers send their reports back pickled, each character by its
+    # key; the reports must carry the serial values and the parent's
+    # characters, and every worker is reaped once the pool is done
+    monkeypatch.setattr(identities, "_usable_cpus", lambda: 2)  # a pool on any machine
     chars = (enumerate_characters(5)[1], CHI11_ORDER10)
     instances = [
         TheoremInstance(theorem, chi, n, (1, 2, 3), ys)
@@ -539,6 +523,7 @@ def test_sweep_verify_spawned_pool_matches_serial(monkeypatch):
     assert [str(v) for r in parallel for v in r.values] == [
         str(v) for r in serial for v in r.values
     ]
+    _no_child_left()
 
 
 def test_imprimitive_characters_recorded():
@@ -735,7 +720,7 @@ def test_sweep_keeps_route_runs_within_the_table_bound(monkeypatch, perturb, job
         return evaluate_run(route, N, chi, weights, ys, bump)
 
     monkeypatch.setattr(identities, "_evaluate_run", measured)
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_pool, "run", _serial_run)
     clear_caches()
     reports = sweep_verify(instances, jobs=jobs, perturb=perturb)
     assert max(sizes) == bernoulli._run_table.cache_info().maxsize == 2
@@ -898,24 +883,23 @@ def test_pool_reports_hold_the_callers_instances():
 
 def _recording_pool(monkeypatch, cpus=8):
     # an in-process stand-in for the pool that maps serially, so no process
-    # is started, and records each worker count it is asked for and each
-    # part it is dealt, with the reports verified from that part; the
-    # process may use cpus CPUs, whatever the machine has
+    # is started, and records each worker count it starts and each part it
+    # is dealt, as the instances verified in it (one per task, in order),
+    # with the reports verified from that part; the process may use cpus
+    # CPUs, whatever the machine has
     dealt = {"workers": [], "parts": []}
     monkeypatch.setattr(identities, "_usable_cpus", lambda: cpus)
 
-    class RecordingPool(_SerialPool):
-        def __init__(self, max_workers):
-            dealt["workers"].append(max_workers)
+    def recording_run(fn, count, workers):
+        dealt["workers"].append(min(workers, count))
+        done = []
+        for i in range(count):
+            done.append(fn(i))
+            part = [task_reports[0].instance for task_reports in done[-1]]
+            dealt["parts"].append((part, done[-1]))
+        return done
 
-        def map(self, fn, iterable):
-            done = []
-            for part in iterable:
-                done.append(fn(part))
-                dealt["parts"].append((part, done[-1]))
-            return done
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(_pool, "run", recording_run)
     return dealt
 
 
@@ -936,7 +920,7 @@ def test_pool_is_dealt_one_character_per_part(monkeypatch):
     dealt = _recording_pool(monkeypatch)
     reports = sweep_verify(instances, jobs=2)
     assert dealt["workers"] == [2]
-    chars = [{task[0].chi for task in part} for part, _ in dealt["parts"]]
+    chars = [{inst.chi for inst in part} for part, _ in dealt["parts"]]
     assert all(len(c) == 1 for c in chars)
     assert len(chars) == len(representatives) == len(set().union(*chars))
     assert set().union(*chars) == representatives
@@ -964,7 +948,7 @@ def test_pool_with_fewer_characters_than_workers_is_dealt_runs(monkeypatch, jobs
     reports = sweep_verify(instances, jobs=jobs)
     assert dealt["workers"] == [min(jobs, 3)]
     parts = [part for part, _ in dealt["parts"]]
-    assert [[(task[0].theorem, task[0].n) for task in part] for part in parts] == [
+    assert [[(inst.theorem, inst.n) for inst in part] for part in parts] == [
         [(t, 2), (t, 1), (t, 0)] for t in ("T1", "T4", "T7")
     ]
     assert [r.values for r in reports] == [verify_theorem(inst).values for inst in instances]
@@ -987,11 +971,29 @@ def test_pool_is_capped_at_the_usable_cpus(monkeypatch, cpus):
         assert dealt == {"workers": [], "parts": []}
     else:
         assert dealt["workers"] == [cpus]
-        chars = [{task[0].chi for task in part} for part, _ in dealt["parts"]]
+        chars = [{inst.chi for inst in part} for part, _ in dealt["parts"]]
         assert [len(c) for c in chars] == [1] * 5
     expected = [verify_theorem(inst) for inst in instances]
     assert [_flags(r) for r in reports] == [_flags(r) for r in expected]
     assert [r.values for r in reports] == [r.values for r in expected]
+
+
+def test_a_platform_without_fork_verifies_serially(monkeypatch):
+    # without os.fork every --jobs is capped at 1: the reports are the
+    # serial ones and no pool is started, whatever the CPUs
+    instances = [
+        TheoremInstance(t, chi, n, (1, 2, 3), GALOIS_YS[: theorem_y_arity(t)])
+        for t in ("T3", "T7")
+        for chi in enumerate_characters(5)[1:] + enumerate_characters(7)[1:]
+        for n in range(2)
+    ]
+    serial = sweep_verify(instances, jobs=1)
+    dealt = _recording_pool(monkeypatch)
+    monkeypatch.delattr(os, "fork")
+    reports = sweep_verify(instances, jobs=8)
+    assert dealt == {"workers": [], "parts": []}
+    assert [_flags(r) for r in reports] == [_flags(r) for r in serial]
+    assert [r.values for r in reports] == [r.values for r in serial]
 
 
 def test_usable_cpus_reads_the_affinity_mask_or_else_the_cpu_count(monkeypatch):
@@ -1024,19 +1026,12 @@ def _leaf_builds(instances, jobs):
     return tuple(map(sum, zip(*last.values()))), len(last)
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
-)
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_pool_builds_each_leaf_in_one_worker(monkeypatch):
     # forked workers start from the parent's (emptied) tables; dealt one
     # character per part, the two workers together build each fold and each
     # Bernoulli-number table once, as one process does: on the benchmark's
     # grid shape, 630 folds and 10 number tables
-    fork = multiprocessing.get_context("fork")
-    monkeypatch.setattr(
-        "concurrent.futures.ProcessPoolExecutor",
-        functools.partial(ProcessPoolExecutor, mp_context=fork),
-    )
     monkeypatch.setattr(identities, "_usable_cpus", lambda: 2)  # two workers on any machine
     bench_grid = cli.SweepConfig(moduli=(1, 3, 4, 5, 7, 8), n_max=1, weights=((1, 2, 3), (2, 3, 5)))
     folded = cli.SweepConfig(moduli=(5, 7), theorems=("T3", "T5", "T6"), n_max=4)

@@ -13,9 +13,8 @@ import csv
 import functools
 import io
 import json
-import multiprocessing
+import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction as F
 
 import pytest
@@ -330,20 +329,38 @@ FOLDED = ["sweep", "--moduli", "9,12", "--allow-imprimitive", "--theorems", "T3,
           "--n-max", "2", "--weights", "1,2,3;2,2,3", "--ys=-1/2,0,2/3", "--perturb"]
 
 
-@pytest.mark.parametrize("method", ["fork", "spawn"])
-def test_pool_report_matches_serial(monkeypatch, capsys, method):
-    # a spawned worker imports bernsym afresh and unpickles the render callable
-    if method not in multiprocessing.get_all_start_methods():
-        pytest.skip(f"no {method} start method on this platform")
-    context = multiprocessing.get_context(method)
-    monkeypatch.setattr(
-        "concurrent.futures.ProcessPoolExecutor",
-        functools.partial(ProcessPoolExecutor, mp_context=context),
-    )
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_pool_report_matches_serial(monkeypatch, capsys):
+    monkeypatch.setattr(identities, "_usable_cpus", lambda: 2)  # a pool on any machine
     for fmt in ("json", "csv", "text"):
         code, serial = _run(capsys, FOLDED + ["--format", fmt])
         assert code == 1
         _check_run(capsys, FOLDED + ["--format", fmt, "--jobs", "2"], 1, serial)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_pool_applies_a_render_callable_that_does_not_pickle(monkeypatch):
+    # a forked worker holds the render callable already, so a closure, which
+    # pickle refuses, renders in the workers what it renders serially
+    monkeypatch.setattr(identities, "_usable_cpus", lambda: 2)  # a pool on any machine
+    seen = []
+
+    def render(report):
+        seen.append(report)
+        return cli._render_sweep_record("csv", report)
+
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        pickle.dumps(render)
+    instances = cli.build_instances(cli.SweepConfig(
+        moduli=(5, 7), theorems=("T3", "T7"), n_max=2, weights=((1, 2, 3),)
+    ))
+    serial = identities.sweep_verify(instances, jobs=1, render=render)
+    assert len(seen) == len(instances)
+    pooled = identities.sweep_verify(instances, jobs=2, render=render)
+    assert len(seen) == len(instances)  # every pooled record was rendered in a worker
+    assert [r.text for r in pooled] == [r.text for r in serial]
+    flags = [(r.all_equal, r.first_mismatch, r.extras) for r in serial]
+    assert [(r.all_equal, r.first_mismatch, r.extras) for r in pooled] == flags
 
 
 class _Classes(pickle.Unpickler):
